@@ -1,51 +1,28 @@
 """Two-sided Groebner bases in free associative algebras over the rationals."""
 
-from .words import (
-    EMPTY,
-    Alphabet,
-    LLexOrdering,
-    Occurrence,
-    Overlap,
-    compare_llex,
-    occurrences,
-    overlaps,
-)
-from .polynomial import (
-    NcPolynomial,
-    PolynomialSyntaxError,
-    add_scaled,
-    format_polynomial,
-    leading,
-    make_monic,
-    parse_polynomial,
-    sandwich,
-)
-from .division import DivisionResult, divide, normal_remainder
-from .obstructions import (
-    ModuleTerm,
-    Obstruction,
-    classify,
-    compare_module_terms,
-    compare_obstructions,
-    has_overlap,
-    nontrivial_obstructions,
-    s_polynomial,
-)
-from .criteria import (
-    CriteriaReport,
-    backward_criterion,
-    leading_word_criterion,
-    multiply_criterion,
-    tail_reduction,
-)
+from .words import Alphabet, LLexOrdering
+from .polynomial import NcPolynomial, format_polynomial, parse_polynomial
 from .engine import (
     BasisState,
     EngineConfig,
     RunStats,
     buchberger,
     interreduce,
-    select_next,
     verify_groebner,
 )
+
+__all__ = [
+    "Alphabet",
+    "LLexOrdering",
+    "NcPolynomial",
+    "parse_polynomial",
+    "format_polynomial",
+    "BasisState",
+    "EngineConfig",
+    "RunStats",
+    "buchberger",
+    "interreduce",
+    "verify_groebner",
+]
 
 __version__ = "0.1.0"

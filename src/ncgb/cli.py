@@ -146,24 +146,23 @@ def _parse_criteria(text):
         if not part:
             continue
         if part not in ALL_CRITERIA:
-            raise ValueError(f"unknown criterion {part!r} (expected m, f, tail, bk)")
+            raise ValueError(f"unknown criterion {part!r} (expected m, f, bk)")
         chosen.add(part)
     return frozenset(chosen)
 
 
 def cmd_run(args, out) -> int:
     problem = parse_problem(args.problem)
-    mode = "basic" if args.no_criteria else (args.mode or problem.mode or "improved")
     criteria = ALL_CRITERIA
-    if args.criteria is not None:
+    if (args.mode or problem.mode) == "basic":
+        criteria = frozenset()
+    elif args.criteria is not None:
         criteria = _parse_criteria(args.criteria)
     cfg = EngineConfig(
         ordering=problem.ordering,
-        mode=mode,
         truncation_degree=args.trunc if args.trunc is not None else problem.truncation,
         max_basis=args.max_basis if args.max_basis is not None else problem.max_basis,
         max_degree=args.max_degree if args.max_degree is not None else problem.max_degree,
-        exact_tiebreak=args.exact_tiebreak,
         criteria=criteria,
     )
     basis, stats = buchberger(problem.generators, cfg)
@@ -182,10 +181,13 @@ def cmd_run(args, out) -> int:
     print("\t".join(STATS_COLUMNS), file=out)
     print("\t".join(str(v) for v in row), file=out)
     if args.stats_csv:
-        with open(args.stats_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(STATS_COLUMNS)
-            writer.writerow(row)
+        try:
+            with open(args.stats_csv, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(STATS_COLUMNS)
+                writer.writerow(row)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.stats_csv}: {exc.strerror}") from None
     return EXIT_CAPPED if stats.capped else EXIT_OK
 
 
@@ -213,18 +215,15 @@ def main(argv=None) -> int:
 
     prun = sub.add_parser("run", help="compute a (possibly truncated) Groebner basis")
     prun.add_argument("problem", help="problem file")
-    prun.add_argument("--mode", choices=["improved", "basic"])
+    prun.add_argument("--mode", choices=["improved", "basic"],
+                      help="basic reduces every obstruction, with no criteria")
     prun.add_argument("--trunc", type=int, metavar="D",
                       help="truncation degree (homogeneous input only)")
     prun.add_argument("--max-basis", type=int, metavar="N")
     prun.add_argument("--max-degree", type=int, metavar="D")
     prun.add_argument("--stats-csv", metavar="PATH")
-    prun.add_argument("--exact-tiebreak", action="store_true",
-                      help="break selection ties on the actual S-polynomial leading word")
-    prun.add_argument("--no-criteria", action="store_true",
-                      help="shorthand for --mode basic")
     prun.add_argument("--criteria", metavar="LIST",
-                      help="comma separated subset of m,f,tail,bk")
+                      help="comma separated subset of m,f,bk")
 
     pver = sub.add_parser("verify", help="check that a basis file passes the "
                                          "obstruction criterion for its problem")
@@ -235,6 +234,10 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        for flag in ("trunc", "max_basis", "max_degree"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise ValueError(f"--{flag.replace('_', '-')} must be positive")
         if args.command == "run":
             return cmd_run(args, sys.stdout)
         return cmd_verify(args, sys.stdout)

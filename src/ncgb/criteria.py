@@ -1,24 +1,19 @@
 """Pair-elimination criteria: prune obstructions whose S-polynomials are
 already covered by smaller ones.
 
-The first two criteria work inside one batch of newly constructed
-obstructions (all targeting the newest generator), the tail reduction
-plays the batch against the pending set, and the backward criterion
-prunes the pending set using the newest generator.  Every removal here
-preserves the computed basis; only the amount of reduction work changes.
+The three criteria are the free-algebra forms of Gebauer and Moeller's
+M, F and B.  The multiply and leading-word criteria work inside one batch
+of newly constructed obstructions (all targeting the newest generator),
+and the backward criterion prunes the pending set using the newest
+generator.  Every removal here preserves the computed basis; only the
+amount of reduction work changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .obstructions import (
-    NEITHER,
-    aligned,
-    classify,
-    compare_obstructions,
-    obstruction_key,
-)
+from .obstructions import NEITHER, aligned, classify, obstruction_key
 
 
 @dataclass
@@ -28,14 +23,9 @@ class CriteriaReport:
     survivors: list
     removed_m: int = 0
     removed_f: int = 0
-    removed_tail: int = 0
     removed_bk: int = 0
     # (removed obstruction, justifying obstruction or None) pairs
     removed: list = field(default_factory=list)
-
-    @property
-    def removed_obstructions(self):
-        return [o for o, _ in self.removed]
 
 
 def _single_target(batch):
@@ -130,38 +120,6 @@ def leading_word_criterion(news, G, ordering) -> CriteriaReport:
     return CriteriaReport(survivors, removed_f=len(removed), removed=removed)
 
 
-def tail_reduction(news, B, G, ordering) -> CriteriaReport:
-    """Drop new obstructions that an older pending obstruction explains.
-
-    A new obstruction whose source cofactors (u, u2) extend the target
-    cofactors (v, v2) of a pending obstruction on the same middle
-    generator goes when the induced placement of that obstruction's own
-    source next to the newest leading word has disjoint copies.
-    """
-    news = list(news)
-    by_j = {}
-    for old in B:
-        by_j.setdefault(old.j, []).append(old)
-    lws = G.leading_words
-    survivors, removed = [], []
-    for o in news:
-        just = None
-        for old in by_j.get(o.i, ()):
-            if not o.wi.endswith(old.wj) or not o.wi2.startswith(old.wj2):
-                continue
-            cut = len(o.wi) - len(old.wj)
-            a = cut + len(old.wi)
-            b = len(o.wj)
-            if max(a, b) >= min(a + len(lws[old.i]), b + len(lws[o.j])):
-                just = old
-                break
-        if just is None:
-            survivors.append(o)
-        else:
-            removed.append((o, just))
-    return CriteriaReport(survivors, removed_tail=len(removed), removed=removed)
-
-
 def backward_criterion(B, news, s, G, ordering) -> CriteriaReport:
     """Prune pending obstructions that the newest generator re-derives.
 
@@ -199,27 +157,23 @@ def backward_criterion(B, news, s, G, ordering) -> CriteriaReport:
     return CriteriaReport(survivors, removed_bk=len(removed), removed=removed)
 
 
-def assert_removals_dominated(report, kind, G, ordering):
+def assert_removals_dominated(report, G, ordering):
     """Check that each removal is larger than both obstructions explaining it.
 
-    Applies to the multiply, leading-word and tail criteria; backward
-    removals carry no such guarantee.  Raises AssertionError on violation.
+    Applies to the multiply and leading-word criteria; backward removals
+    carry no such guarantee.  Raises AssertionError on violation.
     """
+    def key(o):
+        return obstruction_key(o, G, ordering)
+
     for o, just in report.removed:
-        if compare_obstructions(o, just, G, ordering) <= 0:
+        if key(o) <= key(just):
             raise AssertionError(f"removed {o!r} does not dominate its justifier")
-        if kind in ("m", "f"):
-            w = o.wj[:len(o.wj) - len(just.wj)]
-            w2 = o.wj2[len(just.wj2):]
-            if o.i <= just.i:
-                third = aligned(o.i, just.i, o.wi, o.wi2,
-                                w + just.wi, just.wi2 + w2, G)
-            else:
-                third = aligned(just.i, o.i, w + just.wi, just.wi2 + w2,
-                                o.wi, o.wi2, G)
+        w = o.wj[:len(o.wj) - len(just.wj)]
+        w2 = o.wj2[len(just.wj2):]
+        if o.i <= just.i:
+            third = aligned(o.i, just.i, o.wi, o.wi2, w + just.wi, just.wi2 + w2, G)
         else:
-            w = o.wi[:len(o.wi) - len(just.wj)]
-            w2 = o.wi2[len(just.wj2):]
-            third = aligned(just.i, o.j, w + just.wi, just.wi2 + w2, o.wj, o.wj2, G)
-        if compare_obstructions(o, third, G, ordering) <= 0:
+            third = aligned(just.i, o.i, w + just.wi, just.wi2 + w2, o.wi, o.wi2, G)
+        if key(o) <= key(third):
             raise AssertionError(f"removed {o!r} does not dominate the induced obstruction")

@@ -1,16 +1,15 @@
 """Completion engine: enumerate a two-sided Groebner basis from generators.
 
-Two modes share one loop.  The basic mode reduces the S-polynomial of
-every non-trivial obstruction.  The improved mode pushes each batch of
-newly constructed obstructions through the multiply, leading-word and
-tail criteria, then prunes the pending set with the backward criterion,
-before merging the survivors.  Both modes enumerate the same basis; the
-improved mode reduces far fewer S-polynomials.
+Each batch of newly constructed obstructions goes through the enabled
+criteria: the multiply and leading-word criteria thin the batch, then the
+backward criterion prunes the pending set, before the survivors are
+merged.  With no criteria enabled every non-trivial obstruction is
+reduced (the basic procedure); every criteria subset enumerates the same
+basis and differs only in how many S-polynomials it reduces.
 
 Selection uses the normal strategy: the pending obstruction with the
-smallest common word (degree first) comes next.  The ties the common word
-cannot see are broken either by the obstruction ordering (default, cheap)
-or by the actual S-polynomial leading word (``exact_tiebreak``).
+smallest common word (degree first) comes next, ties broken by the
+obstruction ordering.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .criteria import (
     backward_criterion,
     leading_word_criterion,
     multiply_criterion,
-    tail_reduction,
 )
 from .division import divide, normal_remainder
 from .obstructions import (
@@ -32,9 +30,9 @@ from .obstructions import (
     obstruction_key,
     s_polynomial,
 )
-from .polynomial import NcPolynomial, add_scaled, leading, make_monic, sandwich
+from .polynomial import NcPolynomial, add_scaled, leading, make_monic
 
-ALL_CRITERIA = frozenset({"m", "f", "tail", "bk"})
+ALL_CRITERIA = frozenset({"m", "f", "bk"})
 
 
 class BasisState:
@@ -76,22 +74,15 @@ class BasisState:
 @dataclass
 class EngineConfig:
     ordering: object
-    mode: str = "improved"            # "improved" or "basic"
-    strategy: str = "normal"
     truncation_degree: int | None = None
     max_basis: int | None = None
     max_degree: int | None = None
-    exact_tiebreak: bool = False
-    criteria: frozenset = ALL_CRITERIA
+    criteria: frozenset = ALL_CRITERIA  # frozenset() is the basic procedure
     record_derivations: bool = False
     record_selections: bool = False
     check_invariants: bool = False
 
     def validate(self):
-        if self.mode not in ("improved", "basic"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.strategy != "normal":
-            raise ValueError(f"unknown strategy {self.strategy!r}")
         for name, cap in (("truncation_degree", self.truncation_degree),
                           ("max_basis", self.max_basis),
                           ("max_degree", self.max_degree)):
@@ -104,7 +95,11 @@ class EngineConfig:
 
 @dataclass
 class RunStats:
-    """Counters for one run; the removal counts partition the constructed total."""
+    """Counters for one run; the removal counts partition the constructed total.
+
+    ``tail`` keeps the paper's column in the statistics row; this engine has
+    no tail criterion, so it is always 0.
+    """
 
     tot: int = 0
     sel: int = 0
@@ -128,31 +123,20 @@ class RunStats:
 class ObstructionQueue:
     """Pending obstructions keyed by the normal strategy, with lazy deletion."""
 
-    def __init__(self, G, ordering, exact_tiebreak=False):
+    def __init__(self, G, ordering):
         self.G = G
         self.ordering = ordering
-        self.exact_tiebreak = exact_tiebreak
         self._heap = []
         self._live = {}
 
     def __len__(self):
         return len(self._live)
 
-    def _key(self, o):
-        base = obstruction_key(o, self.G, self.ordering)
-        if not self.exact_tiebreak:
-            return base
-        S = s_polynomial(o, self.G, self.ordering)
-        if S:
-            _, lw = leading(S, self.ordering)
-            return (len(lw), self.ordering.key(lw), base)
-        return (-1, (0, b""), base)
-
     def push(self, o):
         if o in self._live:
             return
         self._live[o] = True
-        heapq.heappush(self._heap, (self._key(o), o))
+        heapq.heappush(self._heap, (obstruction_key(o, self.G, self.ordering), o))
 
     def discard(self, o):
         self._live.pop(o, None)
@@ -169,24 +153,17 @@ class ObstructionQueue:
         raise LookupError("no pending obstructions")
 
 
-def select_next(B: ObstructionQueue, G, ordering):
-    """Remove and return the pending obstruction the normal strategy picks."""
-    if not len(B):
-        raise LookupError("no pending obstructions")
-    return B.pop_smallest()
-
-
 def buchberger(G0, cfg: EngineConfig):
     """Run completion on the given generators; returns (basis, stats).
 
     Input generators are absorbed one at a time through the same
-    construct-and-prune step the loop uses for new basis elements, so in
-    improved mode the criteria already thin the initial obstructions.  The
-    returned basis is the enumerated one, not yet interreduced.  With a
-    truncation degree (homogeneous input only) obstructions whose common
-    word exceeds the bound are discarded and counted, which yields a basis
-    valid up to that degree.  Size and degree caps stop the run early with
-    ``stats.capped`` set instead of raising.
+    construct-and-prune step the loop uses for new basis elements, so the
+    criteria already thin the initial obstructions.  The returned basis is
+    the enumerated one, not yet interreduced.  With a truncation degree
+    (homogeneous input only) obstructions whose common word exceeds the
+    bound are discarded and counted, which yields a basis valid up to that
+    degree.  Size and degree caps stop the run early with ``stats.capped``
+    set instead of raising.
     """
     cfg.validate()
     ordering = cfg.ordering
@@ -207,7 +184,7 @@ def buchberger(G0, cfg: EngineConfig):
     if cfg.record_derivations:
         G.derivations = []
     stats = RunStats()
-    queue = ObstructionQueue(G, ordering, cfg.exact_tiebreak)
+    queue = ObstructionQueue(G, ordering)
 
     def absorb(f, derivation):
         """Append one generator and merge its pruned obstruction batch."""
@@ -223,30 +200,23 @@ def buchberger(G0, cfg: EngineConfig):
             kept = [n for n in news if len(n.common) <= trunc]
             stats.truncated_discards += len(news) - len(kept)
             news = kept
-        if cfg.mode == "improved":
-            if "m" in cfg.criteria:
-                rep = multiply_criterion(news, G, ordering)
-                if cfg.check_invariants:
-                    assert_removals_dominated(rep, "m", G, ordering)
-                stats.m += rep.removed_m
-                news = rep.survivors
-            if "f" in cfg.criteria:
-                rep = leading_word_criterion(news, G, ordering)
-                if cfg.check_invariants:
-                    assert_removals_dominated(rep, "f", G, ordering)
-                stats.f += rep.removed_f
-                news = rep.survivors
-            if "tail" in cfg.criteria:
-                rep = tail_reduction(news, queue.live(), G, ordering)
-                if cfg.check_invariants:
-                    assert_removals_dominated(rep, "tail", G, ordering)
-                stats.tail += rep.removed_tail
-                news = rep.survivors
-            if "bk" in cfg.criteria:
-                rep = backward_criterion(queue.live(), news, s, G, ordering)
-                stats.bk += rep.removed_bk
-                for dead, _ in rep.removed:
-                    queue.discard(dead)
+        if "m" in cfg.criteria:
+            rep = multiply_criterion(news, G, ordering)
+            if cfg.check_invariants:
+                assert_removals_dominated(rep, G, ordering)
+            stats.m += rep.removed_m
+            news = rep.survivors
+        if "f" in cfg.criteria:
+            rep = leading_word_criterion(news, G, ordering)
+            if cfg.check_invariants:
+                assert_removals_dominated(rep, G, ordering)
+            stats.f += rep.removed_f
+            news = rep.survivors
+        if "bk" in cfg.criteria:
+            rep = backward_criterion(queue.live(), news, s, G, ordering)
+            stats.bk += rep.removed_bk
+            for dead, _ in rep.removed:
+                queue.discard(dead)
         for n in news:
             queue.push(n)
 

@@ -10,7 +10,6 @@ alignments in which the two placed leading words actually share letters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .polynomial import NcPolynomial, add_scaled, leading, sandwich
 from .words import (
@@ -22,15 +21,6 @@ from .words import (
     proper_borders,
 )
 
-# Obstruction forms.  The form records which canonical alignment produced
-# an obstruction; it is derived data and does not take part in identity.
-LEFT = "left"                    # (wi, 1; 1, wj2)
-RIGHT = "right"                  # (1, wi2; wj, 1)
-CENTER_I_IN_J = "center_i_in_j"  # (wi, wi2; 1, 1): lw(g_i) inside lw(g_j)
-CENTER_J_IN_I = "center_j_in_i"  # (1, 1; wj, wj2): lw(g_j) inside lw(g_i)
-SELF_OVERLAP = "self"            # i == j, (1, wi2; wj, 1) from a proper border
-GENERAL = "general"              # any other aligned placement
-
 
 @dataclass(frozen=True, slots=True)
 class Obstruction:
@@ -40,7 +30,6 @@ class Obstruction:
     wi2: bytes
     wj: bytes
     wj2: bytes
-    form: str = field(compare=False)
     common: bytes = field(compare=False)
 
     def __repr__(self):
@@ -50,47 +39,19 @@ class Obstruction:
                 f"{w(self.wj)},{w(self.wj2)})")
 
 
-class ModuleTerm(NamedTuple):
-    """A generator symbol placed between two words."""
-
-    left: bytes
-    index: int
-    right: bytes
-
-
-def aligned(i, j, wi, wi2, wj, wj2, G, form=GENERAL) -> Obstruction:
+def aligned(i, j, wi, wi2, wj, wj2, G) -> Obstruction:
     """Build an obstruction, checking that the two placements spell the same word."""
     common = wi + G.leading_words[i] + wi2
     if common != wj + G.leading_words[j] + wj2:
         raise ValueError("misaligned obstruction: the two placements differ")
     if i > j:
         raise ValueError("obstruction indices must satisfy i <= j")
-    return Obstruction(i, j, wi, wi2, wj, wj2, form, common)
-
-
-def module_term_key(t: ModuleTerm, G, ordering):
-    placed = t.left + G.leading_words[t.index] + t.right
-    return (ordering.key(placed), t.index, ordering.key(t.left))
-
-
-def compare_module_terms(a: ModuleTerm, b: ModuleTerm, G, ordering) -> int:
-    """Placed word first, then generator index, then the left cofactor."""
-    ka, kb = module_term_key(a, G, ordering), module_term_key(b, G, ordering)
-    if ka < kb:
-        return -1
-    return 0 if ka == kb else 1
+    return Obstruction(i, j, wi, wi2, wj, wj2, common)
 
 
 def obstruction_key(o: Obstruction, G, ordering):
     """Sort key realizing the obstruction ordering: j-side term, then i-side."""
     return (ordering.key(o.common), o.j, ordering.key(o.wj), o.i, ordering.key(o.wi))
-
-
-def compare_obstructions(a: Obstruction, b: Obstruction, G, ordering) -> int:
-    ka, kb = obstruction_key(a, G, ordering), obstruction_key(b, G, ordering)
-    if ka < kb:
-        return -1
-    return 0 if ka == kb else 1
 
 
 def s_polynomial(o: Obstruction, G, ordering):
@@ -120,36 +81,31 @@ def nontrivial_obstructions(i: int, j: int, G, ordering) -> list[Obstruction]:
     lwi, lwj = G.leading_words[i], G.leading_words[j]
     if not lwi or not lwj:
         return []
-    seen = {}
-
-    def add(o):
-        seen.setdefault(o, o)
-
+    seen = set()
+    add = seen.add
     if i == j:
         for L in proper_borders(lwi):
             k = len(lwi) - L
-            add(aligned(i, i, EMPTY, lwi[L:], lwi[:k], EMPTY, G, SELF_OVERLAP))
+            add(aligned(i, i, EMPTY, lwi[L:], lwi[:k], EMPTY, G))
     elif lwi == lwj:
-        add(aligned(i, j, EMPTY, EMPTY, EMPTY, EMPTY, G, CENTER_I_IN_J))
+        add(aligned(i, j, EMPTY, EMPTY, EMPTY, EMPTY, G))
         for L in proper_borders(lwi):
             k = len(lwi) - L
-            add(aligned(i, j, EMPTY, lwj[L:], lwi[:k], EMPTY, G, RIGHT))
-            add(aligned(i, j, lwj[:k], EMPTY, EMPTY, lwi[L:], G, LEFT))
+            add(aligned(i, j, EMPTY, lwj[L:], lwi[:k], EMPTY, G))
+            add(aligned(i, j, lwj[:k], EMPTY, EMPTY, lwi[L:], G))
     else:
         for ov in overlaps(lwi, lwj):
             L = len(ov.witness)
             if ov.kind == SUFFIX_PREFIX:
-                add(aligned(i, j, EMPTY, lwj[L:], lwi[:len(lwi) - L], EMPTY, G, RIGHT))
+                add(aligned(i, j, EMPTY, lwj[L:], lwi[:len(lwi) - L], EMPTY, G))
             elif ov.kind == PREFIX_SUFFIX:
-                add(aligned(i, j, lwj[:len(lwj) - L], EMPTY, EMPTY, lwi[L:], G, LEFT))
+                add(aligned(i, j, lwj[:len(lwj) - L], EMPTY, EMPTY, lwi[L:], G))
             elif ov.kind == FIRST_INSIDE_SECOND:
                 p = ov.position
-                add(aligned(i, j, lwj[:p], lwj[p + len(lwi):], EMPTY, EMPTY, G,
-                            CENTER_I_IN_J))
+                add(aligned(i, j, lwj[:p], lwj[p + len(lwi):], EMPTY, EMPTY, G))
             else:
                 p = ov.position
-                add(aligned(i, j, EMPTY, EMPTY, lwi[:p], lwi[p + len(lwj):], G,
-                            CENTER_J_IN_I))
+                add(aligned(i, j, EMPTY, EMPTY, lwi[:p], lwi[p + len(lwj):], G))
     return sorted(seen, key=lambda o: obstruction_key(o, G, ordering))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .words import Alphabet, WordOrdering
+from .words import Alphabet, LLexOrdering
 
 _ZERO = Fraction(0)
 
@@ -53,7 +53,7 @@ class NcPolynomial:
     def coefficient(self, word: bytes) -> Fraction:
         return self._terms.get(word, _ZERO)
 
-    def items_desc(self, ordering: WordOrdering):
+    def items_desc(self, ordering: LLexOrdering):
         """Terms sorted with the largest word first."""
         return sorted(self._terms.items(), key=lambda kv: ordering.key(kv[0]), reverse=True)
 
@@ -93,7 +93,7 @@ class NcPolynomial:
         return f"NcPolynomial({body})"
 
 
-def leading(f: NcPolynomial, ordering: WordOrdering):
+def leading(f: NcPolynomial, ordering: LLexOrdering):
     """The (coefficient, word) pair of the largest support word of ``f``."""
     if not f:
         raise ValueError("the zero polynomial has no leading term")
@@ -124,7 +124,7 @@ def add_scaled(f: NcPolynomial, scalar, g: NcPolynomial) -> NcPolynomial:
     return res
 
 
-def make_monic(f: NcPolynomial, ordering: WordOrdering) -> NcPolynomial:
+def make_monic(f: NcPolynomial, ordering: LLexOrdering) -> NcPolynomial:
     """Scale ``f`` so its leading coefficient becomes 1."""
     lc, _ = leading(f, ordering)
     if lc == 1:
@@ -218,7 +218,10 @@ class _Parser:
     def factor(self):
         kind, text, col = self.next()
         if kind == "num":
-            return Fraction(text.replace(" ", "")), b""
+            try:
+                return Fraction(text.replace(" ", "")), b""
+            except ZeroDivisionError:
+                self.fail("zero denominator", (kind, text, col))
         if kind == "name":
             try:
                 letter = self.alphabet.index(text)
@@ -278,7 +281,7 @@ def parse_polynomial(text: str, alphabet: Alphabet, line: int = 1) -> NcPolynomi
     return _Parser(tokens, alphabet, line).parse()
 
 
-def format_polynomial(f: NcPolynomial, alphabet: Alphabet, ordering: WordOrdering) -> str:
+def format_polynomial(f: NcPolynomial, alphabet: Alphabet, ordering: LLexOrdering) -> str:
     """Render with terms in decreasing order; parses back to the same polynomial."""
     if not f:
         return "0"

@@ -137,33 +137,12 @@ class Alphabet:
         return "*".join(parts)
 
 
-class WordOrdering:
-    """Interface for multiplication-compatible well-orderings on words.
-
-    Implementations provide :meth:`key`, a sort key that is monotone for the
-    ordering; :meth:`compare` is derived from it.
-    """
-
-    name = "?"
-
-    def key(self, w: bytes):
-        raise NotImplementedError
-
-    def compare(self, a: bytes, b: bytes) -> int:
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return -1
-        return 0 if ka == kb else 1
-
-
-class LLexOrdering(WordOrdering):
+class LLexOrdering:
     """Length first, ties broken left to right by variable precedence.
 
     ``precedence`` lists variable names from largest to smallest; it defaults
     to the alphabet order.
     """
-
-    name = "llex"
 
     __slots__ = ("alphabet", "precedence", "_tbl")
 
@@ -193,11 +172,6 @@ class LLexOrdering(WordOrdering):
         if a == b:
             return 0
         return -1 if a.translate(self._tbl) < b.translate(self._tbl) else 1
-
-
-def compare_llex(a: bytes, b: bytes, alphabet: Alphabet) -> int:
-    """Length-lexicographic comparison; -1, 0 or 1."""
-    return alphabet.llex.compare(a, b)
 
 
 def occurrences(pattern: bytes, text: bytes) -> list[Occurrence]:

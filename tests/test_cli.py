@@ -83,6 +83,21 @@ class TestRun:
         assert code == EXIT_ERROR
         assert "bad.prob:2" in err
 
+    def test_zero_denominator_diagnostic(self, tmp_path, capsys):
+        path = tmp_path / "bad.prob"
+        path.write_text("vars a\ngen a - 1/0\n")
+        code, _, err = run_main(["run", str(path)], capsys)
+        assert code == EXIT_ERROR
+        assert "bad.prob:2:" in err and "zero denominator" in err
+
+    @pytest.mark.parametrize("flag", ["--trunc", "--max-basis", "--max-degree"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_nonpositive_caps_rejected(self, flag, value, capsys):
+        code, out, err = run_main(["run", str(problem_path("braid3")), flag, value],
+                                  capsys)
+        assert code == EXIT_ERROR and out == ""
+        assert f"{flag} must be positive" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_main(["run", "/nonexistent/x.prob"], capsys)
         assert code == EXIT_ERROR and "x.prob" in err
@@ -95,7 +110,7 @@ class TestRun:
 
     def test_no_criteria_matches_basic_mode(self, capsys):
         _, flagged, _ = run_main(
-            ["run", str(problem_path("g09")), "--no-criteria"], capsys)
+            ["run", str(problem_path("g09")), "--criteria", ""], capsys)
         _, basic, _ = run_main(
             ["run", str(problem_path("g09")), "--mode", "basic"], capsys)
         assert flagged == basic
@@ -123,12 +138,11 @@ class TestRun:
         assert lines[0] == "label,gb,rgb,tot,sel,m,f,tail,bk,rho"
         assert lines[1] == "g09,11,5,150,31,98,8,0,13,0.2067"
 
-    def test_exact_tiebreak_flag(self, capsys):
-        code, out, _ = run_main(
-            ["run", str(problem_path("g09")), "--exact-tiebreak"], capsys)
-        assert code == EXIT_OK
-        row = out.splitlines()[-1].split("\t")
-        assert row[1] == "11" and row[2] == "5"
+    def test_unwritable_stats_csv(self, capsys):
+        code, _, err = run_main(["run", str(problem_path("g09")), "--stats-csv",
+                                 "/nonexistent/dir/x.csv"], capsys)
+        assert code == EXIT_ERROR
+        assert err.startswith("error: ") and "x.csv" in err
 
     def test_trunc_flag_requires_homogeneous(self, capsys):
         code, _, err = run_main(
@@ -189,3 +203,14 @@ class TestVerify:
             ["verify", str(path), str(problem_path("braid3")), "--trunc", "5"],
             capsys)
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_nonpositive_trunc_rejected(self, tmp_path, capsys, value):
+        problem = tmp_path / "p.prob"
+        problem.write_text("vars a b\ngen a*b - 1\ngen a^2 - b\n")
+        code, _, _ = run_main(["verify", str(problem), str(problem)], capsys)
+        assert code == EXIT_VERIFY_FAILED
+        code, out, err = run_main(["verify", str(problem), str(problem), "--trunc", value],
+                                  capsys)
+        assert code == EXIT_ERROR and out == ""
+        assert "--trunc must be positive" in err

@@ -1,4 +1,4 @@
-"""The four pair-elimination criteria and the identities that justify them."""
+"""The three pair-elimination criteria and the identities that justify them."""
 
 import random
 
@@ -9,13 +9,12 @@ from ncgb.criteria import (
     backward_criterion,
     leading_word_criterion,
     multiply_criterion,
-    tail_reduction,
 )
 from ncgb.engine import BasisState
 from ncgb.obstructions import (
     aligned,
-    compare_obstructions,
     nontrivial_obstructions,
+    obstruction_key,
     s_polynomial,
 )
 from ncgb.polynomial import add_scaled, parse_polynomial, sandwich
@@ -52,7 +51,7 @@ class TestMultiplyCriterion:
         assert rep.survivors == [small]
         assert rep.removed == [(big, small)]
         assert rep.removed_m == 1
-        assert_removals_dominated(rep, "m", triple, xy.llex)
+        assert_removals_dominated(rep, triple, xy.llex)
 
     def test_singleton_unchanged(self, triple, xy):
         small = aligned(1, 2, xy.word("xy"), b"", b"", xy.word("y"), triple)
@@ -84,7 +83,7 @@ class TestLeadingWordCriterion:
         rep = leading_word_criterion([hi, lo], G, xy.llex)
         assert rep.survivors == [lo]
         assert rep.removed == [(hi, lo)]
-        assert_removals_dominated(rep, "f", G, xy.llex)
+        assert_removals_dominated(rep, G, xy.llex)
 
     def test_larger_left_cofactor_removed_on_tie(self, ab):
         # a*b occurs twice in a*b*a*b; same source, same target cofactors
@@ -102,29 +101,6 @@ class TestLeadingWordCriterion:
         o = aligned(1, 2, xy.word("xy"), b"", b"", xy.word("y"), triple)
         rep = leading_word_criterion([o], triple, xy.llex)
         assert rep.survivors == [o]
-
-
-class TestTailReduction:
-    def test_empty_pending_set(self, triple, xy):
-        news = news_batch(triple, xy.llex, 2)
-        rep = tail_reduction(news, [], triple, xy.llex)
-        assert rep.survivors == news and rep.removed_tail == 0
-
-    def test_disjoint_induced_placement_removed(self, ab):
-        G = basis(["a", "a*b", "b*a"], ab)
-        old = aligned(0, 1, b"", ab.word("b"), b"", b"", G)
-        candidate = aligned(1, 2, b"", ab.word("a"), ab.word("a"), b"", G)
-        rep = tail_reduction([candidate], [old], G, ab.llex)
-        assert rep.survivors == []
-        assert rep.removed == [(candidate, old)]
-        assert_removals_dominated(rep, "tail", G, ab.llex)
-
-    def test_overlapping_induced_placement_survives(self, ab):
-        G = basis(["a", "a*b", "b*a"], ab)
-        old = aligned(0, 1, b"", ab.word("b"), b"", b"", G)
-        candidate = aligned(1, 2, ab.word("b"), b"", b"", ab.word("b"), G)
-        rep = tail_reduction([candidate], [old], G, ab.llex)
-        assert rep.survivors == [candidate]
 
 
 class TestBackwardCriterion:
@@ -165,7 +141,6 @@ def test_conservation_on_random_batches(xy):
         for rep, size in (
             (multiply_criterion(news, G, ordering), len(news)),
             (leading_word_criterion(news, G, ordering), len(news)),
-            (tail_reduction(news, pending, G, ordering), len(news)),
             (backward_criterion(pending, news, s, G, ordering), len(pending)),
         ):
             assert len(rep.survivors) + len(rep.removed) == size
@@ -179,13 +154,8 @@ def test_removals_dominated_on_random_batches(xy):
         G = random_basis(rng, ordering, 2, rng.randint(2, 4), max_degree=4)
         s = len(G) - 1
         news = news_batch(G, ordering, s)
-        pending = []
-        for j in range(s):
-            for i in range(j + 1):
-                pending.extend(nontrivial_obstructions(i, j, G, ordering))
-        assert_removals_dominated(multiply_criterion(news, G, ordering), "m", G, ordering)
-        assert_removals_dominated(leading_word_criterion(news, G, ordering), "f", G, ordering)
-        assert_removals_dominated(tail_reduction(news, pending, G, ordering), "tail", G, ordering)
+        assert_removals_dominated(multiply_criterion(news, G, ordering), G, ordering)
+        assert_removals_dominated(leading_word_criterion(news, G, ordering), G, ordering)
 
 
 def test_head_batch_identity(xy):
@@ -220,8 +190,9 @@ def test_head_batch_identity(xy):
                 strict = (i > j or (w or w2) or
                           (i == j and ordering.compare(o1.wi, o2.wi) > 0))
                 if strict:
-                    assert compare_obstructions(o1, o2, G, ordering) == 1
-                    assert compare_obstructions(o1, third, G, ordering) == 1
+                    key = obstruction_key(o1, G, ordering)
+                    assert key > obstruction_key(o2, G, ordering)
+                    assert key > obstruction_key(third, G, ordering)
                 checked += 1
     assert checked >= 1000
 
@@ -253,8 +224,9 @@ def test_tail_identity(xy):
                 rhs = add_scaled(s_polynomial(induced, G, ordering), -1,
                                  sandwich(w, s_polynomial(old, G, ordering), w2))
                 assert lhs == rhs
-                assert compare_obstructions(o, old, G, ordering) == 1
-                assert compare_obstructions(o, induced, G, ordering) == 1
+                key = obstruction_key(o, G, ordering)
+                assert key > obstruction_key(old, G, ordering)
+                assert key > obstruction_key(induced, G, ordering)
                 checked += 1
     assert checked >= 1000
 

@@ -9,13 +9,11 @@ from ncgb.obstructions import (
     MULTIPLE,
     NEITHER,
     NO_OVERLAP,
-    ModuleTerm,
     aligned,
     classify,
-    compare_module_terms,
-    compare_obstructions,
     has_overlap,
     nontrivial_obstructions,
+    obstruction_key,
     s_polynomial,
 )
 from ncgb.polynomial import add_scaled, leading, parse_polynomial, sandwich
@@ -92,7 +90,6 @@ class TestNontrivialObstructions:
         got = nontrivial_obstructions(0, 0, G, xy.llex)
         assert [(o.wi, o.wi2, o.wj, o.wj2) for o in got] == \
             [(b"", W(xy, "xxy"), W(xy, "xyx"), b"")]
-        assert got[0].form == "self"
 
     def test_disjoint_letters_have_none(self, xy):
         G = basis(["x - 1", "y - 1"], xy)
@@ -118,7 +115,8 @@ class TestNontrivialObstructions:
             for i in range(j + 1):
                 got = nontrivial_obstructions(i, j, triple, xy.llex)
                 for a, b in zip(got, got[1:]):
-                    assert compare_obstructions(a, b, triple, xy.llex) == -1
+                    assert obstruction_key(a, triple, xy.llex) < \
+                        obstruction_key(b, triple, xy.llex)
 
     def test_against_alignment_enumeration(self, xy):
         rng = random.Random(19)
@@ -157,35 +155,41 @@ class TestHasOverlap:
 
 
 class TestOrderings:
-    def test_left_cofactor_breaks_tie(self, xy):
-        G = basis(["y - 1"], xy)
-        a = ModuleTerm(W(xy, "x"), 0, b"")
-        b = ModuleTerm(b"", 0, W(xy, "x"))
-        assert compare_module_terms(a, b, G, xy.llex) == 1
+    """The obstruction ordering: common word, then j, wj, i and wi."""
+
+    def test_left_cofactor_breaks_tie(self, ab):
+        # a*b sits twice in a*b*a*b; only the source-side left cofactor differs
+        G = basis(["a*b - 1", "a*b*a*b - 1"], ab)
+        first = aligned(0, 1, b"", W(ab, "ab"), b"", b"", G)
+        second = aligned(0, 1, W(ab, "ab"), b"", b"", b"", G)
+        assert obstruction_key(second, G, ab.llex) > obstruction_key(first, G, ab.llex)
 
     def test_equal_terms(self, xy):
-        G = basis(["y - 1"], xy)
-        t = ModuleTerm(W(xy, "x"), 0, b"")
-        assert compare_module_terms(t, t, G, xy.llex) == 0
+        G = basis(["x*y - 1", "y*x - 1"], xy)
+        a = aligned(0, 1, b"", W(xy, "x"), W(xy, "x"), b"", G)
+        b = aligned(0, 1, b"", W(xy, "x"), W(xy, "x"), b"", G)
+        assert a == b and hash(a) == hash(b)
+        assert obstruction_key(a, G, xy.llex) == obstruction_key(b, G, xy.llex)
 
     def test_index_breaks_placed_word_tie(self, xy):
-        G = basis(["x*y - 1", "y - 1"], xy)
-        low = ModuleTerm(b"", 0, W(xy, "y"))
-        high = ModuleTerm(W(xy, "x"), 1, W(xy, "y"))
-        assert compare_module_terms(high, low, G, xy.llex) == 1
+        # same common word, target and target cofactors; the source index decides
+        G = basis(["x*y - 1", "x*y - y", "y*x - 1"], xy)
+        low = aligned(0, 2, b"", W(xy, "x"), W(xy, "x"), b"", G)
+        high = aligned(1, 2, b"", W(xy, "x"), W(xy, "x"), b"", G)
+        assert obstruction_key(high, G, xy.llex) > obstruction_key(low, G, xy.llex)
 
     def test_obstruction_comparison_from_common_words(self, triple, xy):
         big = aligned(0, 2, W(xy, "xyxx"), b"", b"", W(xy, "yy"), triple)
         small = aligned(1, 2, W(xy, "xy"), b"", b"", W(xy, "y"), triple)
-        assert compare_obstructions(big, small, triple, xy.llex) == 1
-        assert compare_obstructions(big, big, triple, xy.llex) == 0
+        assert obstruction_key(big, triple, xy.llex) > obstruction_key(small, triple, xy.llex)
 
     def test_index_tie_on_equal_common_words(self, chain, xy):
         inner = aligned(0, 1, b"", b"", W(xy, "x"), W(xy, "yx"), chain)
         outer = aligned(0, 2, b"", b"", W(xy, "xxxy"), b"", chain)
-        assert compare_obstructions(inner, outer, chain, xy.llex) == -1
+        assert obstruction_key(inner, chain, xy.llex) < obstruction_key(outer, chain, xy.llex)
 
     def test_total_order_laws(self, xy):
+        """Keys are injective and refine the ordering of common words."""
         rng = random.Random(27)
         ordering = xy.llex
         checked = 0
@@ -198,12 +202,11 @@ class TestOrderings:
             if len(pool) < 2:
                 continue
             for _ in range(10):
-                a, b, c = (rng.choice(pool) for _ in range(3))
-                cab = compare_obstructions(a, b, G, ordering)
-                assert cab == -compare_obstructions(b, a, G, ordering)
-                assert (cab == 0) == (a == b)
-                if cab <= 0 and compare_obstructions(b, c, G, ordering) <= 0:
-                    assert compare_obstructions(a, c, G, ordering) <= 0
+                a, b = rng.choice(pool), rng.choice(pool)
+                ka, kb = obstruction_key(a, G, ordering), obstruction_key(b, G, ordering)
+                assert (ka == kb) == (a == b)
+                if ordering.compare(a.common, b.common) < 0:
+                    assert ka < kb
                 checked += 1
 
 

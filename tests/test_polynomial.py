@@ -161,6 +161,13 @@ class TestParsing:
         assert err.value.column == 5
         assert err.value.token == "q"
 
+    def test_zero_denominator_rejected(self, ab):
+        with pytest.raises(PolynomialSyntaxError) as err:
+            parse_polynomial("a - 1/0", ab, line=3)
+        assert err.value.line == 3
+        assert err.value.column == 5
+        assert err.value.token == "1/0"
+
 
 class TestFormatting:
     def test_descending_terms(self, xy):

@@ -7,7 +7,6 @@ import pytest
 from ncgb.words import (
     Alphabet,
     LLexOrdering,
-    compare_llex,
     occurrences,
     overlaps,
     proper_borders,
@@ -59,14 +58,14 @@ class TestAlphabet:
 class TestLLex:
     def test_empty_word_is_less_than_anything(self, xy):
         x = xy.word("x")
-        assert compare_llex(b"", x, xy) == -1
+        assert xy.llex.compare(b"", x) == -1
 
     def test_first_letter_decides_equal_length(self, xy):
-        assert compare_llex(xy.word("xy"), xy.word("yx"), xy) == 1
+        assert xy.llex.compare(xy.word("xy"), xy.word("yx")) == 1
 
     def test_length_dominates(self, xy):
         # y^3 has degree 3, x^2y^2 has degree 4
-        assert compare_llex(xy.word("yyy"), xy.word("xxyy"), xy) == -1
+        assert xy.llex.compare(xy.word("yyy"), xy.word("xxyy")) == -1
         # cross-check against exhaustive enumeration of small words
         ordering = xy.llex
         words = all_words(2, 4)
