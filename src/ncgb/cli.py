@@ -14,14 +14,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .engine import (
-    ALL_CRITERIA,
-    BasisState,
-    EngineConfig,
-    buchberger,
-    interreduce,
-    verify_groebner,
-)
+from .engine import BasisState, EngineConfig, buchberger, interreduce, verify_groebner
 from .polynomial import PolynomialSyntaxError, format_polynomial, parse_polynomial
 from .words import Alphabet, LLexOrdering
 
@@ -56,9 +49,11 @@ def parse_problem(path, base_alphabet=None) -> Problem:
     """Read a problem file; ``base_alphabet`` backs files without a vars line."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ProblemError(path, 0, str(exc)) from None
+    except UnicodeDecodeError:
+        raise ProblemError(path, 0, "not UTF-8 text") from None
     name = path.stem
     alphabet = None
     precedence = None
@@ -139,31 +134,14 @@ def stats_values(problem, stats):
             stats.m, stats.f, stats.tail, stats.bk, f"{float(stats.rho):.4f}")
 
 
-def _parse_criteria(text):
-    chosen = set()
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if part not in ALL_CRITERIA:
-            raise ValueError(f"unknown criterion {part!r} (expected m, f, bk)")
-        chosen.add(part)
-    return frozenset(chosen)
-
-
 def cmd_run(args, out) -> int:
     problem = parse_problem(args.problem)
-    criteria = ALL_CRITERIA
-    if (args.mode or problem.mode) == "basic":
-        criteria = frozenset()
-    elif args.criteria is not None:
-        criteria = _parse_criteria(args.criteria)
     cfg = EngineConfig(
         ordering=problem.ordering,
         truncation_degree=args.trunc if args.trunc is not None else problem.truncation,
         max_basis=args.max_basis if args.max_basis is not None else problem.max_basis,
         max_degree=args.max_degree if args.max_degree is not None else problem.max_degree,
-        criteria=criteria,
+        criteria=(args.mode or problem.mode) != "basic",
     )
     basis, stats = buchberger(problem.generators, cfg)
     reduced = interreduce(basis, problem.ordering)
@@ -216,14 +194,14 @@ def main(argv=None) -> int:
     prun = sub.add_parser("run", help="compute a (possibly truncated) Groebner basis")
     prun.add_argument("problem", help="problem file")
     prun.add_argument("--mode", choices=["improved", "basic"],
-                      help="basic reduces every obstruction, with no criteria")
+                      help="improved (the default) applies the m, f and bk "
+                           "criteria in that order; basic reduces every "
+                           "obstruction")
     prun.add_argument("--trunc", type=int, metavar="D",
                       help="truncation degree (homogeneous input only)")
     prun.add_argument("--max-basis", type=int, metavar="N")
     prun.add_argument("--max-degree", type=int, metavar="D")
     prun.add_argument("--stats-csv", metavar="PATH")
-    prun.add_argument("--criteria", metavar="LIST",
-                      help="comma separated subset of m,f,bk")
 
     pver = sub.add_parser("verify", help="check that a basis file passes the "
                                          "obstruction criterion for its problem")

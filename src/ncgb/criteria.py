@@ -2,18 +2,20 @@
 already covered by smaller ones.
 
 The three criteria are the free-algebra forms of Gebauer and Moeller's
-M, F and B.  The multiply and leading-word criteria work inside one batch
-of newly constructed obstructions (all targeting the newest generator),
-and the backward criterion prunes the pending set using the newest
-generator.  Every removal here preserves the computed basis; only the
-amount of reduction work changes.
+M, F and B, and the engine always applies them in that order.  The
+multiply and leading-word criteria work inside one batch of newly
+constructed obstructions (all targeting the newest generator); the
+leading-word criterion runs on the multiply criterion's survivors, where
+it reduces to a group minimum.  The backward criterion then prunes the
+pending set using the newest generator.  Every removal here preserves
+the computed basis; only the amount of reduction work changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .obstructions import NEITHER, aligned, classify, obstruction_key
+from .obstructions import aligned, covered, obstruction_key
 
 
 @dataclass
@@ -75,45 +77,28 @@ def multiply_criterion(news, G, ordering) -> CriteriaReport:
 
 
 def leading_word_criterion(news, G, ordering) -> CriteriaReport:
-    """Among obstructions with nested target cofactors, keep the best source.
+    """Among obstructions with equal target cofactors, keep the best source.
 
-    A candidate goes when a distinct obstruction with target cofactors
-    (v, v2), u = w*v, u2 = v2*w2 exists and either its source index is
-    smaller, or the extension is empty, the source indices agree and the
-    candidate's left cofactor is strictly larger.
+    The batch is grouped by target cofactors (wj, wj2); each group keeps its
+    member with the smallest source index, ties broken by the smaller left
+    cofactor, and every other member goes, justified by that minimum.  On
+    the survivors of :func:`multiply_criterion` this is the full criterion:
+    a member whose target cofactors strictly extend another's is already
+    gone, so only equal target cofactors remain to compare.
     """
     news = list(news)
     if not news:
         return CriteriaReport([])
     _single_target(news)
-    by_cof = {}
+    groups = {}
     for o in news:
-        by_cof.setdefault((o.wj, o.wj2), []).append(o)
+        groups.setdefault((o.wj, o.wj2), []).append(o)
+    best = {cof: min(group, key=lambda o: (o.i, ordering.key(o.wi)))
+            for cof, group in groups.items()}
     survivors, removed = [], []
     for o in news:
-        u, u2 = o.wj, o.wj2
-        just = None
-        for a in range(len(u) + 1):
-            v = u[a:]
-            for c in range(len(u2) + 1):
-                entries = by_cof.get((v, u2[:c]))
-                if not entries:
-                    continue
-                full = a == 0 and c == len(u2)
-                for e in entries:
-                    if e is o:
-                        continue
-                    if e.i < o.i:
-                        just = e
-                        break
-                    if full and e.i == o.i and ordering.compare(o.wi, e.wi) > 0:
-                        just = e
-                        break
-                if just is not None:
-                    break
-            if just is not None:
-                break
-        if just is None:
+        just = best[(o.wj, o.wj2)]
+        if just is o:
             survivors.append(o)
         else:
             removed.append((o, just))
@@ -143,13 +128,10 @@ def backward_criterion(B, news, s, G, ordering) -> CriteriaReport:
         pos = o.common.find(lw_s)
         if pos != -1:
             w, w2 = o.common[:pos], o.common[pos + len(lw_s):]
-            ki, _ = classify(aligned(o.i, s, o.wi, o.wi2, w, w2, G), G,
-                             by_i.get(o.i, ()))
-            if ki != NEITHER:
-                kj, _ = classify(aligned(o.j, s, o.wj, o.wj2, w, w2, G), G,
-                                 by_i.get(o.j, ()))
-                if kj != NEITHER:
-                    hit = True
+            hit = (covered(aligned(o.i, s, o.wi, o.wi2, w, w2, G), G,
+                           by_i.get(o.i, ()))
+                   and covered(aligned(o.j, s, o.wj, o.wj2, w, w2, G), G,
+                               by_i.get(o.j, ())))
         if hit:
             removed.append((o, None))
         else:

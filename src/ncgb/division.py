@@ -4,13 +4,13 @@ Each step rewrites the current largest word using the divisor with the
 smallest index whose leading word occurs in it (leftmost occurrence when
 there are several); words no divisor matches are peeled into the
 remainder.  Every step strictly decreases the largest live word, so the
-loop terminates.
+loop terminates.  One loop serves every caller: it always records the
+quotients, and :func:`normal_remainder` keeps only the remainder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .polynomial import NcPolynomial, add_scaled, leading, sandwich
 
@@ -62,7 +62,8 @@ def _find_divisor(word, leading_words):
     return None
 
 
-def _run(f, G, ordering, collect):
+def divide(f: NcPolynomial, G, ordering) -> DivisionResult:
+    """Divide ``f`` by the basis ``G``, returning quotients and remainder."""
     for g in G.generators:
         if not g:
             raise ValueError("division by a zero polynomial")
@@ -70,7 +71,7 @@ def _run(f, G, ordering, collect):
     key = ordering.key
     v = dict(f.items())
     remainder = {}
-    quotients = [] if collect else None
+    quotients = []
     while v:
         word = max(v, key=key)
         hit = _find_divisor(word, lws)
@@ -79,8 +80,7 @@ def _run(f, G, ordering, collect):
             continue
         i, left, right = hit
         c = v[word]  # basis elements are monic
-        if collect:
-            quotients.append((i, c, left, right))
+        quotients.append((i, c, left, right))
         for u, cu in G.generators[i].items():
             w = left + u + right
             acc = v.get(w, 0) - c * cu
@@ -90,16 +90,9 @@ def _run(f, G, ordering, collect):
                 v.pop(w, None)
     rem = NcPolynomial.__new__(NcPolynomial)
     rem._terms = remainder
-    return quotients, rem
-
-
-def divide(f: NcPolynomial, G, ordering) -> DivisionResult:
-    """Divide ``f`` by the basis ``G``, returning quotients and remainder."""
-    quotients, remainder = _run(f, G, ordering, collect=True)
-    return DivisionResult(quotients, remainder)
+    return DivisionResult(quotients, rem)
 
 
 def normal_remainder(f: NcPolynomial, G, ordering) -> NcPolynomial:
-    """The remainder of :func:`divide` without quotient bookkeeping."""
-    _, remainder = _run(f, G, ordering, collect=False)
-    return remainder
+    """The remainder of :func:`divide`."""
+    return divide(f, G, ordering).remainder

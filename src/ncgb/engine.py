@@ -1,11 +1,12 @@
 """Completion engine: enumerate a two-sided Groebner basis from generators.
 
-Each batch of newly constructed obstructions goes through the enabled
-criteria: the multiply and leading-word criteria thin the batch, then the
+Two procedures share one loop.  The improved one passes each batch of
+newly constructed obstructions through the criteria in a fixed order: the
+multiply and then the leading-word criterion thin the batch, then the
 backward criterion prunes the pending set, before the survivors are
-merged.  With no criteria enabled every non-trivial obstruction is
-reduced (the basic procedure); every criteria subset enumerates the same
-basis and differs only in how many S-polynomials it reduces.
+merged.  The basic one reduces every non-trivial obstruction.  Both
+enumerate the same basis and differ only in how many S-polynomials they
+reduce.
 
 Selection uses the normal strategy: the pending obstruction with the
 smallest common word (degree first) comes next, ties broken by the
@@ -15,16 +16,11 @@ obstruction ordering.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .criteria import (
-    assert_removals_dominated,
-    backward_criterion,
-    leading_word_criterion,
-    multiply_criterion,
-)
-from .division import divide, normal_remainder
+from .criteria import backward_criterion, leading_word_criterion, multiply_criterion
+from .division import normal_remainder
 from .obstructions import (
     nontrivial_obstructions,
     obstruction_key,
@@ -32,18 +28,15 @@ from .obstructions import (
 )
 from .polynomial import NcPolynomial, add_scaled, leading, make_monic
 
-ALL_CRITERIA = frozenset({"m", "f", "bk"})
-
 
 class BasisState:
     """An append-only list of monic generators with cached leading words."""
 
-    __slots__ = ("generators", "leading_words", "derivations")
+    __slots__ = ("generators", "leading_words")
 
     def __init__(self):
         self.generators = []
         self.leading_words = []
-        self.derivations = None
 
     @classmethod
     def from_polynomials(cls, polys, ordering):
@@ -77,10 +70,7 @@ class EngineConfig:
     truncation_degree: int | None = None
     max_basis: int | None = None
     max_degree: int | None = None
-    criteria: frozenset = ALL_CRITERIA  # frozenset() is the basic procedure
-    record_derivations: bool = False
-    record_selections: bool = False
-    check_invariants: bool = False
+    criteria: bool = True  # False is the basic procedure
 
     def validate(self):
         for name, cap in (("truncation_degree", self.truncation_degree),
@@ -88,9 +78,6 @@ class EngineConfig:
                           ("max_degree", self.max_degree)):
             if cap is not None and cap < 1:
                 raise ValueError(f"{name} must be positive")
-        unknown = set(self.criteria) - ALL_CRITERIA
-        if unknown:
-            raise ValueError(f"unknown criteria {sorted(unknown)}")
 
 
 @dataclass
@@ -113,7 +100,6 @@ class RunStats:
     rgb_size: int = 0
     capped: bool = False
     cap_reason: str = ""
-    selections: list = field(default_factory=list)
 
     @property
     def rho(self) -> Fraction:
@@ -181,16 +167,12 @@ def buchberger(G0, cfg: EngineConfig):
     trunc = cfg.truncation_degree
 
     G = BasisState()
-    if cfg.record_derivations:
-        G.derivations = []
     stats = RunStats()
     queue = ObstructionQueue(G, ordering)
 
-    def absorb(f, derivation):
+    def absorb(f):
         """Append one generator and merge its pruned obstruction batch."""
         s = G.append(f, ordering)
-        if cfg.record_derivations:
-            G.derivations.append(derivation)
         news = []
         for i in range(s + 1):
             news.extend(nontrivial_obstructions(i, s, G, ordering))
@@ -200,19 +182,12 @@ def buchberger(G0, cfg: EngineConfig):
             kept = [n for n in news if len(n.common) <= trunc]
             stats.truncated_discards += len(news) - len(kept)
             news = kept
-        if "m" in cfg.criteria:
+        if cfg.criteria:
             rep = multiply_criterion(news, G, ordering)
-            if cfg.check_invariants:
-                assert_removals_dominated(rep, G, ordering)
             stats.m += rep.removed_m
-            news = rep.survivors
-        if "f" in cfg.criteria:
-            rep = leading_word_criterion(news, G, ordering)
-            if cfg.check_invariants:
-                assert_removals_dominated(rep, G, ordering)
+            rep = leading_word_criterion(rep.survivors, G, ordering)
             stats.f += rep.removed_f
             news = rep.survivors
-        if "bk" in cfg.criteria:
             rep = backward_criterion(queue.live(), news, s, G, ordering)
             stats.bk += rep.removed_bk
             for dead, _ in rep.removed:
@@ -221,7 +196,7 @@ def buchberger(G0, cfg: EngineConfig):
             queue.push(n)
 
     for f in polys:
-        absorb(f, None)
+        absorb(f)
 
     while len(queue):
         o = queue.pop_smallest()
@@ -230,16 +205,7 @@ def buchberger(G0, cfg: EngineConfig):
             stats.cap_reason = "max_degree"
             break
         stats.sel += 1
-        if cfg.record_selections:
-            stats.selections.append(len(o.common))
-        S = s_polynomial(o, G, ordering)
-        if cfg.record_derivations:
-            result = divide(S, G, ordering)
-            if cfg.check_invariants:
-                result.validate(S, G, ordering)
-            remainder = result.remainder
-        else:
-            remainder = normal_remainder(S, G, ordering)
+        remainder = normal_remainder(s_polynomial(o, G, ordering), G, ordering)
         if not remainder:
             stats.zero_reductions += 1
             continue
@@ -249,9 +215,7 @@ def buchberger(G0, cfg: EngineConfig):
             stats.capped = True
             stats.cap_reason = "max_basis"
             break
-        lc, _ = leading(remainder, ordering)
-        derivation = (o, result.quotients, lc) if cfg.record_derivations else None
-        absorb(remainder, derivation)
+        absorb(remainder)
 
     stats.gb_size = len(G)
     return G, stats
@@ -262,8 +226,9 @@ def interreduce(G: BasisState, ordering) -> BasisState:
 
     Generators whose leading word contains another surviving leading word
     are dropped (the earlier generator wins a tie), then every tail is
-    rewritten to its normal remainder against the survivors until nothing
-    changes.  For a Groebner basis the result is the unique reduced one.
+    rewritten once to its normal remainder against the survivors.  Leading
+    words never change here, so a rewritten tail stays normal and one pass
+    suffices.  For a Groebner basis the result is the unique reduced one.
     """
     order = sorted(range(len(G)), key=lambda k: (ordering.key(G.leading_words[k]), k))
     kept, kept_lws = [], []
@@ -274,18 +239,11 @@ def interreduce(G: BasisState, ordering) -> BasisState:
         kept.append(k)
         kept_lws.append(lw)
     reduced = BasisState.from_polynomials([G.generators[k] for k in kept], ordering)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(reduced)):
-            f = reduced.generators[k]
-            lw = reduced.leading_words[k]
-            tail = add_scaled(f, -1, NcPolynomial.from_term(lw))
-            new = add_scaled(normal_remainder(tail, reduced, ordering), 1,
-                             NcPolynomial.from_term(lw))
-            if new != f:
-                reduced.generators[k] = new  # leading word is untouched
-                changed = True
+    for k, lw in enumerate(reduced.leading_words):
+        head = NcPolynomial.from_term(lw)
+        tail = add_scaled(reduced.generators[k], -1, head)
+        reduced.generators[k] = add_scaled(normal_remainder(tail, reduced, ordering),
+                                           1, head)
     return reduced
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .polynomial import NcPolynomial, add_scaled, leading, sandwich
+from .polynomial import add_scaled, sandwich
 from .words import (
     EMPTY,
     FIRST_INSIDE_SECOND,
@@ -55,17 +55,12 @@ def obstruction_key(o: Obstruction, G, ordering):
 
 
 def s_polynomial(o: Obstruction, G, ordering):
-    """(1/lc_i) wi g_i wi2 - (1/lc_j) wj g_j wj2; the common top term cancels."""
+    """wi g_i wi2 - wj g_j wj2 over a monic basis; the common top term cancels."""
     lws = G.leading_words
     if o.wi + lws[o.i] + o.wi2 != o.wj + lws[o.j] + o.wj2:
         raise ValueError("obstruction is not aligned over this basis")
-    gi, gj = G.generators[o.i], G.generators[o.j]
-    lci, _ = leading(gi, ordering)
-    lcj, _ = leading(gj, ordering)
-    first = sandwich(o.wi, gi, o.wi2)
-    if lci != 1:
-        first = add_scaled(NcPolynomial.zero(), 1 / lci, first)
-    return add_scaled(first, -1 / lcj, sandwich(o.wj, gj, o.wj2))
+    return add_scaled(sandwich(o.wi, G.generators[o.i], o.wi2), -1,
+                      sandwich(o.wj, G.generators[o.j], o.wj2))
 
 
 def nontrivial_obstructions(i: int, j: int, G, ordering) -> list[Obstruction]:
@@ -116,22 +111,16 @@ def has_overlap(o: Obstruction, G) -> bool:
     return max(a, b) < min(a + len(G.leading_words[o.i]), b + len(G.leading_words[o.j]))
 
 
-NO_OVERLAP = "no_overlap"
-MULTIPLE = "multiple"
-NEITHER = "neither"
+def covered(o: Obstruction, G, candidates) -> bool:
+    """Whether the S-polynomial of ``o`` is already covered.
 
-
-def classify(o: Obstruction, G, candidates):
-    """How the S-polynomial of ``o`` is already covered, if it is.
-
-    Returns (NO_OVERLAP, None) when the placed copies are disjoint,
-    (MULTIPLE, base) when ``o`` equals w * base * w2 for some base present
-    in ``candidates`` (same indices, one common extension pair), and
-    (NEITHER, None) otherwise.  ``candidates`` must reflect the current
+    It is when the placed copies are disjoint, or when ``o`` equals
+    w * base * w2 for some base present in ``candidates`` (same indices,
+    one common extension pair).  ``candidates`` must reflect the current
     surviving set: a base that was itself discarded cannot cover anything.
     """
     if not has_overlap(o, G):
-        return NO_OVERLAP, None
+        return True
     for base in candidates:
         if base.i != o.i or base.j != o.j:
             continue
@@ -141,5 +130,5 @@ def classify(o: Obstruction, G, candidates):
         w = o.wi[:cut]
         w2 = o.wi2[len(base.wi2):]
         if o.wj == w + base.wj and o.wj2 == base.wj2 + w2:
-            return MULTIPLE, base
-    return NEITHER, None
+            return True
+    return False

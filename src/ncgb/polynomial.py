@@ -15,6 +15,10 @@ from .words import Alphabet, LLexOrdering
 
 _ZERO = Fraction(0)
 
+# Longest word a single ``^`` power may spell; larger powers are rejected
+# before the repeated word is built.
+MAX_POWER_LETTERS = 65536
+
 
 class NcPolynomial:
     """A finitely supported word -> coefficient map; treat instances as immutable."""
@@ -227,10 +231,9 @@ class _Parser:
                 letter = self.alphabet.index(text)
             except KeyError:
                 self.fail(f"undeclared variable {text!r}", (kind, text, col))
-            return Fraction(1), bytes([letter]) * self.power()
+            return Fraction(1), self.power(bytes([letter]))
         if kind == "op" and text == "(":
-            word = self.group_word()
-            return Fraction(1), word * self.power()
+            return Fraction(1), self.power(self.group_word())
         self.fail("expected a coefficient, variable or '('", (kind, text, col))
 
     def group_word(self):
@@ -253,24 +256,30 @@ class _Parser:
                     letter = self.alphabet.index(text)
                 except KeyError:
                     self.fail(f"undeclared variable {text!r}", (kind, text, col))
-                word += bytes([letter]) * self.power()
+                word += self.power(bytes([letter]))
             elif kind == "op" and text == "(":
-                word += self.group_word() * self.power()
+                word += self.power(self.group_word())
             elif kind is None:
                 self.fail("unterminated group", (kind, text, col))
             else:
                 self.fail("only variables may appear inside a group", (kind, text, col))
             expect_factor = False
 
-    def power(self):
+    def power(self, word):
+        """``word`` raised to the exponent that follows, if any."""
         kind, text, _ = self.peek()
         if kind == "op" and text == "^":
             self.next()
             kind, text, col = self.next()
             if kind != "num" or "/" in text:
                 self.fail("exponent must be a non-negative integer", (kind, text, col))
-            return int(text)
-        return 1
+            # compare digit counts first: int() refuses very long digit strings
+            digits = text.lstrip("0") or "0"
+            if (len(digits) > len(str(MAX_POWER_LETTERS))
+                    or len(word) * int(digits) > MAX_POWER_LETTERS):
+                self.fail(f"power longer than {MAX_POWER_LETTERS} letters", (kind, text, col))
+            return word * int(digits)
+        return word
 
 
 def parse_polynomial(text: str, alphabet: Alphabet, line: int = 1) -> NcPolynomial:

@@ -108,27 +108,32 @@ class TestRun:
         assert code == EXIT_CAPPED
         assert "# capped max_basis" in out
 
-    def test_no_criteria_matches_basic_mode(self, capsys):
-        _, flagged, _ = run_main(
-            ["run", str(problem_path("g09")), "--criteria", ""], capsys)
+    def test_no_criteria_matches_basic_mode(self, tmp_path, capsys):
+        # the problem-file directive and the flag both select the basic procedure
+        path = tmp_path / "g09.prob"
+        path.write_text(problem_path("g09").read_text() + "mode basic\n")
+        _, directive, _ = run_main(["run", str(path)], capsys)
         _, basic, _ = run_main(
             ["run", str(problem_path("g09")), "--mode", "basic"], capsys)
-        assert flagged == basic
-        row = flagged.splitlines()[-1].split("\t")
+        assert directive == basic
+        row = basic.splitlines()[-1].split("\t")
         assert row[3] == row[4] == "150"  # every obstruction selected
 
-    def test_criteria_subset(self, capsys):
-        code, out, _ = run_main(
-            ["run", str(problem_path("g09")), "--criteria", "m,f"], capsys)
-        assert code == EXIT_OK
-        row = out.splitlines()[-1].split("\t")
-        assert row[2] == "5"
-        assert row[7] == row[8] == "0"  # tail and backward switched off
+    @pytest.mark.parametrize("body", ["a^99999999999", "a^99999999999999999999",
+                                      "(a*b)^99999999999", "(a*b)^32769 - 1"])
+    def test_huge_power_diagnostic(self, tmp_path, capsys, body):
+        path = tmp_path / "bad.prob"
+        path.write_text(f"vars a b\ngen {body}\n")
+        code, out, err = run_main(["run", str(path)], capsys)
+        assert code == EXIT_ERROR and out == ""
+        assert "bad.prob:2:" in err and "power longer than" in err
 
-    def test_bad_criteria_name(self, capsys):
-        code, _, err = run_main(
-            ["run", str(problem_path("g09")), "--criteria", "m,zz"], capsys)
-        assert code == EXIT_ERROR and "zz" in err
+    def test_non_utf8_file_diagnostic(self, tmp_path, capsys):
+        path = tmp_path / "bad.prob"
+        path.write_bytes(b"\xff\xfevars a\n")
+        code, out, err = run_main(["run", str(path)], capsys)
+        assert code == EXIT_ERROR and out == ""
+        assert "bad.prob" in err and "not UTF-8 text" in err
 
     def test_stats_csv(self, tmp_path, capsys):
         target = tmp_path / "stats.csv"

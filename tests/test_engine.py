@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+import ncgb.engine as engine
+from ncgb.criteria import assert_removals_dominated
+from ncgb.division import divide
 from ncgb.engine import (
-    ALL_CRITERIA,
     BasisState,
     EngineConfig,
     ObstructionQueue,
@@ -14,7 +16,7 @@ from ncgb.engine import (
     verify_groebner,
 )
 from ncgb.obstructions import aligned, s_polynomial
-from ncgb.polynomial import NcPolynomial, add_scaled, parse_polynomial, sandwich
+from ncgb.polynomial import NcPolynomial, add_scaled, leading, parse_polynomial, sandwich
 from ncgb.corpus import problem_path
 from ncgb.cli import parse_problem
 
@@ -25,6 +27,25 @@ def polys(texts, alphabet):
 
 def partition_holds(st):
     return st.tot == st.sel + st.m + st.f + st.tail + st.bk + st.truncated_discards
+
+
+def check_invariants(mp):
+    """Make the engine check every m and f removal and every division it runs."""
+    def checked(criterion):
+        def wrapper(news, G, ordering):
+            rep = criterion(news, G, ordering)
+            assert_removals_dominated(rep, G, ordering)
+            return rep
+        return wrapper
+
+    def validated_remainder(f, G, ordering):
+        result = divide(f, G, ordering)
+        result.validate(f, G, ordering)
+        return result.remainder
+
+    for name in ("multiply_criterion", "leading_word_criterion"):
+        mp.setattr(engine, name, checked(getattr(engine, name)))
+    mp.setattr(engine, "normal_remainder", validated_remainder)
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +104,7 @@ class TestBuchberger:
     def test_two_sided_inverse_pair(self, xy):
         gens = polys(["x*y - 1", "y*x - 1"], xy)
         out = []
-        for criteria in (frozenset(), ALL_CRITERIA):
+        for criteria in (False, True):
             cfg = EngineConfig(ordering=xy.llex, criteria=criteria)
             G, st = buchberger(gens, cfg)
             assert partition_holds(st)
@@ -118,12 +139,6 @@ class TestBuchberger:
         with pytest.raises(ValueError):
             buchberger(polys(["x - 1"], xy),
                        EngineConfig(ordering=xy.llex, max_basis=0))
-        with pytest.raises(ValueError):
-            buchberger(polys(["x - 1"], xy),
-                       EngineConfig(ordering=xy.llex, criteria=frozenset({"x"})))
-        with pytest.raises(ValueError):
-            buchberger(polys(["x - 1"], xy),
-                       EngineConfig(ordering=xy.llex, criteria=frozenset({"tail"})))
 
     def test_reference_statistics(self, g09):
         cfg = EngineConfig(ordering=g09.ordering)
@@ -133,27 +148,33 @@ class TestBuchberger:
         assert partition_holds(st)
         assert float(st.rho) == pytest.approx(0.2067, abs=5e-5)
 
-    def test_invariant_checked_run(self, g09):
-        cfg = EngineConfig(ordering=g09.ordering, record_derivations=True,
-                           check_invariants=True)
-        G, st = buchberger(g09.generators, cfg)
+    def test_invariant_checked_run(self, g09, monkeypatch):
+        check_invariants(monkeypatch)
+        G, st = buchberger(g09.generators, EngineConfig(ordering=g09.ordering))
         assert st.gb_size == 11
 
-    def test_derivations_reconstruct_new_generators(self, g09):
-        cfg = EngineConfig(ordering=g09.ordering, record_derivations=True)
-        G, st = buchberger(g09.generators, cfg)
-        assert len(G.derivations) == len(G)
-        rebuilt = 0
-        for s, derivation in enumerate(G.derivations):
-            if derivation is None:
-                continue
-            o, quotients, lc = derivation
-            acc = NcPolynomial.zero()
-            for i, c, left, right in quotients:
+    def test_derivations_reconstruct_new_generators(self, g09, monkeypatch):
+        divisions = []
+
+        def recording(f, G, ordering):
+            result = divide(f, G, ordering)
+            divisions.append((f, result))
+            return result.remainder
+
+        monkeypatch.setattr(engine, "normal_remainder", recording)
+        G, st = buchberger(g09.generators, EngineConfig(ordering=g09.ordering))
+        assert any(result.quotients for _, result in divisions)
+        s = 3  # each non-zero remainder, made monic, is the next generator
+        for S, result in divisions:
+            acc = result.remainder
+            for i, c, left, right in result.quotients:
                 acc = add_scaled(acc, c, sandwich(left, G[i], right))
-            assert s_polynomial(o, G, g09.ordering) == add_scaled(acc, lc, G[s])
-            rebuilt += 1
-        assert rebuilt == len(G) - 3
+            assert acc == S
+            if result.remainder:
+                lc, _ = leading(result.remainder, g09.ordering)
+                assert add_scaled(NcPolynomial.zero(), lc, G[s]) == result.remainder
+                s += 1
+        assert s == len(G)
 
     def test_max_basis_cap(self, g09):
         cfg = EngineConfig(ordering=g09.ordering, max_basis=5)
@@ -166,35 +187,30 @@ class TestBuchberger:
         G, st = buchberger(g09.generators, cfg)
         assert st.capped and st.cap_reason == "max_degree"
 
-    def test_criteria_subsets_agree_on_the_basis(self, g09):
-        expected = None
-        for subset in (frozenset(), frozenset({"m"}), frozenset({"f", "bk"}),
-                       ALL_CRITERIA):
-            cfg = EngineConfig(ordering=g09.ordering, criteria=subset)
-            G, st = buchberger(g09.generators, cfg)
-            assert partition_holds(st)
-            reduced = frozenset(interreduce(G, g09.ordering).generators)
-            if expected is None:
-                expected = reduced
-            assert reduced == expected
-
     def test_input_leading_word_inside_another(self, ab):
         # lw(a*b - 1) is a factor of lw(a*b*a - b): the only kind of input on
         # which the removed tail criterion could fire
         gens = polys(["a*b - 1", "a*b*a - b", "b*a*b - a"], ab)
         out = []
-        for criteria in (frozenset(), ALL_CRITERIA):
+        for criteria in (False, True):
             G, st = buchberger(gens, EngineConfig(ordering=ab.llex, criteria=criteria))
             assert st.tail == 0 and partition_holds(st)
             out.append(set(interreduce(G, ab.llex).generators))
         assert out[0] == out[1]
 
-    def test_selected_degrees_non_decreasing_when_homogeneous(self):
+    def test_selected_degrees_non_decreasing_when_homogeneous(self, monkeypatch):
         problem = parse_problem(problem_path("braid3"))
-        cfg = EngineConfig(ordering=problem.ordering, truncation_degree=6,
-                           record_selections=True)
+        degrees = []
+
+        def recording(o, G, ordering):
+            degrees.append(len(o.common))
+            return s_polynomial(o, G, ordering)
+
+        monkeypatch.setattr(engine, "s_polynomial", recording)
+        cfg = EngineConfig(ordering=problem.ordering, truncation_degree=6)
         G, st = buchberger(problem.generators, cfg)
-        assert st.selections == sorted(st.selections)
+        assert len(degrees) == st.sel
+        assert degrees == sorted(degrees)
         assert partition_holds(st)
 
 
@@ -210,11 +226,20 @@ class TestInterreduce:
         assert parse_polynomial("y^2 - 1", xy) in reduced.generators
 
     def test_fixpoint(self, g09):
-        G, _ = buchberger(g09.generators, EngineConfig(ordering=g09.ordering))
-        reduced = interreduce(G, g09.ordering)
-        assert len(reduced) == 5
-        again = interreduce(reduced, g09.ordering)
-        assert list(again.generators) == list(reduced.generators)
+        braid4 = parse_problem(problem_path("braid4"))
+        # g09 drops generators but rewrites no tail; braid4 rewrites one
+        for problem, trunc, size, rewritten in ((g09, None, 5, 0), (braid4, 6, 25, 1)):
+            cfg = EngineConfig(ordering=problem.ordering, truncation_degree=trunc)
+            G, _ = buchberger(problem.generators, cfg)
+            reduced = interreduce(G, problem.ordering)
+            assert len(reduced) == size
+            assert sum(f not in G.generators for f in reduced) == rewritten
+            again = interreduce(reduced, problem.ordering)
+            assert list(again.generators) == list(reduced.generators)
+            lws = reduced.leading_words
+            for f, lw in zip(reduced, lws):
+                tail = [w for w in f.support() if w != lw]
+                assert not any(w.find(v) >= 0 for w in tail for v in lws)
 
     def test_equal_leading_words_keep_first(self, xy):
         G = BasisState.from_polynomials(polys(["x*y - 1", "x*y - y"], xy), xy.llex)
@@ -253,7 +278,7 @@ def test_random_small_ideals_mode_equivalence(xy):
     while cases < 25:
         gens = [random_polynomial(rng, 2, max_terms=3, max_degree=3)
                 for _ in range(rng.randint(1, 3))]
-        cfg_b = EngineConfig(ordering=xy.llex, criteria=frozenset(), max_basis=40,
+        cfg_b = EngineConfig(ordering=xy.llex, criteria=False, max_basis=40,
                              max_degree=10)
         cfg_i = EngineConfig(ordering=xy.llex, max_basis=40, max_degree=10)
         Gb, stb = buchberger(gens, cfg_b)
@@ -273,14 +298,20 @@ SLOW_CORPUS = [(f"g{k:02d}", None) for k in range(1, 14)] + [("braid3", 9), ("br
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name,trunc", SLOW_CORPUS)
-def test_corpus_mode_equivalence(name, trunc):
-    """Basic and improved completion give the same reduced basis on the corpus."""
+def test_corpus_mode_equivalence(name, trunc, monkeypatch):
+    """Basic and improved completion give the same reduced basis on the corpus.
+
+    The improved run also checks every m and f removal and every division.
+    """
     problem = parse_problem(problem_path(name))
     reduced = []
-    for criteria in (frozenset(), ALL_CRITERIA):
+    for criteria in (False, True):
         cfg = EngineConfig(ordering=problem.ordering, truncation_degree=trunc,
                            criteria=criteria)
-        G, st = buchberger(problem.generators, cfg)
+        with monkeypatch.context() as mp:
+            if criteria:
+                check_invariants(mp)
+            G, st = buchberger(problem.generators, cfg)
         assert not st.capped and partition_holds(st)
         reduced.append(set(interreduce(G, problem.ordering).generators))
     assert reduced[0] == reduced[1]

@@ -6,11 +6,8 @@ import pytest
 
 from ncgb.engine import BasisState
 from ncgb.obstructions import (
-    MULTIPLE,
-    NEITHER,
-    NO_OVERLAP,
     aligned,
-    classify,
+    covered,
     has_overlap,
     nontrivial_obstructions,
     obstruction_key,
@@ -214,21 +211,17 @@ class TestClassify:
     def test_two_sided_multiple(self, triple, xy):
         base = aligned(0, 1, W(xy, "xx"), b"", b"", W(xy, "y"), triple)
         o = aligned(0, 1, W(xy, "xyxx"), b"", W(xy, "xy"), W(xy, "y"), triple)
-        kind, found = classify(o, triple, [base])
-        assert kind == MULTIPLE and found == base
+        assert covered(o, triple, [base])
 
     def test_without_overlap(self, xy):
         G = basis(["(x*y)^2 - 1", "y - 1", "x*y*x^2*y - 1"], xy)
         o = aligned(0, 1, W(xy, "xyx"), b"", W(xy, "x"), W(xy, "xxyxy"), G)
-        kind, _ = classify(o, G, [])
-        assert kind == NO_OVERLAP
+        assert covered(o, G, [])
 
     def test_member_is_multiple_of_itself(self, triple, xy):
         candidates = nontrivial_obstructions(1, 2, triple, xy.llex)
-        kind, found = classify(candidates[0], triple, candidates)
-        assert kind == MULTIPLE and found == candidates[0]
+        assert covered(candidates[0], triple, candidates)
 
     def test_missing_base_yields_neither(self, triple, xy):
         o = aligned(0, 1, W(xy, "xyxx"), b"", W(xy, "xy"), W(xy, "y"), triple)
-        kind, _ = classify(o, triple, [])
-        assert kind == NEITHER
+        assert not covered(o, triple, [])

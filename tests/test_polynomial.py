@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ncgb.polynomial import (
+    MAX_POWER_LETTERS,
     NcPolynomial,
     PolynomialSyntaxError,
     add_scaled,
@@ -167,6 +168,18 @@ class TestParsing:
         assert err.value.line == 3
         assert err.value.column == 5
         assert err.value.token == "1/0"
+
+    def test_power_length_bounded(self, ab):
+        limit = MAX_POWER_LETTERS
+        assert poly(f"a^{limit}", ab) == NcPolynomial.from_term(ab.word("a") * limit)
+        assert poly(f"(a*b)^{limit // 2}", ab).degree() == limit
+        for text, column in ((f"a^{limit + 1}", 3), (f"(a*b)^{limit // 2 + 1}", 7),
+                             ("((a*b)^300)^300", 13), ("a^99999999999999999999", 3),
+                             ("b*a^" + "9" * 5000, 5)):
+            with pytest.raises(PolynomialSyntaxError) as err:
+                parse_polynomial(text, ab, line=2)
+            assert err.value.line == 2 and err.value.column == column
+            assert "power longer than" in err.value.message
 
 
 class TestFormatting:
