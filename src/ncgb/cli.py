@@ -27,8 +27,11 @@ STATS_COLUMNS = ("label", "gb", "rgb", "tot", "sel", "m", "f", "tail", "bk", "rh
 
 
 class ProblemError(ValueError):
-    def __init__(self, path, line, message):
-        super().__init__(f"{path}:{line}: {message}" if line else f"{path}: {message}")
+    def __init__(self, path, line, message, column=0):
+        where = f"{path}:{line}" if line else f"{path}"
+        if column:
+            where += f":{column}"
+        super().__init__(f"{where}: {message}")
         self.path = path
         self.line = line
 
@@ -117,7 +120,7 @@ def parse_problem(path, base_alphabet=None) -> Problem:
         try:
             generators.append(parse_polynomial(body, alphabet, line=lineno))
         except PolynomialSyntaxError as exc:
-            raise ProblemError(path, lineno, exc.args[0]) from None
+            raise ProblemError(path, lineno, exc.message, exc.column) from None
     if not generators:
         raise ProblemError(path, 0, "no generators")
     return Problem(name, alphabet, ordering, generators, mode,

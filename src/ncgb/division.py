@@ -6,13 +6,22 @@ there are several); words no divisor matches are peeled into the
 remainder.  Every step strictly decreases the largest live word, so the
 loop terminates.  One loop serves every caller: it always records the
 quotients, and :func:`normal_remainder` keeps only the remainder.
+
+The live terms are a word -> coefficient dict plus a max-heap of their
+words in the llex order (the simplest form of Yan's geobuckets), so
+finding the largest word costs a pop instead of a scan of every live
+term.  Deletion is lazy: a word is pushed whenever it enters the dict,
+and a popped word that is no longer in the dict was cancelled and is
+skipped.  A processed word never comes back, because every word a step
+adds is smaller than the one it rewrites.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
-from .polynomial import NcPolynomial, add_scaled, leading, sandwich
+from .polynomial import NcPolynomial, add_scaled, leading, normal_coefficient, sandwich
 
 
 @dataclass
@@ -64,30 +73,42 @@ def _find_divisor(word, leading_words):
 
 def divide(f: NcPolynomial, G, ordering) -> DivisionResult:
     """Divide ``f`` by the basis ``G``, returning quotients and remainder."""
-    for g in G.generators:
+    gens = G.generators
+    for g in gens:
         if not g:
             raise ValueError("division by a zero polynomial")
     lws = G.leading_words
-    key = ordering.key
+    rev = ordering.rev_tbl
     v = dict(f.items())
+    # ascending (-len, reversed-precedence bytes) pops the largest word first
+    heap = [(-len(w), w.translate(rev), w) for w in v]
+    heapify(heap)
     remainder = {}
     quotients = []
-    while v:
-        word = max(v, key=key)
+    while heap:
+        word = heappop(heap)[2]
+        c = v.get(word)
+        if c is None:
+            continue
         hit = _find_divisor(word, lws)
         if hit is None:
-            remainder[word] = v.pop(word)
+            del v[word]
+            remainder[word] = normal_coefficient(c)
             continue
         i, left, right = hit
-        c = v[word]  # basis elements are monic
-        quotients.append((i, c, left, right))
-        for u, cu in G.generators[i].items():
+        quotients.append((i, c, left, right))  # basis elements are monic
+        for u, cu in gens[i].items():
             w = left + u + right
-            acc = v.get(w, 0) - c * cu
-            if acc:
-                v[w] = acc
+            old = v.get(w)
+            if old is None:
+                v[w] = -c * cu
+                heappush(heap, (-len(w), w.translate(rev), w))
             else:
-                v.pop(w, None)
+                acc = old - c * cu
+                if acc:
+                    v[w] = acc
+                else:
+                    del v[w]
     rem = NcPolynomial.__new__(NcPolynomial)
     rem._terms = remainder
     return DivisionResult(quotients, rem)

@@ -1,9 +1,14 @@
 """Non-commutative polynomials over the rationals.
 
-A polynomial is a finite map from words to non-zero ``Fraction``
-coefficients.  All arithmetic is exact; there is no floating point
-anywhere.  The text syntax shared with the command line lives here as
-``parse_polynomial`` / ``format_polynomial``.
+A polynomial is a finite map from words to non-zero rational
+coefficients.  A coefficient is an ``int`` while it is integral and a
+``Fraction`` otherwise (see :func:`normal_coefficient`): integer
+arithmetic is several times faster than ``Fraction`` arithmetic, and the
+corpus ideals have integer coefficients throughout.  All arithmetic is
+exact; there is no floating point anywhere, so coefficients are divided
+only through ``Fraction(c, d)``, never with ``/``.  The text syntax
+shared with the command line lives here as ``parse_polynomial`` /
+``format_polynomial``.
 """
 
 from __future__ import annotations
@@ -13,11 +18,20 @@ from fractions import Fraction
 
 from .words import Alphabet, LLexOrdering
 
-_ZERO = Fraction(0)
-
 # Longest word a single ``^`` power may spell; larger powers are rejected
 # before the repeated word is built.
 MAX_POWER_LETTERS = 65536
+
+# Longest token a syntax error echoes; a longer one is cut and ends in "…".
+_SHOWN_CHARS = 20
+
+
+def normal_coefficient(c):
+    """``c`` as an ``int`` when it is integral, otherwise as a ``Fraction``."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class NcPolynomial:
@@ -30,12 +44,12 @@ class NcPolynomial:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for word, coeff in items:
-                coeff = Fraction(coeff)
+                coeff = normal_coefficient(coeff)
                 if not coeff:
                     continue
-                acc = data.get(word, _ZERO) + coeff
+                acc = data.get(word, 0) + coeff
                 if acc:
-                    data[word] = acc
+                    data[word] = normal_coefficient(acc)
                 else:
                     del data[word]
         self._terms = data
@@ -46,7 +60,7 @@ class NcPolynomial:
 
     @classmethod
     def from_term(cls, word: bytes, coeff=1) -> "NcPolynomial":
-        return cls({word: Fraction(coeff)})
+        return cls({word: coeff})
 
     def items(self):
         return self._terms.items()
@@ -54,8 +68,8 @@ class NcPolynomial:
     def support(self):
         return self._terms.keys()
 
-    def coefficient(self, word: bytes) -> Fraction:
-        return self._terms.get(word, _ZERO)
+    def coefficient(self, word: bytes):
+        return self._terms.get(word, 0)
 
     def items_desc(self, ordering: LLexOrdering):
         """Terms sorted with the largest word first."""
@@ -109,18 +123,22 @@ def sandwich(left: bytes, f: NcPolynomial, right: bytes) -> NcPolynomial:
     """The two-sided product left * f * right."""
     if not left and not right:
         return f
-    return NcPolynomial({left + w + right: c for w, c in f.items()})
+    # w -> left + w + right is injective and the coefficients are already
+    # normal, so the terms need no re-normalising
+    res = NcPolynomial.__new__(NcPolynomial)
+    res._terms = {left + w + right: c for w, c in f.items()}
+    return res
 
 
 def add_scaled(f: NcPolynomial, scalar, g: NcPolynomial) -> NcPolynomial:
     """f + scalar * g with zero coefficients dropped."""
-    scalar = Fraction(scalar)
+    scalar = normal_coefficient(scalar)
     out = dict(f.items())
     if scalar:
         for w, c in g.items():
-            acc = out.get(w, _ZERO) + scalar * c
+            acc = out.get(w, 0) + scalar * c
             if acc:
-                out[w] = acc
+                out[w] = acc if type(acc) is int else normal_coefficient(acc)
             else:
                 del out[w]
     res = NcPolynomial.__new__(NcPolynomial)
@@ -133,7 +151,7 @@ def make_monic(f: NcPolynomial, ordering: LLexOrdering) -> NcPolynomial:
     lc, _ = leading(f, ordering)
     if lc == 1:
         return f
-    return NcPolynomial({w: c / lc for w, c in f.items()})
+    return NcPolynomial({w: Fraction(c, lc) for w, c in f.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +167,11 @@ class PolynomialSyntaxError(ValueError):
         self.line = line
         self.column = column
         self.token = token
+
+
+def _shown(text):
+    """``repr`` of a token, cut to a short prefix so a diagnostic stays short."""
+    return repr(text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "…")
 
 
 _TOKEN_RE = re.compile(r"(?P<num>\d+(?:\s*/\s*\d+)?)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*^()])|(?P<bad>\S)")
@@ -185,7 +208,7 @@ class _Parser:
         if kind is None:
             col = self.tokens[-1][2] + len(self.tokens[-1][1]) if self.tokens else 1
             raise PolynomialSyntaxError(message + " (at end of input)", self.line, col)
-        raise PolynomialSyntaxError(f"{message}, got {text!r}", self.line, col, text)
+        raise PolynomialSyntaxError(f"{message}, got {_shown(text)}", self.line, col, text)
 
     def parse(self):
         terms = []
@@ -230,7 +253,7 @@ class _Parser:
             try:
                 letter = self.alphabet.index(text)
             except KeyError:
-                self.fail(f"undeclared variable {text!r}", (kind, text, col))
+                self.fail(f"undeclared variable {_shown(text)}", (kind, text, col))
             return Fraction(1), self.power(bytes([letter]))
         if kind == "op" and text == "(":
             return Fraction(1), self.power(self.group_word())
@@ -255,7 +278,7 @@ class _Parser:
                 try:
                     letter = self.alphabet.index(text)
                 except KeyError:
-                    self.fail(f"undeclared variable {text!r}", (kind, text, col))
+                    self.fail(f"undeclared variable {_shown(text)}", (kind, text, col))
                 word += self.power(bytes([letter]))
             elif kind == "op" and text == "(":
                 word += self.power(self.group_word())

@@ -144,7 +144,7 @@ class LLexOrdering:
     to the alphabet order.
     """
 
-    __slots__ = ("alphabet", "precedence", "_tbl")
+    __slots__ = ("alphabet", "precedence", "_tbl", "rev_tbl")
 
     def __init__(self, alphabet: Alphabet, precedence=None):
         self.alphabet = alphabet
@@ -162,6 +162,11 @@ class LLexOrdering:
         for letter in range(n):
             tbl[letter] = n - 1 - rank[letter]
         self._tbl = bytes(tbl)
+        # the reverse: a larger variable gets a smaller byte, so ascending
+        # (-len(w), w.translate(rev_tbl)) lists words largest first
+        for letter in range(n):
+            tbl[letter] = rank[letter]
+        self.rev_tbl = bytes(tbl)
 
     def key(self, w: bytes):
         return (len(w), w.translate(self._tbl))

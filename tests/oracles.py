@@ -9,7 +9,7 @@ assert the library against these, never against itself.
 from fractions import Fraction
 
 from ncgb.engine import BasisState
-from ncgb.polynomial import NcPolynomial
+from ncgb.polynomial import NcPolynomial, add_scaled, leading
 
 
 def occurrences_brute(pattern, text):
@@ -88,29 +88,69 @@ def nontrivial_obstructions_brute(i, j, G):
     return found
 
 
+def reference_divide(f, G, ordering):
+    """Division by rescanning every live term for the largest word at each step.
+
+    Same divisor rule as the library (smallest index, leftmost occurrence);
+    returns (quotients, remainder) in the library's quotient format.
+    """
+    lws = G.leading_words
+    v = dict(f.items())
+    remainder = {}
+    quotients = []
+    while v:
+        word = max(v, key=ordering.key)
+        for i, lw in enumerate(lws):
+            pos = word.find(lw)
+            if pos >= 0:
+                break
+        else:
+            remainder[word] = v.pop(word)
+            continue
+        left, right = word[:pos], word[pos + len(lw):]
+        c = v[word]
+        quotients.append((i, c, left, right))
+        for u, cu in G.generators[i].items():
+            w = left + u + right
+            acc = v.get(w, 0) - c * cu
+            if acc:
+                v[w] = acc
+            else:
+                v.pop(w, None)
+    return quotients, NcPolynomial(remainder)
+
+
 def random_word(rng, nletters, lo, hi):
     return bytes(rng.randrange(nletters) for _ in range(rng.randint(lo, hi)))
 
 
-def random_coeff(rng):
+def random_coeff(rng, integral=False):
     num = rng.choice([n for n in range(-6, 7) if n])
-    return Fraction(num, rng.randint(1, 4))
+    return num if integral else Fraction(num, rng.randint(1, 4))
 
 
-def random_polynomial(rng, nletters, max_terms=4, max_degree=5):
-    """A random non-zero polynomial with small rational coefficients."""
+def random_polynomial(rng, nletters, max_terms=4, max_degree=5, integral=False):
+    """A random non-zero polynomial with small rational (or integer) coefficients."""
     while True:
         terms = {}
         for _ in range(rng.randint(1, max_terms)):
-            terms[random_word(rng, nletters, 0, max_degree)] = random_coeff(rng)
+            terms[random_word(rng, nletters, 0, max_degree)] = random_coeff(rng, integral)
         f = NcPolynomial(terms)
         if f:
             return f
 
 
-def random_basis(rng, ordering, nletters, size, max_degree=5):
-    """A random basis whose leading words are short enough to overlap often."""
+def random_basis(rng, ordering, nletters, size, max_degree=5, integral=False):
+    """A random basis whose leading words are short enough to overlap often.
+
+    With ``integral`` every generator has integer coefficients and leading
+    coefficient 1, so it stays integral when the basis makes it monic.
+    """
     G = BasisState()
     for _ in range(size):
-        G.append(random_polynomial(rng, nletters, max_degree=max_degree), ordering)
+        f = random_polynomial(rng, nletters, max_degree=max_degree, integral=integral)
+        if integral:
+            lc, lw = leading(f, ordering)
+            f = add_scaled(f, 1 - lc, NcPolynomial.from_term(lw))
+        G.append(f, ordering)
     return G

@@ -128,6 +128,20 @@ class TestRun:
         assert code == EXIT_ERROR and out == ""
         assert "bad.prob:2:" in err and "power longer than" in err
 
+    def test_syntax_error_position(self, tmp_path, capsys):
+        path = tmp_path / "t.prob"
+        path.write_text("vars a b\ngen a^99999999999\n")
+        code, _, err = run_main(["run", str(path)], capsys)
+        assert code == EXIT_ERROR
+        assert err == (f"error: {path}:2:3: power longer than 65536 letters, "
+                       "got '99999999999'\n")
+        # a long token is echoed as a short prefix
+        path.write_text("vars a b\ngen a^" + "9" * 5000 + "\n")
+        code, _, err = run_main(["run", str(path)], capsys)
+        assert code == EXIT_ERROR
+        assert err.endswith(f"{path}:2:3: power longer than 65536 letters, "
+                            "got '99999999999999999999…'\n")
+
     def test_non_utf8_file_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "bad.prob"
         path.write_bytes(b"\xff\xfevars a\n")
@@ -148,6 +162,24 @@ class TestRun:
                                  "/nonexistent/dir/x.csv"], capsys)
         assert code == EXIT_ERROR
         assert err.startswith("error: ") and "x.csv" in err
+
+    def test_rational_coefficients_rendered(self, tmp_path, capsys):
+        path = tmp_path / "rat.prob"
+        path.write_text("vars a b\ngen 2*a*b - 3\ngen 3*b*a - a\n")
+        code, out, _ = run_main(["run", str(path)], capsys)
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        start = lines.index("# rgb 2") + 1
+        assert lines[start:start + 2] == ["gen b - 1/3", "gen a - 9/2"]
+
+    @pytest.mark.slow
+    def test_braid3_at_corpus_bound(self, capsys):
+        code, out, _ = run_main(["run", str(problem_path("braid3"))], capsys)
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert lines[0] == "# gb 726" and "# rgb 726" in lines
+        assert lines[-1].split("\t") == ["braid3", "726", "726", "289642", "1663",
+                                          "453", "0", "0", "79", "0.0057"]
 
     def test_trunc_flag_requires_homogeneous(self, capsys):
         code, _, err = run_main(

@@ -7,7 +7,8 @@ import pytest
 from ncgb.division import divide, normal_remainder
 from ncgb.engine import BasisState
 from ncgb.polynomial import NcPolynomial, parse_polynomial
-from oracles import random_basis, random_polynomial
+from ncgb.words import Alphabet, LLexOrdering
+from oracles import random_basis, random_polynomial, reference_divide
 
 
 def basis(texts, alphabet):
@@ -63,6 +64,14 @@ def test_smallest_index_preferred(xy):
     res.validate(parse_polynomial("x*y*x", xy), G, xy.llex)
 
 
+def test_integral_remainder_coefficient_is_int(xy):
+    # monic x - 1/2*y times 2 leaves Fraction(1) on y, stored as int 1
+    G = basis(["2*x - y"], xy)
+    res = divide(parse_polynomial("2*x", xy), G, xy.llex)
+    assert res.remainder == parse_polynomial("y", xy)
+    assert type(res.remainder.coefficient(xy.word("y"))) is int
+
+
 def test_constant_divisor_kills_everything(xy):
     G = basis(["2"], xy)
     f = random_polynomial(random.Random(0), 2)
@@ -91,3 +100,40 @@ def test_idempotent_and_deterministic(xy):
         assert r1 == r2
         assert normal_remainder(r1, G, xy.llex) == r1
         assert divide(f, G, xy.llex).remainder == r1
+
+
+def test_cancelled_word_produced_again(xy):
+    # x^2 + x*y + y*x - 2*y^2: rewriting x^2 leaves -y^2, rewriting x*y
+    # cancels y^2, and rewriting y*x brings it back; y^2 then sits in the
+    # heap twice and must be peeled into the remainder exactly once
+    G = basis(["x^2 - y^2", "x*y - y^2", "y*x - y^2"], xy)
+    f = parse_polynomial("x^2 + x*y + y*x - 2*y^2", xy)
+    res = divide(f, G, xy.llex)
+    assert res.quotients == [(0, 1, b"", b""), (1, 1, b"", b""), (2, 1, b"", b"")]
+    assert res.remainder == parse_polynomial("y^2", xy)
+    assert (res.quotients, res.remainder) == reference_divide(f, G, xy.llex)
+    # without the y*x term the cancelled y^2 never returns
+    f = parse_polynomial("x^2 + x*y - 2*y^2", xy)
+    res = divide(f, G, xy.llex)
+    assert not res.remainder and len(res.quotients) == 2
+
+
+def test_matches_reference_divide(xy):
+    """Same quotient list, in the same order, and the same remainder as a rescan."""
+    abc = Alphabet(["a", "b", "c"])
+    orderings = [(xy.llex, 2), (LLexOrdering(xy, ["y", "x"]), 2),
+                 (abc.llex, 3), (LLexOrdering(abc, ["b", "c", "a"]), 3)]
+    rng = random.Random(47)
+    for k in range(1200):
+        ordering, n = orderings[k % len(orderings)]
+        integral = k % 2 == 0
+        G = random_basis(rng, ordering, n, rng.randint(1, 5), max_degree=4,
+                         integral=integral)
+        f = random_polynomial(rng, n, max_terms=6, max_degree=6, integral=integral)
+        res = divide(f, G, ordering)
+        assert (res.quotients, res.remainder) == reference_divide(f, G, ordering)
+        placed = [left + G.leading_words[i] + right for i, _, left, right in res.quotients]
+        assert all(ordering.compare(a, b) > 0 for a, b in zip(placed, placed[1:]))
+        if integral:
+            coeffs = [c for _, c, _, _ in res.quotients] + [c for _, c in res.remainder.items()]
+            assert all(type(c) is int for c in coeffs)

@@ -176,6 +176,24 @@ class TestBuchberger:
                 s += 1
         assert s == len(G)
 
+    def test_integral_input_keeps_int_coefficients(self, g09, monkeypatch):
+        def int_only(f):
+            return all(type(c) is int for _, c in f.items())
+
+        def checked_divide(f, G, ordering):
+            res = divide(f, G, ordering)
+            assert int_only(f) and int_only(res.remainder)
+            assert all(type(c) is int for _, c, _, _ in res.quotients)
+            return res.remainder
+
+        braid4 = parse_problem(problem_path("braid4"))
+        monkeypatch.setattr(engine, "normal_remainder", checked_divide)
+        for problem, trunc in ((g09, None), (braid4, 6)):
+            cfg = EngineConfig(ordering=problem.ordering, truncation_degree=trunc)
+            G, _ = buchberger(problem.generators, cfg)
+            reduced = interreduce(G, problem.ordering)
+            assert all(int_only(f) for f in list(G) + list(reduced))
+
     def test_max_basis_cap(self, g09):
         cfg = EngineConfig(ordering=g09.ordering, max_basis=5)
         G, st = buchberger(g09.generators, cfg)

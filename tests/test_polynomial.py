@@ -121,6 +121,29 @@ class TestMakeMonic:
             make_monic(NcPolynomial.zero(), xy.llex)
 
 
+class TestCoefficients:
+    def test_integral_values_become_int(self, ab):
+        a = ab.word("a")
+        assert type(NcPolynomial({a: Fraction(4, 2)}).coefficient(a)) is int
+        half = poly("1/2*a", ab)
+        assert type(add_scaled(half, 1, half).coefficient(a)) is int
+        twice = add_scaled(NcPolynomial.zero(), Fraction(6, 3), poly("a", ab))
+        assert type(twice.coefficient(a)) is int
+        assert all(type(c) is int for _, c in poly("3*a*b - 1", ab).items())
+
+    def test_make_monic_divides_exactly(self, ab):
+        f = make_monic(poly("3*a - 1", ab), ab.llex)
+        assert type(f.coefficient(ab.word("a"))) is int
+        assert f.coefficient(b"") == Fraction(-1, 3)
+        assert type(f.coefficient(b"")) is Fraction
+
+    def test_sandwich_keeps_coefficients(self, ab):
+        f = poly("1/2*a - 3", ab)
+        g = sandwich(ab.word("b"), f, ab.word("b"))
+        assert g == poly("1/2*b*a*b - 3*b^2", ab)
+        assert type(g.coefficient(ab.word("bb"))) is int
+
+
 class TestParsing:
     def test_powered_group(self, ab):
         assert poly("(a*b*a*b^2)^2 - 1", ab) == \
