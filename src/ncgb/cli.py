@@ -225,6 +225,11 @@ def main(argv=None) -> int:
     except (ProblemError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except KeyboardInterrupt:
+        # completion turns an interrupt into a capped result; one anywhere
+        # else (parsing, interreduction, verification) ends the command
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Division with remainder by a list of non-zero polynomials.
+"""Division with remainder by a list of monic polynomials.
 
 Each step rewrites the current largest word using the divisor with the
 smallest index whose leading word occurs in it (leftmost occurrence when
@@ -14,12 +14,26 @@ term.  Deletion is lazy: a word is pushed whenever it enters the dict,
 and a popped word that is no longer in the dict was cancelled and is
 skipped.  A processed word never comes back, because every word a step
 adds is smaller than the one it rewrites.
+
+Words found normal are remembered in the basis (``G.normal_words``): a
+word maps to a count k such that none of the first k leading words
+occurs in it.  Leading words are only ever appended, so an entry stays
+true as the basis grows, and the divisor scan of a remembered word
+starts at k; a word that is still normal costs no scan at all until the
+basis gains a generator.  Only remainder words are remembered, never
+divisor hits, so dividing by a Groebner basis (every remainder zero)
+leaves the memo empty.
+
+A generator is checked for zero only when it is about to be applied:
+``BasisState.append`` never admits zero, and a caller that puts one in
+by hand gets ``ValueError`` from the step that would use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import islice
 
 from .polynomial import NcPolynomial, add_scaled, leading, normal_coefficient, sandwich
 
@@ -62,9 +76,9 @@ class DivisionResult:
                     raise AssertionError("remainder exceeds the dividend's leading word")
 
 
-def _find_divisor(word, leading_words):
-    """Smallest divisor index whose leading word occurs in ``word``, leftmost split."""
-    for i, lw in enumerate(leading_words):
+def _find_divisor(word, leading_words, start):
+    """Smallest divisor index from ``start`` on whose leading word occurs in ``word``, leftmost split."""
+    for i, lw in enumerate(islice(leading_words, start, None), start):
         pos = word.find(lw)
         if pos >= 0:
             return i, word[:pos], word[pos + len(lw):]
@@ -72,12 +86,15 @@ def _find_divisor(word, leading_words):
 
 
 def divide(f: NcPolynomial, G, ordering) -> DivisionResult:
-    """Divide ``f`` by the basis ``G``, returning quotients and remainder."""
+    """Divide ``f`` by the basis ``G``, returning quotients and remainder.
+
+    Remainder words are recorded in ``G.normal_words`` (see the module
+    docstring).  Raises ValueError when a divisor the rule selects is zero.
+    """
     gens = G.generators
-    for g in gens:
-        if not g:
-            raise ValueError("division by a zero polynomial")
     lws = G.leading_words
+    n = len(lws)
+    normal_words = G.normal_words
     rev = ordering.rev_tbl
     v = dict(f.items())
     # ascending (-len, reversed-precedence bytes) pops the largest word first
@@ -90,14 +107,18 @@ def divide(f: NcPolynomial, G, ordering) -> DivisionResult:
         c = v.get(word)
         if c is None:
             continue
-        hit = _find_divisor(word, lws)
+        hit = _find_divisor(word, lws, normal_words.get(word, 0))
         if hit is None:
+            normal_words[word] = n
             del v[word]
             remainder[word] = normal_coefficient(c)
             continue
         i, left, right = hit
+        terms = gens[i].items()
+        if not terms:
+            raise ValueError("division by a zero polynomial")
         quotients.append((i, c, left, right))  # basis elements are monic
-        for u, cu in gens[i].items():
+        for u, cu in terms:
             w = left + u + right
             old = v.get(w)
             if old is None:

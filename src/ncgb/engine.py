@@ -30,13 +30,22 @@ from .polynomial import NcPolynomial, add_scaled, leading, make_monic
 
 
 class BasisState:
-    """An append-only list of monic generators with cached leading words."""
+    """An append-only list of monic generators with cached leading words.
 
-    __slots__ = ("generators", "leading_words")
+    ``normal_words`` is division's memo of remainder words: it maps a word
+    to a count k such that none of ``leading_words[:k]`` occurs in it.
+    Leading words are only appended (``interreduce`` builds a new state
+    and replaces generators, never leading words), so an entry never
+    becomes wrong.  ``append`` rejects zero; division checks a generator
+    for zero only at the step that applies it.
+    """
+
+    __slots__ = ("generators", "leading_words", "normal_words")
 
     def __init__(self):
         self.generators = []
         self.leading_words = []
+        self.normal_words = {}
 
     @classmethod
     def from_polynomials(cls, polys, ordering):
@@ -50,8 +59,10 @@ class BasisState:
             raise ValueError("zero polynomial cannot join a basis")
         f = make_monic(f, ordering)
         _, lw = leading(f, ordering)
-        self.generators.append(f)
+        # leading word first: an interrupt between the two appends leaves
+        # every generator with its leading word, which interreduce needs
         self.leading_words.append(lw)
+        self.generators.append(f)
         return len(self.generators) - 1
 
     def __len__(self):
@@ -149,7 +160,8 @@ def buchberger(G0, cfg: EngineConfig):
     (homogeneous input only) obstructions whose common word exceeds the
     bound are discarded and counted, which yields a basis valid up to that
     degree.  Size and degree caps stop the run early with ``stats.capped``
-    set instead of raising.
+    set instead of raising, and so does an interrupt (Ctrl-C): it returns
+    the generators appended so far with ``cap_reason`` "interrupted".
     """
     cfg.validate()
     ordering = cfg.ordering
@@ -176,7 +188,6 @@ def buchberger(G0, cfg: EngineConfig):
         news = []
         for i in range(s + 1):
             news.extend(nontrivial_obstructions(i, s, G, ordering))
-        news.sort(key=lambda n: obstruction_key(n, G, ordering))
         stats.tot += len(news)
         if trunc is not None:
             kept = [n for n in news if len(n.common) <= trunc]
@@ -195,27 +206,31 @@ def buchberger(G0, cfg: EngineConfig):
         for n in news:
             queue.push(n)
 
-    for f in polys:
-        absorb(f)
+    try:
+        for f in polys:
+            absorb(f)
 
-    while len(queue):
-        o = queue.pop_smallest()
-        if cfg.max_degree is not None and len(o.common) > cfg.max_degree:
-            stats.capped = True
-            stats.cap_reason = "max_degree"
-            break
-        stats.sel += 1
-        remainder = normal_remainder(s_polynomial(o, G, ordering), G, ordering)
-        if not remainder:
-            stats.zero_reductions += 1
-            continue
-        if trunc is not None and remainder.degree() > trunc:
-            continue
-        if cfg.max_basis is not None and len(G) + 1 > cfg.max_basis:
-            stats.capped = True
-            stats.cap_reason = "max_basis"
-            break
-        absorb(remainder)
+        while len(queue):
+            o = queue.pop_smallest()
+            if cfg.max_degree is not None and len(o.common) > cfg.max_degree:
+                stats.capped = True
+                stats.cap_reason = "max_degree"
+                break
+            stats.sel += 1
+            remainder = normal_remainder(s_polynomial(o, G, ordering), G, ordering)
+            if not remainder:
+                stats.zero_reductions += 1
+                continue
+            if trunc is not None and remainder.degree() > trunc:
+                continue
+            if cfg.max_basis is not None and len(G) + 1 > cfg.max_basis:
+                stats.capped = True
+                stats.cap_reason = "max_basis"
+                break
+            absorb(remainder)
+    except KeyboardInterrupt:
+        stats.capped = True
+        stats.cap_reason = "interrupted"
 
     stats.gb_size = len(G)
     return G, stats

@@ -2,6 +2,8 @@
 
 import pytest
 
+import ncgb.cli as cli
+import ncgb.engine as engine
 from ncgb.cli import (
     EXIT_CAPPED,
     EXIT_ERROR,
@@ -12,6 +14,20 @@ from ncgb.cli import (
     parse_problem,
 )
 from ncgb.corpus import names, problem_path
+
+
+def interrupt_on_call(monkeypatch, k):
+    """Make the engine's k-th division raise KeyboardInterrupt, as Ctrl-C would."""
+    calls = []
+    reduce = engine.normal_remainder
+
+    def interrupted(f, G, ordering):
+        calls.append(f)
+        if len(calls) == k:
+            raise KeyboardInterrupt
+        return reduce(f, G, ordering)
+
+    monkeypatch.setattr(engine, "normal_remainder", interrupted)
 
 
 def run_main(argv, capsys):
@@ -107,6 +123,25 @@ class TestRun:
             ["run", str(problem_path("g09")), "--max-basis", "5"], capsys)
         assert code == EXIT_CAPPED
         assert "# capped max_basis" in out
+
+    def test_interrupt_prints_partial_basis(self, capsys, monkeypatch):
+        interrupt_on_call(monkeypatch, 5)
+        code, out, err = run_main(["run", str(problem_path("g09"))], capsys)
+        assert code == EXIT_CAPPED and err == ""
+        lines = out.splitlines()
+        rgb = next(k for k, line in enumerate(lines) if line.startswith("# rgb "))
+        assert lines[0] == f"# gb {rgb - 1}"
+        assert lines[-3] == "# capped interrupted"
+        row = lines[-1].split("\t")
+        assert row[0] == "g09" and row[1] == str(rgb - 1) and row[4] == "5"
+
+    def test_interrupt_elsewhere_is_an_error(self, capsys, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "interreduce", interrupted)
+        code, out, err = run_main(["run", str(problem_path("g09"))], capsys)
+        assert (code, out, err) == (EXIT_ERROR, "", "error: interrupted\n")
 
     def test_no_criteria_matches_basic_mode(self, tmp_path, capsys):
         # the problem-file directive and the flag both select the basic procedure
@@ -205,6 +240,14 @@ class TestVerify:
         code, out, _ = run_main(
             ["verify", str(path), str(problem_path("g09"))], capsys)
         assert code == EXIT_OK and out.strip() == "ok"
+
+    def test_interrupt_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # verification has no partial answer: an interrupt is never "ok"
+        path = self.write_basis(tmp_path, capsys)
+        interrupt_on_call(monkeypatch, 5)
+        code, out, err = run_main(
+            ["verify", str(path), str(problem_path("g09"))], capsys)
+        assert (code, out, err) == (EXIT_ERROR, "", "error: interrupted\n")
 
     def test_mutilated_basis_fails(self, tmp_path, capsys):
         path = self.write_basis(tmp_path, capsys, drop=2)

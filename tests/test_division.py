@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from ncgb.cli import parse_problem
+from ncgb.corpus import problem_path
 from ncgb.division import divide, normal_remainder
-from ncgb.engine import BasisState
+from ncgb.engine import BasisState, EngineConfig, buchberger, verify_groebner
 from ncgb.polynomial import NcPolynomial, parse_polynomial
 from ncgb.words import Alphabet, LLexOrdering
 from oracles import random_basis, random_polynomial, reference_divide
@@ -44,10 +46,12 @@ def test_zero_dividend(xy):
 
 
 def test_zero_divisor_rejected(xy):
+    # the zero generator still carries the leading word x*y, so dividing
+    # x*y selects it and the step that would apply it refuses
     G = basis(["x*y - 1"], xy)
     G.generators[0] = NcPolynomial.zero()
-    with pytest.raises(ValueError):
-        divide(parse_polynomial("x", xy), G, xy.llex)
+    with pytest.raises(ValueError, match="division by a zero polynomial"):
+        divide(parse_polynomial("x*y", xy), G, xy.llex)
 
 
 def test_leftmost_occurrence_chosen(xy):
@@ -137,3 +141,60 @@ def test_matches_reference_divide(xy):
         if integral:
             coeffs = [c for _, c, _, _ in res.quotients] + [c for _, c in res.remainder.items()]
             assert all(type(c) is int for c in coeffs)
+
+
+def test_normal_word_remembered(xy):
+    G = basis(["x*y - 1"], xy)
+    yx = xy.word("yx")
+    res = divide(parse_polynomial("y*x", xy), G, xy.llex)
+    assert res.quotients == [] and G.normal_words == {yx: 1}
+    # the entry stays true when the basis grows; the scan resumes at index 1
+    G.append(parse_polynomial("y*x - 1", xy), xy.llex)
+    res = divide(parse_polynomial("y*x", xy), G, xy.llex)
+    assert res.quotients == [(1, 1, b"", b"")]
+    assert res.remainder == parse_polynomial("1", xy)
+    # divisor hits are not remembered, remainder words are
+    assert G.normal_words == {yx: 1, b"": 2}
+
+
+def test_remembered_count_skips_the_scan(xy):
+    # the memo is trusted: an entry of 1 for x*y*x skips divisor 0 even
+    # though x*y occurs in it, so only the memo can explain index 1
+    G = basis(["x*y - 1", "y*x - 1"], xy)
+    G.normal_words[xy.word("xyx")] = 1
+    res = divide(parse_polynomial("x*y*x", xy), G, xy.llex)
+    assert res.quotients[0] == (1, 1, xy.word("x"), b"")
+
+
+def test_memo_carried_across_appends(xy):
+    """A basis grown one append at a time divides like a fresh rescan."""
+    abc = Alphabet(["a", "b", "c"])
+    rng = random.Random(53)
+    resumed = 0
+    for k in range(160):
+        ordering, n = ((xy.llex, 2), (abc.llex, 3))[k % 2]
+        integral = k % 4 < 2
+        fs = [random_polynomial(rng, n, max_terms=6, max_degree=6, integral=integral)
+              for _ in range(6)]
+        G = BasisState()
+        for _ in range(rng.randint(1, 5)):
+            g = random_basis(rng, ordering, n, 1, max_degree=4, integral=integral)[0]
+            G.append(g, ordering)
+            resumed += sum(0 < c < len(G) for c in G.normal_words.values())
+            for f in fs:
+                res = divide(f, G, ordering)
+                assert (res.quotients, res.remainder) == reference_divide(f, G, ordering)
+            lws = G.leading_words
+            for word, count in G.normal_words.items():
+                assert count <= len(lws)
+                assert not any(word.find(lw) >= 0 for lw in lws[:count])
+    assert resumed > 100  # stale entries were met and extended
+
+
+def test_verify_leaves_memo_empty():
+    problem = parse_problem(problem_path("g09"))
+    done, _ = buchberger(problem.generators, EngineConfig(ordering=problem.ordering))
+    assert done.normal_words  # completion remembers its remainder words
+    G = BasisState.from_polynomials(done.generators, problem.ordering)
+    ok, _ = verify_groebner(G, problem.ordering)
+    assert ok and G.normal_words == {}

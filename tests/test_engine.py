@@ -5,7 +5,12 @@ import random
 import pytest
 
 import ncgb.engine as engine
-from ncgb.criteria import assert_removals_dominated
+from ncgb.criteria import (
+    assert_removals_dominated,
+    backward_criterion,
+    leading_word_criterion,
+    multiply_criterion,
+)
 from ncgb.division import divide
 from ncgb.engine import (
     BasisState,
@@ -204,6 +209,53 @@ class TestBuchberger:
         cfg = EngineConfig(ordering=g09.ordering, max_degree=4)
         G, st = buchberger(g09.generators, cfg)
         assert st.capped and st.cap_reason == "max_degree"
+
+    def test_batch_order_does_not_matter(self, g09, monkeypatch):
+        """A shuffled batch keeps the same survivors and removal counts.
+
+        The engine hands the criteria each batch in construction order,
+        unsorted; m, f and bk must not depend on that order.
+        """
+        braid4 = parse_problem(problem_path("braid4"))
+        rng = random.Random(67)
+        for problem, trunc in ((g09, None), (braid4, 6)):
+            batches, pendings = [], []
+
+            def record_m(news, G, ordering):
+                batches.append(list(news))
+                return multiply_criterion(news, G, ordering)
+
+            def record_bk(B, news, s, G, ordering):
+                pendings.append((list(B), s))
+                return backward_criterion(B, news, s, G, ordering)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(engine, "multiply_criterion", record_m)
+                mp.setattr(engine, "backward_criterion", record_bk)
+                cfg = EngineConfig(ordering=problem.ordering, truncation_degree=trunc)
+                G, st = buchberger(problem.generators, cfg)
+            ordering = problem.ordering
+
+            def chain(batch, pending, s):
+                m = multiply_criterion(batch, G, ordering)
+                f = leading_word_criterion(m.survivors, G, ordering)
+                bk = backward_criterion(pending, f.survivors, s, G, ordering)
+                return (set(f.survivors), {o for o, _ in bk.removed},
+                        (m.removed_m, f.removed_f, bk.removed_bk))
+
+            totals = [0, 0, 0]
+            shuffled_batches = 0
+            for batch, (pending, s) in zip(batches, pendings, strict=True):
+                expected = chain(batch, pending, s)
+                totals = [t + c for t, c in zip(totals, expected[2])]
+                for _ in range(10):
+                    mixed, mixed_pending = list(batch), list(pending)
+                    rng.shuffle(mixed)
+                    rng.shuffle(mixed_pending)
+                    shuffled_batches += mixed != batch
+                    assert chain(mixed, mixed_pending, s) == expected
+            assert totals == [st.m, st.f, st.bk]
+            assert shuffled_batches > 20
 
     def test_input_leading_word_inside_another(self, ab):
         # lw(a*b - 1) is a factor of lw(a*b*a - b): the only kind of input on
