@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .division import normal_remainder
 from .engine import BasisState, EngineConfig, buchberger, interreduce, verify_groebner
 from .polynomial import PolynomialSyntaxError, format_polynomial, parse_polynomial
 from .words import Alphabet, LLexOrdering
@@ -180,12 +181,21 @@ def cmd_verify(args, out) -> int:
     G = BasisState.from_polynomials(basis_file.generators, problem.ordering)
     truncation = args.trunc if args.trunc is not None else problem.truncation
     ok, failures = verify_groebner(G, problem.ordering, truncation)
-    if ok:
-        print("ok", file=out)
-        return EXIT_OK
-    print(f"not a Groebner basis; unresolved obstruction "
-          f"{render_obstruction(failures[0], problem.alphabet)}", file=out)
-    return EXIT_VERIFY_FAILED
+    if not ok:
+        print(f"not a Groebner basis; unresolved obstruction "
+              f"{render_obstruction(failures[0], problem.alphabet)}", file=out)
+        return EXIT_VERIFY_FAILED
+    # the problem's ideal must lie inside the basis's: with a Groebner basis
+    # that is a zero remainder for every generator within the bound
+    for k, g in enumerate(problem.generators, 1):
+        if not g or (truncation is not None and g.degree() > truncation):
+            continue
+        if normal_remainder(g, G, problem.ordering):
+            print(f"problem generator {k} does not reduce to zero: "
+                  f"{format_polynomial(g, problem.alphabet, problem.ordering)}", file=out)
+            return EXIT_VERIFY_FAILED
+    print("ok", file=out)
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -206,12 +216,18 @@ def main(argv=None) -> int:
     prun.add_argument("--max-degree", type=int, metavar="D")
     prun.add_argument("--stats-csv", metavar="PATH")
 
-    pver = sub.add_parser("verify", help="check that a basis file passes the "
-                                         "obstruction criterion for its problem")
+    pver = sub.add_parser(
+        "verify", help="check that a basis file is a Groebner basis of an ideal "
+                       "containing the problem's generators",
+        description="Check that the basis is a Groebner basis (every S-polynomial "
+                    "reduces to zero) and that every problem generator reduces to "
+                    "zero modulo it, both up to the truncation degree.  The reverse "
+                    "inclusion, that the basis lies in the problem's ideal, is not "
+                    "checked.")
     pver.add_argument("basis", help="file with gen lines for the basis")
     pver.add_argument("problem", help="problem file supplying variables and ordering")
     pver.add_argument("--trunc", type=int, metavar="D",
-                      help="only check obstructions up to this degree")
+                      help="only check obstructions and generators up to this degree")
 
     args = parser.parse_args(argv)
     try:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .obstructions import aligned, covered, obstruction_key
+from .obstructions import aligned, covered
 
 
 @dataclass
@@ -138,24 +138,3 @@ def backward_criterion(B, news, s, G, ordering) -> CriteriaReport:
             survivors.append(o)
     return CriteriaReport(survivors, removed_bk=len(removed), removed=removed)
 
-
-def assert_removals_dominated(report, G, ordering):
-    """Check that each removal is larger than both obstructions explaining it.
-
-    Applies to the multiply and leading-word criteria; backward removals
-    carry no such guarantee.  Raises AssertionError on violation.
-    """
-    def key(o):
-        return obstruction_key(o, G, ordering)
-
-    for o, just in report.removed:
-        if key(o) <= key(just):
-            raise AssertionError(f"removed {o!r} does not dominate its justifier")
-        w = o.wj[:len(o.wj) - len(just.wj)]
-        w2 = o.wj2[len(just.wj2):]
-        if o.i <= just.i:
-            third = aligned(o.i, just.i, o.wi, o.wi2, w + just.wi, just.wi2 + w2, G)
-        else:
-            third = aligned(just.i, o.i, w + just.wi, just.wi2 + w2, o.wi, o.wi2, G)
-        if key(o) <= key(third):
-            raise AssertionError(f"removed {o!r} does not dominate the induced obstruction")

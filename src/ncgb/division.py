@@ -15,14 +15,31 @@ and a popped word that is no longer in the dict was cancelled and is
 skipped.  A processed word never comes back, because every word a step
 adds is smaller than the one it rewrites.
 
+The divisor of a word is found by a :class:`DivisorIndex` kept on the
+basis (``G.divisor_index``): an Aho-Corasick automaton (Aho and
+Corasick, 1975) over the first k leading words, where each state holds
+the smallest index of a leading word ending there, merged along the
+failure links.  One pass over the word gives the smallest occurring
+index and, at the first position where it ends, its leftmost
+occurrence: exactly the divisor rule.  The leading words appended since,
+``leading_words[k:]``, form a short tail that is searched one by one
+with ``bytes.find``, only when the automaton misses; every tail index is
+at least k, so an automaton hit always wins.  A new leading word can
+change the failure links of existing states, so the automaton is not
+grown in place: following the logarithmic method (Bentley and Saxe,
+1980) it is rebuilt over all leading words once the tail holds more
+than ``max(16, k // 4)`` of them, which keeps the total rebuild cost a
+constant multiple of the last build.
+
 Words found normal are remembered in the basis (``G.normal_words``): a
-word maps to a count k such that none of the first k leading words
+word maps to a count c such that none of the first c leading words
 occurs in it.  Leading words are only ever appended, so an entry stays
-true as the basis grows, and the divisor scan of a remembered word
-starts at k; a word that is still normal costs no scan at all until the
-basis gains a generator.  Only remainder words are remembered, never
-divisor hits, so dividing by a Groebner basis (every remainder zero)
-leaves the memo empty.
+true as the basis grows.  A remembered count below k still runs the
+automaton (its answer cannot lie below c); a count of at least k skips
+it and searches only ``leading_words[c:]``, so a word that is still
+normal costs no search at all until the basis gains a generator.  Only
+remainder words are remembered, never divisor hits, so dividing by a
+Groebner basis (every remainder zero) leaves the memo empty.
 
 A generator is checked for zero only when it is about to be applied:
 ``BasisState.append`` never admits zero, and a caller that puts one in
@@ -31,11 +48,11 @@ by hand gets ``ValueError`` from the step that would use it.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import islice
 
-from .polynomial import NcPolynomial, add_scaled, leading, normal_coefficient, sandwich
+from .polynomial import NcPolynomial, normal_coefficient
 
 
 @dataclass
@@ -45,40 +62,95 @@ class DivisionResult:
     quotients: list
     remainder: NcPolynomial
 
-    def validate(self, f, G, ordering):
-        """Recheck the full division contract against the inputs.
 
-        Raises AssertionError when any clause fails:
-        reconstruction of ``f``, remainder support free of leading-word
-        factors, no quotient term or remainder above the leading word of
-        ``f``, and the minimal-index property of each quotient.
+class DivisorIndex:
+    """Aho-Corasick automaton over a list of patterns (leading words).
+
+    ``size`` is the number of patterns covered.  A state is a list of
+    ``width + 1`` slots: the successor state per column, then the smallest
+    index of a pattern that is a suffix of the text read so far (``size``
+    when there is none).  Columns are the letters the patterns use, in
+    increasing order, then one for every other letter, which leads back to
+    the root; ``cols`` translates a word into columns.
+    """
+
+    __slots__ = ("size", "lengths", "width", "cols", "root")
+
+    def __init__(self, patterns):
+        n = self.size = len(patterns)
+        self.lengths = [len(p) for p in patterns]
+        letters = sorted(set(b"".join(patterns)))
+        other = len(letters)
+        w = self.width = other + 1
+        table = bytearray([other]) * 256
+        for col, letter in enumerate(letters):
+            table[letter] = col
+        self.cols = cols = bytes(table)
+        # trie; None marks a missing edge until the pass below fills it
+        root = self.root = [None] * w + [n]
+        for k, p in enumerate(patterns):
+            s = root
+            for c in p.translate(cols):
+                t = s[c]
+                if t is None:
+                    t = s[c] = [None] * w + [n]
+                s = t
+            if s[w] == n:  # a duplicate keeps the smaller index
+                s[w] = k
+        # breadth first, so a state's failure state (shallower) is complete:
+        # merge its smallest index and take its edges for the missing ones
+        queue = deque()
+        for c in range(w):
+            if root[c] is None:
+                root[c] = root
+            else:
+                queue.append((root[c], root))
+        while queue:
+            s, fail = queue.popleft()
+            if fail[w] < s[w]:
+                s[w] = fail[w]
+            for c in range(w):
+                t = s[c]
+                if t is None:
+                    s[c] = fail[c]
+                else:
+                    queue.append((t, fail[c]))
+
+    def search(self, word):
+        """(index, left, right) for the smallest pattern index occurring in ``word``.
+
+        ``word = left + pattern + right`` at the pattern's leftmost
+        occurrence; None when no pattern occurs.
         """
-        lws = G.leading_words
-        acc = self.remainder
-        for i, c, left, right in self.quotients:
-            acc = add_scaled(acc, c, sandwich(left, G.generators[i], right))
-        if acc != f:
-            raise AssertionError("quotients and remainder do not reconstruct the dividend")
-        for word in self.remainder.support():
-            if any(word.find(lw) >= 0 for lw in lws):
-                raise AssertionError("remainder contains a reducible word")
-        if f:
-            _, top = leading(f, ordering)
-            for i, c, left, right in self.quotients:
-                placed = left + lws[i] + right
-                if ordering.compare(placed, top) > 0:
-                    raise AssertionError("quotient term exceeds the dividend's leading word")
-                if any(placed.find(lws[k]) >= 0 for k in range(i)):
-                    raise AssertionError("quotient does not use the smallest divisor index")
-            if self.remainder:
-                _, rtop = leading(self.remainder, ordering)
-                if ordering.compare(rtop, top) > 0:
-                    raise AssertionError("remainder exceeds the dividend's leading word")
+        w = self.width
+        s = self.root
+        best = s[w]
+        end = pos = 0
+        for c in word.translate(self.cols):
+            s = s[c]
+            pos += 1
+            if s[w] < best:
+                best = s[w]
+                end = pos
+        if best == self.size:
+            return None
+        return best, word[:end - self.lengths[best]], word[end:]
 
 
-def _find_divisor(word, leading_words, start):
-    """Smallest divisor index from ``start`` on whose leading word occurs in ``word``, leftmost split."""
-    for i, lw in enumerate(islice(leading_words, start, None), start):
+def _find_divisor(word, leading_words, start, index):
+    """Smallest divisor index from ``start`` on whose leading word occurs in ``word``, leftmost split.
+
+    ``index`` covers ``leading_words[:index.size]``; the caller guarantees
+    that none of ``leading_words[:start]`` occurs in ``word``.
+    """
+    k = index.size
+    if start < k:
+        hit = index.search(word)
+        if hit is not None:
+            return hit
+        start = k
+    for i in range(start, len(leading_words)):
+        lw = leading_words[i]
         pos = word.find(lw)
         if pos >= 0:
             return i, word[:pos], word[pos + len(lw):]
@@ -88,12 +160,18 @@ def _find_divisor(word, leading_words, start):
 def divide(f: NcPolynomial, G, ordering) -> DivisionResult:
     """Divide ``f`` by the basis ``G``, returning quotients and remainder.
 
-    Remainder words are recorded in ``G.normal_words`` (see the module
-    docstring).  Raises ValueError when a divisor the rule selects is zero.
+    Remainder words are recorded in ``G.normal_words``, and
+    ``G.divisor_index`` is built or rebuilt when the leading words have
+    outgrown it (see the module docstring).  Raises ValueError when a
+    divisor the rule selects is zero.
     """
     gens = G.generators
     lws = G.leading_words
     n = len(lws)
+    index = G.divisor_index
+    # the logarithmic method: rebuild once the tail outgrows a quarter of the index
+    if index is None or n - index.size > max(16, index.size // 4):
+        index = G.divisor_index = DivisorIndex(lws)
     normal_words = G.normal_words
     rev = ordering.rev_tbl
     v = dict(f.items())
@@ -107,7 +185,7 @@ def divide(f: NcPolynomial, G, ordering) -> DivisionResult:
         c = v.get(word)
         if c is None:
             continue
-        hit = _find_divisor(word, lws, normal_words.get(word, 0))
+        hit = _find_divisor(word, lws, normal_words.get(word, 0), index)
         if hit is None:
             normal_words[word] = n
             del v[word]

@@ -32,20 +32,28 @@ from .polynomial import NcPolynomial, add_scaled, leading, make_monic
 class BasisState:
     """An append-only list of monic generators with cached leading words.
 
-    ``normal_words`` is division's memo of remainder words: it maps a word
-    to a count k such that none of ``leading_words[:k]`` occurs in it.
-    Leading words are only appended (``interreduce`` builds a new state
-    and replaces generators, never leading words), so an entry never
-    becomes wrong.  ``append`` rejects zero; division checks a generator
-    for zero only at the step that applies it.
+    Two caches serve division (see :mod:`ncgb.division`).
+    ``divisor_index`` is an Aho-Corasick automaton over a prefix
+    ``leading_words[:k]``; division builds it on first use and rebuilds it
+    over all leading words once more than ``max(16, k // 4)`` have been
+    appended after that prefix, searching the few in between one by one.
+    ``normal_words`` is the memo of remainder words: it maps a word to a
+    count c such that none of ``leading_words[:c]`` occurs in it; a count
+    of at least k lets division skip the automaton and search only
+    ``leading_words[c:]``.  Leading words are only appended
+    (``interreduce`` builds a new state and replaces generators, never
+    leading words), so neither cache ever becomes wrong.  ``append``
+    rejects zero; division checks a generator for zero only at the step
+    that applies it.
     """
 
-    __slots__ = ("generators", "leading_words", "normal_words")
+    __slots__ = ("generators", "leading_words", "normal_words", "divisor_index")
 
     def __init__(self):
         self.generators = []
         self.leading_words = []
         self.normal_words = {}
+        self.divisor_index = None
 
     @classmethod
     def from_polynomials(cls, polys, ordering):

@@ -3,13 +3,16 @@
 Everything here takes a different route than the library: position scans
 instead of ``find``, explicit alignment enumeration instead of overlap
 case analysis, and raw polynomial arithmetic for reconstruction.  Tests
-assert the library against these, never against itself.
+assert the library against these, never against itself.  The contract
+checks (``validate_division``, ``assert_removals_dominated``) recheck a
+library result against its inputs.
 """
 
 from fractions import Fraction
 
 from ncgb.engine import BasisState
-from ncgb.polynomial import NcPolynomial, add_scaled, leading
+from ncgb.obstructions import aligned, obstruction_key
+from ncgb.polynomial import NcPolynomial, add_scaled, leading, sandwich
 
 
 def occurrences_brute(pattern, text):
@@ -86,6 +89,73 @@ def nontrivial_obstructions_brute(i, j, G):
         common = lwj + lwi[nj - p:] if p + ni > nj else lwj
         found.add((common[:p], common[p + ni:], b"", common[nj:]))
     return found
+
+
+def reference_find_divisor(word, leading_words):
+    """(index, left, right) for the smallest index whose leading word occurs in ``word``.
+
+    The plain divisor rule by a letterwise scan: indices in increasing
+    order, the leftmost occurrence of the first that occurs; None when no
+    leading word occurs.
+    """
+    for i, lw in enumerate(leading_words):
+        splits = occurrences_brute(lw, word)
+        if splits:
+            return (i,) + splits[0]
+    return None
+
+
+def validate_division(result, f, G, ordering):
+    """Recheck the full division contract of ``result = divide(f, G, ordering)``.
+
+    Raises AssertionError when any clause fails: reconstruction of ``f``,
+    remainder support free of leading-word factors, no quotient term or
+    remainder above the leading word of ``f``, and the minimal-index
+    property of each quotient.
+    """
+    lws = G.leading_words
+    acc = result.remainder
+    for i, c, left, right in result.quotients:
+        acc = add_scaled(acc, c, sandwich(left, G.generators[i], right))
+    if acc != f:
+        raise AssertionError("quotients and remainder do not reconstruct the dividend")
+    for word in result.remainder.support():
+        if any(word.find(lw) >= 0 for lw in lws):
+            raise AssertionError("remainder contains a reducible word")
+    if f:
+        _, top = leading(f, ordering)
+        for i, c, left, right in result.quotients:
+            placed = left + lws[i] + right
+            if ordering.compare(placed, top) > 0:
+                raise AssertionError("quotient term exceeds the dividend's leading word")
+            if any(placed.find(lws[k]) >= 0 for k in range(i)):
+                raise AssertionError("quotient does not use the smallest divisor index")
+        if result.remainder:
+            _, rtop = leading(result.remainder, ordering)
+            if ordering.compare(rtop, top) > 0:
+                raise AssertionError("remainder exceeds the dividend's leading word")
+
+
+def assert_removals_dominated(report, G, ordering):
+    """Check that each removal is larger than both obstructions explaining it.
+
+    Applies to the multiply and leading-word criteria; backward removals
+    carry no such guarantee.  Raises AssertionError on violation.
+    """
+    def key(o):
+        return obstruction_key(o, G, ordering)
+
+    for o, just in report.removed:
+        if key(o) <= key(just):
+            raise AssertionError(f"removed {o!r} does not dominate its justifier")
+        w = o.wj[:len(o.wj) - len(just.wj)]
+        w2 = o.wj2[len(just.wj2):]
+        if o.i <= just.i:
+            third = aligned(o.i, just.i, o.wi, o.wi2, w + just.wi, just.wi2 + w2, G)
+        else:
+            third = aligned(just.i, o.i, w + just.wi, just.wi2 + w2, o.wi, o.wi2, G)
+        if key(o) <= key(third):
+            raise AssertionError(f"removed {o!r} does not dominate the induced obstruction")
 
 
 def reference_divide(f, G, ordering):

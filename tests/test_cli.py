@@ -1,7 +1,13 @@
 """The batch front end: problem files, run output, verification."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ncgb
 import ncgb.cli as cli
 import ncgb.engine as engine
 from ncgb.cli import (
@@ -223,11 +229,11 @@ class TestRun:
 
 
 class TestVerify:
-    def write_basis(self, tmp_path, capsys, drop=None):
-        """Run g09, extract the reduced basis lines into a standalone file."""
-        _, out, _ = run_main(["run", str(problem_path("g09"))], capsys)
+    def write_basis(self, tmp_path, capsys, drop=None, name="g09"):
+        """Run a corpus problem, extract the reduced basis lines into a standalone file."""
+        _, out, _ = run_main(["run", str(problem_path(name))], capsys)
         lines = out.splitlines()
-        start = lines.index("# rgb 5") + 1
+        start = next(k for k, line in enumerate(lines) if line.startswith("# rgb")) + 1
         gens = [line for line in lines[start:] if line.startswith("gen ")]
         if drop is not None:
             del gens[drop]
@@ -255,6 +261,37 @@ class TestVerify:
             ["verify", str(path), str(problem_path("g09"))], capsys)
         assert code == EXIT_VERIFY_FAILED
         assert "unresolved obstruction" in out
+
+    def test_problem_generator_outside_ideal(self, tmp_path, capsys):
+        # a Groebner basis of g09's ideal, checked against a problem whose
+        # generator a - 1 is not in that ideal
+        path = self.write_basis(tmp_path, capsys)
+        problem = tmp_path / "p.prob"
+        problem.write_text("vars a b\ngen b^3 - 1\ngen a - 1\n")
+        code, out, _ = run_main(["verify", str(path), str(problem)], capsys)
+        assert code == EXIT_VERIFY_FAILED
+        assert out == "problem generator 2 does not reduce to zero: a - 1\n"
+        # generators above the truncation bound and zero ones are not checked
+        problem.write_text("vars a b\ngen a - a\ngen a^2*b - b\ngen a*b^3 - 1\n")
+        code, out, _ = run_main(["verify", str(path), str(problem), "--trunc", "3"], capsys)
+        assert (code, out) == (EXIT_OK, "ok\n")
+        code, out, _ = run_main(["verify", str(path), str(problem)], capsys)
+        assert code == EXIT_VERIFY_FAILED
+        assert out == "problem generator 3 does not reduce to zero: a*b^3 - 1\n"
+
+    @pytest.mark.slow
+    def test_problem_generators_against_g13(self, tmp_path, capsys):
+        path = self.write_basis(tmp_path, capsys, name="g13")
+        problem = tmp_path / "p.prob"
+        problem.write_text("vars a b\ngen a - 1\n")
+        code, out, _ = run_main(["verify", str(path), str(problem)], capsys)
+        assert code == EXIT_VERIFY_FAILED
+        assert out == "problem generator 1 does not reduce to zero: a - 1\n"
+        # a^2 - 1 lies in g13's ideal; that the basis lies in the ideal of
+        # a^2 - 1 alone, which it does not, is not checked
+        problem.write_text("vars a b\ngen a^2 - 1\n")
+        code, out, _ = run_main(["verify", str(path), str(problem)], capsys)
+        assert (code, out) == (EXIT_OK, "ok\n")
 
     def test_single_generator_basis(self, tmp_path, capsys):
         problem = tmp_path / "p.prob"
@@ -294,3 +331,14 @@ class TestVerify:
                                   capsys)
         assert code == EXIT_ERROR and out == ""
         assert "--trunc must be positive" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(ncgb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "ncgb", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: ncgb ")
+    assert "{run,verify}" in proc.stdout

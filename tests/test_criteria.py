@@ -5,7 +5,6 @@ import random
 import pytest
 
 from ncgb.criteria import (
-    assert_removals_dominated,
     backward_criterion,
     leading_word_criterion,
     multiply_criterion,
@@ -18,7 +17,7 @@ from ncgb.obstructions import (
     s_polynomial,
 )
 from ncgb.polynomial import add_scaled, parse_polynomial, sandwich
-from oracles import random_basis
+from oracles import assert_removals_dominated, random_basis
 
 
 def basis(texts, alphabet):

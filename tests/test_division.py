@@ -6,11 +6,18 @@ import pytest
 
 from ncgb.cli import parse_problem
 from ncgb.corpus import problem_path
-from ncgb.division import divide, normal_remainder
+from ncgb.division import DivisorIndex, divide, normal_remainder
 from ncgb.engine import BasisState, EngineConfig, buchberger, verify_groebner
 from ncgb.polynomial import NcPolynomial, parse_polynomial
 from ncgb.words import Alphabet, LLexOrdering
-from oracles import random_basis, random_polynomial, reference_divide
+from oracles import (
+    random_basis,
+    random_polynomial,
+    random_word,
+    reference_divide,
+    reference_find_divisor,
+    validate_division,
+)
 
 
 def basis(texts, alphabet):
@@ -24,7 +31,7 @@ def test_single_reduction_step(xy):
     res = divide(f, G, xy.llex)
     assert res.quotients == [(0, 1, b"", b"")]
     assert res.remainder == parse_polynomial("y + 1", xy)
-    res.validate(f, G, xy.llex)
+    validate_division(res, f, G, xy.llex)
 
 
 def test_member_reduces_to_zero(xy):
@@ -65,7 +72,7 @@ def test_smallest_index_preferred(xy):
     G = basis(["y*x - 1", "x*y - 1"], xy)
     res = divide(parse_polynomial("x*y*x", xy), G, xy.llex)
     assert res.quotients[0][0] == 0
-    res.validate(parse_polynomial("x*y*x", xy), G, xy.llex)
+    validate_division(res, parse_polynomial("x*y*x", xy), G, xy.llex)
 
 
 def test_integral_remainder_coefficient_is_int(xy):
@@ -89,7 +96,7 @@ def test_full_contract_on_random_instances(xy):
         G = random_basis(rng, xy.llex, 2, rng.randint(1, 4), max_degree=4)
         f = random_polynomial(rng, 2, max_terms=5, max_degree=6)
         res = divide(f, G, xy.llex)
-        res.validate(f, G, xy.llex)
+        validate_division(res, f, G, xy.llex)
         checked += 1
     assert checked >= 1000
 
@@ -158,12 +165,23 @@ def test_normal_word_remembered(xy):
 
 
 def test_remembered_count_skips_the_scan(xy):
-    # the memo is trusted: an entry of 1 for x*y*x skips divisor 0 even
-    # though x*y occurs in it, so only the memo can explain index 1
+    # the index covers x*y only; y*x sits in the tail.  The memo is
+    # trusted: a planted count of 1 (at least the indexed prefix) for x*y*x
+    # skips the automaton even though x*y occurs in the word, so only the
+    # tail search from index 1 can explain the answer
+    G = basis(["x*y - 1"], xy)
+    divide(parse_polynomial("y", xy), G, xy.llex)
+    G.append(parse_polynomial("y*x - 1", xy), xy.llex)
+    G.normal_words[xy.word("xyx")] = 1
+    res = divide(parse_polynomial("x*y*x", xy), G, xy.llex)
+    assert G.divisor_index.size == 1
+    assert res.quotients[0] == (1, 1, xy.word("x"), b"")
+    # a count below the indexed prefix leaves the answer to the automaton
     G = basis(["x*y - 1", "y*x - 1"], xy)
     G.normal_words[xy.word("xyx")] = 1
     res = divide(parse_polynomial("x*y*x", xy), G, xy.llex)
-    assert res.quotients[0] == (1, 1, xy.word("x"), b"")
+    assert G.divisor_index.size == 2
+    assert res.quotients[0] == (0, 1, b"", xy.word("x"))
 
 
 def test_memo_carried_across_appends(xy):
@@ -198,3 +216,66 @@ def test_verify_leaves_memo_empty():
     G = BasisState.from_polynomials(done.generators, problem.ordering)
     ok, _ = verify_groebner(G, problem.ordering)
     assert ok and G.normal_words == {}
+
+
+@pytest.mark.parametrize("patterns, word, expected", [
+    # the empty leading word occurs at position 0 of every word
+    ([b"\0\1", b""], b"\1\1\0", (1, b"", b"\1\1\0")),
+    ([b"", b"\0"], b"", (0, b"", b"")),
+    # a duplicate keeps the smaller index
+    ([b"\1\0", b"\0\1", b"\0\1"], b"\0\0\1", (1, b"\0", b"")),
+    # b*c is a proper suffix of a*b*c*d: the trie walk sits in a*b*c when
+    # b*c ends, and only the merged failure link reports index 0
+    ([b"\1\2", b"\0\1\2\3"], b"\0\1\2\4", (0, b"\0", b"\4")),
+    # a smaller index ending later beats a larger one ending earlier
+    ([b"\2\2", b"\0"], b"\0\2\2\1", (0, b"\0", b"\1")),
+    # leftmost of two occurrences
+    ([b"\0\1"], b"\1\0\1\0\1", (0, b"\1", b"\0\1")),
+    # letters no pattern uses send the walk back to the root
+    ([b"\0\1"], b"\0\7\1\0\1", (0, b"\0\7\1", b"")),
+    ([b"\0\1"], b"\0\7\1", None),
+    ([b"\0\1"], b"\x09\x09", None),
+    ([], b"\0", None),
+    # every letter of a 255-letter alphabet in use leaves no column spare
+    ([bytes([k]) for k in reversed(range(255))], b"\3\xfe", (0, b"\3", b"")),
+])
+def test_index_cases(patterns, word, expected):
+    assert reference_find_divisor(word, patterns) == expected
+    assert DivisorIndex(patterns).search(word) == expected
+
+
+def test_index_matches_plain_scan_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    words = st.binary(max_size=5).map(lambda w: bytes(c % 3 for c in w))
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(st.lists(words, max_size=8), st.binary(max_size=12))
+    def check(patterns, text):
+        text = bytes(c % 4 for c in text)  # letter 3 is in no pattern
+        expected = reference_find_divisor(text, patterns)
+        assert DivisorIndex(patterns).search(text) == expected
+
+    check()
+
+
+def test_index_across_rebuilds():
+    """A basis grown past several rebuilds, memo carried, divides like a rescan."""
+    abc = Alphabet(["a", "b", "c"])
+    rng = random.Random(59)
+    for _ in range(3):
+        fs = [random_polynomial(rng, 3, max_terms=6, max_degree=7) for _ in range(8)]
+        G = BasisState()
+        sizes, tails = set(), 0
+        while len(G) < 70:
+            lw = random_word(rng, 3, 2, 6)
+            G.append(NcPolynomial({lw: 1, random_word(rng, 3, 0, len(lw) - 1): -1}),
+                     abc.llex)
+            for f in fs[:1 + len(G) % len(fs)]:
+                res = divide(f, G, abc.llex)
+                assert (res.quotients, res.remainder) == reference_divide(f, G, abc.llex)
+            sizes.add(G.divisor_index.size)
+            tails += G.divisor_index.size < len(G)
+            for word, count in G.normal_words.items():
+                assert reference_find_divisor(word, G.leading_words[:count]) is None
+        assert len(sizes) >= 4 and tails > 30
