@@ -158,6 +158,21 @@ class ObstructionQueue:
         raise LookupError("no pending obstructions")
 
 
+def obstruction_batch(s: int, G: BasisState, ordering, trunc=None):
+    """The non-trivial obstructions of the pairs (i, s), i <= s, that fit the bound.
+
+    Returns (obstructions, cut): the obstructions pair by pair, each pair's
+    ascending, and the number whose common word is longer than ``trunc``.
+    """
+    news = []
+    for i in range(s + 1):
+        news.extend(nontrivial_obstructions(i, s, G, ordering))
+    if trunc is None:
+        return news, 0
+    kept = [n for n in news if len(n.common) <= trunc]
+    return kept, len(news) - len(kept)
+
+
 def buchberger(G0, cfg: EngineConfig):
     """Run completion on the given generators; returns (basis, stats).
 
@@ -193,14 +208,9 @@ def buchberger(G0, cfg: EngineConfig):
     def absorb(f):
         """Append one generator and merge its pruned obstruction batch."""
         s = G.append(f, ordering)
-        news = []
-        for i in range(s + 1):
-            news.extend(nontrivial_obstructions(i, s, G, ordering))
-        stats.tot += len(news)
-        if trunc is not None:
-            kept = [n for n in news if len(n.common) <= trunc]
-            stats.truncated_discards += len(news) - len(kept)
-            news = kept
+        news, cut = obstruction_batch(s, G, ordering, trunc)
+        stats.tot += len(news) + cut
+        stats.truncated_discards += cut
         if cfg.criteria:
             rep = multiply_criterion(news, G, ordering)
             stats.m += rep.removed_m
@@ -275,13 +285,14 @@ def verify_groebner(G: BasisState, ordering, truncation=None):
 
     Returns (True, []) on success and (False, [obstruction]) with the first
     failure otherwise.  With ``truncation`` only obstructions whose common
-    word fits the bound are checked.
+    word fits the bound are checked; that shows a Groebner basis up to the
+    bound only when every generator is homogeneous, so a non-homogeneous
+    basis raises ValueError.
     """
-    for j in range(len(G)):
-        for i in range(j + 1):
-            for o in nontrivial_obstructions(i, j, G, ordering):
-                if truncation is not None and len(o.common) > truncation:
-                    continue
-                if normal_remainder(s_polynomial(o, G, ordering), G, ordering):
-                    return False, [o]
+    if truncation is not None and not all(f.is_homogeneous() for f in G):
+        raise ValueError("truncation requires homogeneous generators")
+    for s in range(len(G)):
+        for o in obstruction_batch(s, G, ordering, truncation)[0]:
+            if normal_remainder(s_polynomial(o, G, ordering), G, ordering):
+                return False, [o]
     return True, []

@@ -2,9 +2,13 @@
 
 An obstruction pairs generator indices i <= j with cofactor words such
 that wi * lw(g_i) * wi2 == wj * lw(g_j) * wj2.  Its S-polynomial is the
-difference of the two scaled placements, whose top terms cancel.  The
-non-trivial obstructions of a pair are the finitely many canonical
-alignments in which the two placed leading words actually share letters.
+difference of the two scaled placements, whose top terms cancel.
+
+A non-trivial obstruction is one in which the placed leading words share
+letters, so it is fixed by the signed offset d at which lw(g_j) starts
+after lw(g_i) (see :func:`ncgb.words.overlaps`).  The common word is the
+union of the two placements, and the four cofactors are what it leaves
+on either side of each copy.
 """
 
 from __future__ import annotations
@@ -12,14 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .polynomial import add_scaled, sandwich
-from .words import (
-    EMPTY,
-    FIRST_INSIDE_SECOND,
-    PREFIX_SUFFIX,
-    SUFFIX_PREFIX,
-    overlaps,
-    proper_borders,
-)
+from .words import overlaps
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,44 +61,30 @@ def s_polynomial(o: Obstruction, G, ordering):
 
 
 def nontrivial_obstructions(i: int, j: int, G, ordering) -> list[Obstruction]:
-    """The canonical overlapping alignments of lw(g_i) and lw(g_j), ascending.
+    """The overlapping alignments of lw(g_i) and lw(g_j), ascending.
 
-    For i == j these are the self obstructions coming from proper borders
-    of the leading word.  For i < j with equal leading words the all-empty
-    center alignment is emitted once, together with both border
-    orientations.
+    There is one per offset at which the two leading words agree.  For
+    i == j only positive offsets count: d = 0 is the trivial coincidence
+    and -d mirrors d.  For i < j with equal leading words d = 0 is the
+    all-empty alignment.
     """
     if not 0 <= i <= j < len(G.generators):
         raise IndexError("generator index out of range")
     lwi, lwj = G.leading_words[i], G.leading_words[j]
     if not lwi or not lwj:
         return []
-    seen = set()
-    add = seen.add
-    if i == j:
-        for L in proper_borders(lwi):
-            k = len(lwi) - L
-            add(aligned(i, i, EMPTY, lwi[L:], lwi[:k], EMPTY, G))
-    elif lwi == lwj:
-        add(aligned(i, j, EMPTY, EMPTY, EMPTY, EMPTY, G))
-        for L in proper_borders(lwi):
-            k = len(lwi) - L
-            add(aligned(i, j, EMPTY, lwj[L:], lwi[:k], EMPTY, G))
-            add(aligned(i, j, lwj[:k], EMPTY, EMPTY, lwi[L:], G))
-    else:
-        for ov in overlaps(lwi, lwj):
-            L = len(ov.witness)
-            if ov.kind == SUFFIX_PREFIX:
-                add(aligned(i, j, EMPTY, lwj[L:], lwi[:len(lwi) - L], EMPTY, G))
-            elif ov.kind == PREFIX_SUFFIX:
-                add(aligned(i, j, lwj[:len(lwj) - L], EMPTY, EMPTY, lwi[L:], G))
-            elif ov.kind == FIRST_INSIDE_SECOND:
-                p = ov.position
-                add(aligned(i, j, lwj[:p], lwj[p + len(lwi):], EMPTY, EMPTY, G))
-            else:
-                p = ov.position
-                add(aligned(i, j, EMPTY, EMPTY, lwi[:p], lwi[p + len(lwj):], G))
-    return sorted(seen, key=lambda o: obstruction_key(o, G, ordering))
+    a, b = len(lwi), len(lwj)
+    out = []
+    for d in overlaps(lwi, lwj):
+        if i == j and d <= 0:
+            continue
+        # lw(g_i) sits at x and lw(g_j) at y = x + d inside the common word
+        x = -d if d < 0 else 0
+        y = x + d
+        common = lwj[:x] + lwi + lwj[a - d:]
+        out.append(Obstruction(i, j, common[:x], common[x + a:],
+                               common[:y], common[y + b:], common))
+    return sorted(out, key=lambda o: obstruction_key(o, G, ordering))
 
 
 def has_overlap(o: Obstruction, G) -> bool:

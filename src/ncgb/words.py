@@ -4,39 +4,17 @@ A word is a ``bytes`` object whose entries are letter indices into an
 :class:`Alphabet`; the empty word is ``b""`` and concatenation is ``+``.
 Keeping words as index sequences in ``bytes`` form makes comparison,
 concatenation and factor search integer operations that run at C speed.
+
+Two words placed over a common word are described by one signed offset:
+``d`` means the second starts ``d`` letters after the first, so a negative
+``d`` puts it first.  :func:`overlaps` lists the offsets at which the two
+agree on a shared stretch; suffix/prefix overlaps and containments in
+either direction are all just offsets.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 EMPTY = b""
-
-# Overlap kinds.
-SUFFIX_PREFIX = "suffix_prefix"          # proper suffix of w1 = proper prefix of w2
-PREFIX_SUFFIX = "prefix_suffix"          # proper prefix of w1 = proper suffix of w2
-FIRST_INSIDE_SECOND = "first_inside_second"  # w1 occurs as a factor of w2
-SECOND_INSIDE_FIRST = "second_inside_first"  # w2 occurs as a factor of w1
-
-
-class Occurrence(NamedTuple):
-    """A splitting text = left + pattern + right."""
-
-    left: bytes
-    right: bytes
-
-
-class Overlap(NamedTuple):
-    """A non-empty word shared between two placed words.
-
-    ``position`` locates the witness: for the suffix/prefix kinds it is the
-    start index of the witness inside the first (resp. second) word, for the
-    inside kinds it is the start index of the shorter word inside the longer.
-    """
-
-    kind: str
-    witness: bytes
-    position: int
 
 
 class Alphabet:
@@ -179,49 +157,16 @@ class LLexOrdering:
         return -1 if a.translate(self._tbl) < b.translate(self._tbl) else 1
 
 
-def occurrences(pattern: bytes, text: bytes) -> list[Occurrence]:
-    """All splittings text = left + pattern + right, by increasing ``len(left)``.
+def overlaps(w1: bytes, w2: bytes) -> list[int]:
+    """The offsets d at which w2, starting d letters after w1, agrees with it.
 
-    Overlapping matches are reported.  The empty pattern is rejected: a
-    factor search for the empty word always succeeds and signals a bug in
-    the caller.
-    """
-    if not pattern:
-        raise ValueError("cannot search for the empty word")
-    out = []
-    pos = text.find(pattern)
-    while pos != -1:
-        out.append(Occurrence(text[:pos], text[pos + len(pattern):]))
-        pos = text.find(pattern, pos + 1)
-    return out
-
-
-def proper_borders(w: bytes) -> list[int]:
-    """Lengths L with 0 < L < len(w) such that w[:L] == w[-L:], ascending."""
-    return [L for L in range(1, len(w)) if w[:L] == w[len(w) - L:]]
-
-
-def overlaps(w1: bytes, w2: bytes) -> list[Overlap]:
-    """All ways the two words share letters when placed over a common word.
-
-    Containments are reported under the two inside kinds only; the
-    suffix/prefix kinds carry witnesses strictly shorter than both words.
-    For identical inputs each proper border is reported once (as
-    SUFFIX_PREFIX) and the full coincidence is not an overlap.
+    Only placements that share at least one letter count, so d runs over
+    ``-len(w2) < d < len(w1)``; the offsets come back ascending.  For
+    identical words d = 0 is the full coincidence and -d mirrors d.
     """
     if not w1 or not w2:
         raise ValueError("overlap enumeration needs non-empty words")
-    out = []
-    if len(w1) < len(w2):
-        for occ in occurrences(w1, w2):
-            out.append(Overlap(FIRST_INSIDE_SECOND, w1, len(occ.left)))
-    elif len(w2) < len(w1):
-        for occ in occurrences(w2, w1):
-            out.append(Overlap(SECOND_INSIDE_FIRST, w2, len(occ.left)))
-    same = w1 == w2
-    for L in range(1, min(len(w1), len(w2))):
-        if w1[len(w1) - L:] == w2[:L]:
-            out.append(Overlap(SUFFIX_PREFIX, w2[:L], len(w1) - L))
-        if not same and w1[:L] == w2[len(w2) - L:]:
-            out.append(Overlap(PREFIX_SUFFIX, w1[:L], len(w2) - L))
-    return out
+    a, b = len(w1), len(w2)
+    # the slices clamp at the word ends, so each side is the shared stretch
+    return ([d for d in range(1 - b, 0) if w1[:b + d] == w2[-d:a - d]]
+            + [d for d in range(a) if w1[d:d + b] == w2[:a - d]])

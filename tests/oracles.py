@@ -1,11 +1,13 @@
 """Independent brute-force recomputations used as test oracles.
 
 Everything here takes a different route than the library: position scans
-instead of ``find``, explicit alignment enumeration instead of overlap
-case analysis, and raw polynomial arithmetic for reconstruction.  Tests
-assert the library against these, never against itself.  The contract
-checks (``validate_division``, ``assert_removals_dominated``) recheck a
-library result against its inputs.
+instead of ``find`` and slice comparison, explicit enumeration of the
+placements in which one leading word starts the common word instead of
+one loop over signed offsets, and raw polynomial arithmetic for
+reconstruction.  Tests assert the library against these, never against
+itself.  The contract checks (``validate_division``,
+``assert_removals_dominated``) recheck a library result against its
+inputs.
 """
 
 from fractions import Fraction
@@ -25,33 +27,16 @@ def occurrences_brute(pattern, text):
 
 
 def overlaps_brute(w1, w2):
-    """Every agreeing placement of w2 against w1 that shares a letter.
+    """Offsets d (w2 starting d letters after w1) that share a letter and agree.
 
-    Returns (kind, witness, position) tuples under the same conventions the
-    library uses: containments only as inside kinds, suffix/prefix
-    witnesses strictly shorter than both words, identical words report each
-    border once and no full coincidence.
+    Scans every candidate placement letter by letter; ascending.
     """
     out = []
     n1, n2 = len(w1), len(w2)
-    same = w1 == w2
-    for d in range(-(n2 - 1), n1):
-        lo, hi = max(0, d), min(n1, d + n2)
-        if lo >= hi:
-            continue
-        if any(w1[p] != w2[p - d] for p in range(lo, hi)):
-            continue
-        if d == 0 and n1 == n2:
-            continue
-        witness = w1[lo:hi]
-        if d >= 0 and d + n2 <= n1:
-            out.append(("second_inside_first", witness, d))
-        elif d <= 0 and d + n2 >= n1:
-            out.append(("first_inside_second", witness, -d))
-        elif d > 0:
-            out.append(("suffix_prefix", witness, d))
-        elif not same:
-            out.append(("prefix_suffix", witness, -d))
+    for d in range(-n2, n1 + 1):
+        shared = [p for p in range(n1) if 0 <= p - d < n2]
+        if shared and all(w1[p] == w2[p - d] for p in shared):
+            out.append(d)
     return out
 
 

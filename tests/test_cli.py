@@ -81,17 +81,40 @@ class TestProblemFiles:
         assert problem.ordering.precedence == ("b", "a")
 
 
+# the statistics rows of perfbench/README.md
+CORPUS_ROWS = {
+    "g01": "62 35 7032 248 6512 48 0 224 0.0353",
+    "g02": "133 96 31700 533 30571 70 0 526 0.0168",
+    "g03": "50 40 2828 197 2489 11 0 131 0.0697",
+    "g04": "64 28 4702 253 4185 46 0 218 0.0538",
+    "g05": "35 21 1580 115 1348 24 0 93 0.0728",
+    "g06": "199 164 51175 882 49126 26 0 1141 0.0172",
+    "g07": "200 164 51864 886 49818 17 0 1143 0.0171",
+    "g08": "53 37 3756 192 3357 19 0 188 0.0511",
+    "g09": "11 5 150 31 98 8 0 13 0.2067",
+    "g10": "22 15 741 74 605 18 0 44 0.0999",
+    "g11": "30 21 1573 116 1324 50 0 83 0.0737",
+    "g12": "97 70 16841 365 15989 97 0 390 0.0217",
+    "g13": "220 194 87673 1021 85136 153 0 1363 0.0116",
+}
+
+
+def assert_row(out, name, row):
+    gb, rgb = row.split()[:2]
+    lines = out.splitlines()
+    assert lines[0] == f"# gb {gb}"
+    assert f"# rgb {rgb}" in lines
+    assert lines[-2].split("\t") == ["label", "gb", "rgb", "tot", "sel",
+                                     "m", "f", "tail", "bk", "rho"]
+    assert lines[-1].split("\t") == [name] + row.split()
+
+
 class TestRun:
-    def test_reference_row(self, capsys):
-        code, out, _ = run_main(["run", str(problem_path("g09"))], capsys)
+    @pytest.mark.parametrize("name", sorted(CORPUS_ROWS))
+    def test_reference_row(self, name, capsys):
+        code, out, _ = run_main(["run", str(problem_path(name))], capsys)
         assert code == EXIT_OK
-        lines = out.splitlines()
-        assert lines[0] == "# gb 11"
-        assert "# rgb 5" in lines
-        assert lines[-2].split("\t") == ["label", "gb", "rgb", "tot", "sel",
-                                         "m", "f", "tail", "bk", "rho"]
-        assert lines[-1].split("\t") == ["g09", "11", "5", "150", "31", "98",
-                                         "8", "0", "13", "0.2067"]
+        assert_row(out, name, CORPUS_ROWS[name])
 
     def test_output_is_deterministic(self, capsys):
         _, first, _ = run_main(["run", str(problem_path("g09"))], capsys)
@@ -222,6 +245,16 @@ class TestRun:
         assert lines[-1].split("\t") == ["braid3", "726", "726", "289642", "1663",
                                           "453", "0", "0", "79", "0.0057"]
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name, argv, row", [
+        ("braid4", [], "416 416 93252 1150 448 0 0 77 0.0123"),
+        ("braid3", ["--trunc", "10"], "327 327 58507 696 170 0 0 28 0.0119"),
+    ])
+    def test_braid_row(self, name, argv, row, capsys):
+        code, out, _ = run_main(["run", str(problem_path(name))] + argv, capsys)
+        assert code == EXIT_OK
+        assert_row(out, name, row)
+
     def test_trunc_flag_requires_homogeneous(self, capsys):
         code, _, err = run_main(
             ["run", str(problem_path("g09")), "--trunc", "5"], capsys)
@@ -229,16 +262,20 @@ class TestRun:
 
 
 class TestVerify:
-    def write_basis(self, tmp_path, capsys, drop=None, name="g09"):
-        """Run a corpus problem, extract the reduced basis lines into a standalone file."""
-        _, out, _ = run_main(["run", str(problem_path(name))], capsys)
+    def write_basis(self, tmp_path, capsys, drop=None, name="g09", argv=()):
+        """Run a corpus problem, extract the reduced basis lines into a basis file.
+
+        The file has no vars line: it takes the variables of the problem it
+        is verified against.
+        """
+        _, out, _ = run_main(["run", str(problem_path(name)), *argv], capsys)
         lines = out.splitlines()
         start = next(k for k, line in enumerate(lines) if line.startswith("# rgb")) + 1
         gens = [line for line in lines[start:] if line.startswith("gen ")]
         if drop is not None:
             del gens[drop]
         path = tmp_path / "basis.prob"
-        path.write_text("vars a b\n" + "\n".join(gens) + "\n")
+        path.write_text("\n".join(gens) + "\n")
         return path
 
     def test_reduced_basis_verifies(self, tmp_path, capsys):
@@ -271,13 +308,16 @@ class TestVerify:
         code, out, _ = run_main(["verify", str(path), str(problem)], capsys)
         assert code == EXIT_VERIFY_FAILED
         assert out == "problem generator 2 does not reduce to zero: a - 1\n"
-        # generators above the truncation bound and zero ones are not checked
-        problem.write_text("vars a b\ngen a - a\ngen a^2*b - b\ngen a*b^3 - 1\n")
-        code, out, _ = run_main(["verify", str(path), str(problem), "--trunc", "3"], capsys)
+        # generators above the truncation bound and zero ones are not
+        # checked; a bound needs a homogeneous basis, here braid4's up to 6
+        path = self.write_basis(tmp_path, capsys, name="braid4", argv=["--trunc", "6"])
+        problem.write_text("vars x1 x2 x3\ngen x1 - x1\ngen x2*x1*x2 - x3*x2*x3\n"
+                           "gen x3^5 - x2^5\n")
+        code, out, _ = run_main(["verify", str(path), str(problem), "--trunc", "4"], capsys)
         assert (code, out) == (EXIT_OK, "ok\n")
-        code, out, _ = run_main(["verify", str(path), str(problem)], capsys)
+        code, out, _ = run_main(["verify", str(path), str(problem), "--trunc", "6"], capsys)
         assert code == EXIT_VERIFY_FAILED
-        assert out == "problem generator 3 does not reduce to zero: a*b^3 - 1\n"
+        assert out == "problem generator 3 does not reduce to zero: -x2^5 + x3^5\n"
 
     @pytest.mark.slow
     def test_problem_generators_against_g13(self, tmp_path, capsys):
@@ -320,6 +360,20 @@ class TestVerify:
             ["verify", str(path), str(problem_path("braid3")), "--trunc", "5"],
             capsys)
         assert code == EXIT_OK
+
+    def test_trunc_requires_homogeneous_basis(self, tmp_path, capsys):
+        # a*b - b is not homogeneous, so checking up to a bound proves nothing
+        problem = tmp_path / "p.prob"
+        problem.write_text("vars a b\ngen a*a - 1\ngen b*b - 1\n")
+        basis = tmp_path / "b.prob"
+        basis.write_text("gen a*a - 1\ngen b*b - 1\ngen a*b - b\n")
+        code, out, err = run_main(["verify", str(basis), str(problem), "--trunc", "2"],
+                                  capsys)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error: truncation requires homogeneous generators\n"
+        code, out, _ = run_main(["verify", str(basis), str(problem)], capsys)
+        assert code == EXIT_VERIFY_FAILED
+        assert out == "not a Groebner basis; unresolved obstruction o[1,2](a,1;1,b)\n"
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_nonpositive_trunc_rejected(self, tmp_path, capsys, value):

@@ -17,9 +17,10 @@ from ncgb.engine import (
     ObstructionQueue,
     buchberger,
     interreduce,
+    obstruction_batch,
     verify_groebner,
 )
-from ncgb.obstructions import aligned, s_polynomial
+from ncgb.obstructions import aligned, nontrivial_obstructions, s_polynomial
 from ncgb.polynomial import NcPolynomial, add_scaled, leading, parse_polynomial, sandwich
 from ncgb.corpus import problem_path
 from ncgb.cli import parse_problem
@@ -339,6 +340,26 @@ class TestVerify:
         G, _ = buchberger(problem.generators, cfg)
         ok, _ = verify_groebner(G, problem.ordering, truncation=6)
         assert ok
+
+    def test_truncation_requires_homogeneous_basis(self, xy):
+        # not a Groebner basis, and a bound must not let it pass
+        G = BasisState.from_polynomials(polys(["x^2 - 1", "y^2 - 1", "x*y - y"], xy),
+                                        xy.llex)
+        with pytest.raises(ValueError, match="homogeneous"):
+            verify_groebner(G, xy.llex, truncation=2)
+        ok, failures = verify_groebner(G, xy.llex)
+        assert not ok and (failures[0].i, failures[0].j) == (1, 2)
+
+
+def test_obstruction_batch_is_every_pair_within_the_bound(xy):
+    G = BasisState.from_polynomials(polys(["x*y*x - y", "y*x*y - x", "x*x*y - y"], xy),
+                                    xy.llex)
+    for s in range(len(G)):
+        pairs = [o for i in range(s + 1) for o in nontrivial_obstructions(i, s, G, xy.llex)]
+        assert obstruction_batch(s, G, xy.llex) == (pairs, 0)
+        for trunc in range(3, 7):
+            kept = [o for o in pairs if len(o.common) <= trunc]
+            assert obstruction_batch(s, G, xy.llex, trunc) == (kept, len(pairs) - len(kept))
 
 
 def test_random_small_ideals_mode_equivalence(xy):

@@ -13,7 +13,8 @@ from ncgb.obstructions import (
     obstruction_key,
     s_polynomial,
 )
-from ncgb.polynomial import add_scaled, leading, parse_polynomial, sandwich
+from ncgb.polynomial import NcPolynomial, add_scaled, leading, parse_polynomial, sandwich
+from ncgb.words import Alphabet
 from oracles import nontrivial_obstructions_brute, random_basis
 
 W = lambda alphabet, text: alphabet.word(text)
@@ -128,6 +129,35 @@ class TestNontrivialObstructions:
                     assert got == nontrivial_obstructions_brute(i, j, G)
                     checked += 1
         assert checked >= 1000
+
+
+    def test_offset_loop_property(self):
+        """Any two words, equal ones too: the brute-force set, aligned, ascending."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        words = st.binary(max_size=12).map(lambda w: bytes(c % 3 for c in w))
+        ordering = Alphabet(["a", "b", "c"]).llex
+
+        @hypothesis.settings(max_examples=500, deadline=None, database=None)
+        @hypothesis.given(words, words, st.sampled_from(["free", "equal", "shifted"]))
+        def check(w1, w2, how):
+            if how == "equal":
+                w2 = w1
+            elif how == "shifted":  # w2 starts with the back half of w1
+                w2 = (w1[len(w1) // 2:] + w2)[:12]
+            G = BasisState.from_polynomials([NcPolynomial.from_term(w1),
+                                             NcPolynomial.from_term(w2)], ordering)
+            for i, j in ((0, 0), (0, 1), (1, 1)):
+                got = nontrivial_obstructions(i, j, G, ordering)
+                assert {(o.wi, o.wi2, o.wj, o.wj2) for o in got} == \
+                    nontrivial_obstructions_brute(i, j, G)
+                for o in got:
+                    assert aligned(i, j, o.wi, o.wi2, o.wj, o.wj2, G).common == o.common
+                    assert has_overlap(o, G)
+                keys = [obstruction_key(o, G, ordering) for o in got]
+                assert all(a < b for a, b in zip(keys, keys[1:]))
+
+        check()
 
 
 class TestHasOverlap:

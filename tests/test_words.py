@@ -1,17 +1,11 @@
-"""Words, comparison, factor search and overlap enumeration."""
+"""Words, comparison and overlap offsets."""
 
 import random
 
 import pytest
 
-from ncgb.words import (
-    Alphabet,
-    LLexOrdering,
-    occurrences,
-    overlaps,
-    proper_borders,
-)
-from oracles import occurrences_brute, overlaps_brute, random_word
+from ncgb.words import Alphabet, LLexOrdering, overlaps
+from oracles import overlaps_brute, random_word
 
 
 def all_words(nletters, max_degree):
@@ -111,46 +105,15 @@ class TestLLex:
             LLexOrdering(ab, ["b"])
 
 
-class TestOccurrences:
-    def test_multiple_hits_leftmost_first(self, xy):
-        pattern, text = xy.word("x"), xy.word("xxxyx")
-        got = occurrences(pattern, text)
-        assert [(o.left, o.right) for o in got] == [
-            (b"", xy.word("xxyx")),
-            (xy.word("x"), xy.word("xyx")),
-            (xy.word("xx"), xy.word("yx")),
-            (xy.word("xxxy"), b""),
-        ]
-
-    def test_self_occurrence(self, xy):
-        w = xy.word("xyxxy")
-        assert occurrences(w, w) == [(b"", b"")]
-
-    def test_no_occurrence(self, xy):
-        assert occurrences(xy.word("yy"), xy.word("xyx")) == []
-
-    def test_empty_pattern_rejected(self, xy):
-        with pytest.raises(ValueError):
-            occurrences(b"", xy.word("x"))
-
-    def test_overlapping_matches_reported(self, xy):
-        got = occurrences(xy.word("xx"), xy.word("xxx"))
-        assert len(got) == 2
-
-
 class TestOverlaps:
     def test_prefix_suffix_only(self, xy):
-        got = overlaps(xy.word("yyy"), xy.word("xxyy"))
-        kinds = {(o.kind, o.witness) for o in got}
-        assert ("prefix_suffix", xy.word("yy")) in kinds
-        assert all(o.kind != "suffix_prefix" for o in got)
+        # only prefixes of yyy meet suffixes of xxyy: xxyy starts first
+        assert overlaps(xy.word("yyy"), xy.word("xxyy")) == [-3, -2]
 
     def test_identical_words_list_proper_borders_once(self, xy):
+        # the coincidence, and the border xy once on each side
         w = xy.word("xyxxy")
-        got = overlaps(w, w)
-        assert len(got) == 1
-        assert got[0].kind == "suffix_prefix"
-        assert got[0].witness == xy.word("xy")
+        assert overlaps(w, w) == [-3, 0, 3]
 
     def test_distinct_letters(self, xy):
         assert overlaps(xy.word("x"), xy.word("y")) == []
@@ -158,31 +121,24 @@ class TestOverlaps:
     def test_empty_word_rejected(self, xy):
         with pytest.raises(ValueError):
             overlaps(b"", xy.word("x"))
+        with pytest.raises(ValueError):
+            overlaps(xy.word("x"), b"")
 
     def test_containment_reported_inside_only(self, xy):
-        got = overlaps(xy.word("yx"), xy.word("xyxx"))
-        inside = [o for o in got if o.kind == "first_inside_second"]
-        assert [(o.witness, o.position) for o in inside] == [(xy.word("yx"), 1)]
+        # yx lies inside xyxx one letter in (offset -1) and shares x with
+        # its end (offset 1); a containment is one offset, nothing more
+        assert overlaps(xy.word("yx"), xy.word("xyxx")) == [-1, 1]
+        # seen from the longer word the same two placements swap signs
+        assert overlaps(xy.word("xyxx"), xy.word("yx")) == [-1, 1]
 
     def test_border_symmetry(self):
         rng = random.Random(11)
         for _ in range(400):
             w = random_word(rng, 2, 1, 10)
-            witnesses = sorted(o.witness for o in overlaps(w, w))
-            borders = sorted(w[:L] for L in proper_borders(w))
-            assert witnesses == borders
-
-
-def test_occurrences_against_brute_force():
-    rng = random.Random(23)
-    checked = 0
-    for _ in range(1200):
-        pattern = random_word(rng, 2, 1, 5)
-        text = random_word(rng, 2, 0, 12)
-        got = [(o.left, o.right) for o in occurrences(pattern, text)]
-        assert got == occurrences_brute(pattern, text)
-        checked += 1
-    assert checked >= 1000
+            got = overlaps(w, w)
+            assert got == sorted(-d for d in got)
+            borders = [n for n in range(1, len(w)) if w[:n] == w[len(w) - n:]]
+            assert [d for d in got if d > 0] == sorted(len(w) - n for n in borders)
 
 
 def test_overlaps_against_brute_force():
@@ -191,7 +147,6 @@ def test_overlaps_against_brute_force():
     for _ in range(1500):
         w1 = random_word(rng, 2, 1, 12)
         w2 = random_word(rng, 2, 1, 12)
-        got = sorted((o.kind, o.witness, o.position) for o in overlaps(w1, w2))
-        assert got == sorted(overlaps_brute(w1, w2))
+        assert overlaps(w1, w2) == overlaps_brute(w1, w2)
         checked += 1
     assert checked >= 1000
