@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -245,6 +246,13 @@ def main(argv=None) -> int:
         # completion turns an interrupt into a capped result; one anywhere
         # else (parsing, interreduction, verification) ends the command
         print("error: interrupted", file=sys.stderr)
+        return EXIT_ERROR
+    except BrokenPipeError:
+        # the reader closed stdout early (``ncgb run ... | head``); point
+        # the descriptor at devnull so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_ERROR
 
 

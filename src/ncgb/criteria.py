@@ -7,15 +7,15 @@ multiply and leading-word criteria work inside one batch of newly
 constructed obstructions (all targeting the newest generator); the
 leading-word criterion runs on the multiply criterion's survivors, where
 it reduces to a group minimum.  The backward criterion then prunes the
-pending set using the newest generator.  Every removal here preserves
-the computed basis; only the amount of reduction work changes.
+pending set using the newest generator; since a non-trivial obstruction
+of a pair is fixed by its offset, it is a lookup of the two induced
+offsets in the surviving batch.  Every removal here preserves the
+computed basis; only the amount of reduction work changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from .obstructions import aligned, covered
 
 
 @dataclass
@@ -38,7 +38,7 @@ def _single_target(batch):
             raise ValueError("obstruction batch mixes target indices")
 
 
-def multiply_criterion(news, G, ordering) -> CriteriaReport:
+def multiply_criterion(news) -> CriteriaReport:
     """Drop every obstruction whose target cofactors strictly extend another's.
 
     A candidate with target cofactors (u, u2) goes when the batch contains
@@ -76,15 +76,16 @@ def multiply_criterion(news, G, ordering) -> CriteriaReport:
     return CriteriaReport(survivors, removed_m=len(removed), removed=removed)
 
 
-def leading_word_criterion(news, G, ordering) -> CriteriaReport:
+def leading_word_criterion(news) -> CriteriaReport:
     """Among obstructions with equal target cofactors, keep the best source.
 
     The batch is grouped by target cofactors (wj, wj2); each group keeps its
-    member with the smallest source index, ties broken by the smaller left
-    cofactor, and every other member goes, justified by that minimum.  On
-    the survivors of :func:`multiply_criterion` this is the full criterion:
-    a member whose target cofactors strictly extend another's is already
-    gone, so only equal target cofactors remain to compare.
+    member with the smallest source index, ties broken by the shorter left
+    cofactor (all are prefixes of the group's common word), and every other
+    member goes, justified by that minimum.  On the survivors of
+    :func:`multiply_criterion` this is the full criterion: a member whose
+    target cofactors strictly extend another's is already gone, so only
+    equal target cofactors remain to compare.
     """
     news = list(news)
     if not news:
@@ -93,7 +94,7 @@ def leading_word_criterion(news, G, ordering) -> CriteriaReport:
     groups = {}
     for o in news:
         groups.setdefault((o.wj, o.wj2), []).append(o)
-    best = {cof: min(group, key=lambda o: (o.i, ordering.key(o.wi)))
+    best = {cof: min(group, key=lambda o: (o.i, len(o.wi)))
             for cof, group in groups.items()}
     survivors, removed = [], []
     for o in news:
@@ -105,36 +106,35 @@ def leading_word_criterion(news, G, ordering) -> CriteriaReport:
     return CriteriaReport(survivors, removed_f=len(removed), removed=removed)
 
 
-def backward_criterion(B, news, s, G, ordering) -> CriteriaReport:
+def backward_criterion(B, news, s, G) -> CriteriaReport:
     """Prune pending obstructions that the newest generator re-derives.
 
     A pending obstruction goes when the newest leading word occurs in its
     common word (leftmost occurrence) placed so that both induced
-    obstructions against the new generator are covered: each either has
-    disjoint copies or is a two-sided multiple of an obstruction still
-    present in ``news``.  Any witnessing occurrence justifies removal;
-    checking only the leftmost one prunes slightly less.
+    obstructions against the new generator are covered.  The one against
+    g_k (k = i, j) has offset d = pos - len(wk); it is covered when the
+    copies are disjoint (d outside -len(lw_s) < d < len(lw_k)) or when
+    ``news`` still holds the obstruction of (k, s) at offset d, of which it
+    is then a two-sided multiple.  Any witnessing occurrence justifies
+    removal; checking only the leftmost one prunes slightly less.
     """
     B = list(B)
-    lw_s = G.leading_words[s]
+    lws = G.leading_words
+    lw_s = lws[s]
     if not lw_s:
         return CriteriaReport(B)
-    by_i = {}
-    for n in news:
-        by_i.setdefault(n.i, []).append(n)
+    low = -len(lw_s)
+    kept = {(n.i, len(n.wj) - len(n.wi)) for n in news}
+
+    def disjoint_or_kept(k, d):
+        return not low < d < len(lws[k]) or (k, d) in kept
+
     survivors, removed = [], []
     for o in B:
-        hit = False
         pos = o.common.find(lw_s)
-        if pos != -1:
-            w, w2 = o.common[:pos], o.common[pos + len(lw_s):]
-            hit = (covered(aligned(o.i, s, o.wi, o.wi2, w, w2, G), G,
-                           by_i.get(o.i, ()))
-                   and covered(aligned(o.j, s, o.wj, o.wj2, w, w2, G), G,
-                               by_i.get(o.j, ())))
-        if hit:
+        if (pos != -1 and disjoint_or_kept(o.i, pos - len(o.wi))
+                and disjoint_or_kept(o.j, pos - len(o.wj))):
             removed.append((o, None))
         else:
             survivors.append(o)
     return CriteriaReport(survivors, removed_bk=len(removed), removed=removed)
-

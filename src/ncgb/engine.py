@@ -128,8 +128,7 @@ class RunStats:
 class ObstructionQueue:
     """Pending obstructions keyed by the normal strategy, with lazy deletion."""
 
-    def __init__(self, G, ordering):
-        self.G = G
+    def __init__(self, ordering):
         self.ordering = ordering
         self._heap = []
         self._live = {}
@@ -141,7 +140,7 @@ class ObstructionQueue:
         if o in self._live:
             return
         self._live[o] = True
-        heapq.heappush(self._heap, (obstruction_key(o, self.G, self.ordering), o))
+        heapq.heappush(self._heap, (obstruction_key(o, self.ordering), o))
 
     def discard(self, o):
         self._live.pop(o, None)
@@ -158,15 +157,16 @@ class ObstructionQueue:
         raise LookupError("no pending obstructions")
 
 
-def obstruction_batch(s: int, G: BasisState, ordering, trunc=None):
+def obstruction_batch(s: int, G: BasisState, trunc=None):
     """The non-trivial obstructions of the pairs (i, s), i <= s, that fit the bound.
 
     Returns (obstructions, cut): the obstructions pair by pair, each pair's
-    ascending, and the number whose common word is longer than ``trunc``.
+    by ascending offset, and the number whose common word is longer than
+    ``trunc``.
     """
     news = []
     for i in range(s + 1):
-        news.extend(nontrivial_obstructions(i, s, G, ordering))
+        news.extend(nontrivial_obstructions(i, s, G))
     if trunc is None:
         return news, 0
     kept = [n for n in news if len(n.common) <= trunc]
@@ -203,21 +203,21 @@ def buchberger(G0, cfg: EngineConfig):
 
     G = BasisState()
     stats = RunStats()
-    queue = ObstructionQueue(G, ordering)
+    queue = ObstructionQueue(ordering)
 
     def absorb(f):
         """Append one generator and merge its pruned obstruction batch."""
         s = G.append(f, ordering)
-        news, cut = obstruction_batch(s, G, ordering, trunc)
+        news, cut = obstruction_batch(s, G, trunc)
         stats.tot += len(news) + cut
         stats.truncated_discards += cut
         if cfg.criteria:
-            rep = multiply_criterion(news, G, ordering)
+            rep = multiply_criterion(news)
             stats.m += rep.removed_m
-            rep = leading_word_criterion(rep.survivors, G, ordering)
+            rep = leading_word_criterion(rep.survivors)
             stats.f += rep.removed_f
             news = rep.survivors
-            rep = backward_criterion(queue.live(), news, s, G, ordering)
+            rep = backward_criterion(queue.live(), news, s, G)
             stats.bk += rep.removed_bk
             for dead, _ in rep.removed:
                 queue.discard(dead)
@@ -284,15 +284,18 @@ def verify_groebner(G: BasisState, ordering, truncation=None):
     """Check that every non-trivial obstruction's S-polynomial reduces to zero.
 
     Returns (True, []) on success and (False, [obstruction]) with the first
-    failure otherwise.  With ``truncation`` only obstructions whose common
-    word fits the bound are checked; that shows a Groebner basis up to the
-    bound only when every generator is homogeneous, so a non-homogeneous
-    basis raises ValueError.
+    failure otherwise.  The batches of s = 0, 1, ... are checked in turn,
+    each by source index i and then by :func:`obstruction_key`, so the
+    failure reported is the smallest in that order.  With ``truncation``
+    only obstructions whose common word fits the bound are checked; that
+    shows a Groebner basis up to the bound only when every generator is
+    homogeneous, so a non-homogeneous basis raises ValueError.
     """
     if truncation is not None and not all(f.is_homogeneous() for f in G):
         raise ValueError("truncation requires homogeneous generators")
     for s in range(len(G)):
-        for o in obstruction_batch(s, G, ordering, truncation)[0]:
+        batch = obstruction_batch(s, G, truncation)[0]
+        for o in sorted(batch, key=lambda o: (o.i, obstruction_key(o, ordering))):
             if normal_remainder(s_polynomial(o, G, ordering), G, ordering):
                 return False, [o]
     return True, []

@@ -5,10 +5,13 @@ that wi * lw(g_i) * wi2 == wj * lw(g_j) * wj2.  Its S-polynomial is the
 difference of the two scaled placements, whose top terms cancel.
 
 A non-trivial obstruction is one in which the placed leading words share
-letters, so it is fixed by the signed offset d at which lw(g_j) starts
-after lw(g_i) (see :func:`ncgb.words.overlaps`).  The common word is the
-union of the two placements, and the four cofactors are what it leaves
-on either side of each copy.
+letters, so it is fixed by (i, j, d): the signed offset d =
+len(wj) - len(wi) at which lw(g_j) starts after lw(g_i) (see
+:func:`ncgb.words.overlaps`).  The common word is the union of the two
+placements, and the four cofactors are what it leaves on either side of
+each copy.  Construction lists a pair's obstructions by ascending offset;
+the order in which completion selects them lives in
+:func:`obstruction_key`.
 """
 
 from __future__ import annotations
@@ -36,19 +39,14 @@ class Obstruction:
                 f"{w(self.wj)},{w(self.wj2)})")
 
 
-def aligned(i, j, wi, wi2, wj, wj2, G) -> Obstruction:
-    """Build an obstruction, checking that the two placements spell the same word."""
-    common = wi + G.leading_words[i] + wi2
-    if common != wj + G.leading_words[j] + wj2:
-        raise ValueError("misaligned obstruction: the two placements differ")
-    if i > j:
-        raise ValueError("obstruction indices must satisfy i <= j")
-    return Obstruction(i, j, wi, wi2, wj, wj2, common)
+def obstruction_key(o: Obstruction, ordering):
+    """Sort key realizing the obstruction ordering: j-side term, then i-side.
 
-
-def obstruction_key(o: Obstruction, G, ordering):
-    """Sort key realizing the obstruction ordering: j-side term, then i-side."""
-    return (ordering.key(o.common), o.j, ordering.key(o.wj), o.i, ordering.key(o.wi))
+    The common word comes first; then the target index and the target's
+    left cofactor, then the source index and its left cofactor.  Both left
+    cofactors are prefixes of the common word, so their lengths order them.
+    """
+    return (ordering.key(o.common), o.j, len(o.wj), o.i, len(o.wi))
 
 
 def s_polynomial(o: Obstruction, G, ordering):
@@ -60,8 +58,8 @@ def s_polynomial(o: Obstruction, G, ordering):
                       sandwich(o.wj, G.generators[o.j], o.wj2))
 
 
-def nontrivial_obstructions(i: int, j: int, G, ordering) -> list[Obstruction]:
-    """The overlapping alignments of lw(g_i) and lw(g_j), ascending.
+def nontrivial_obstructions(i: int, j: int, G) -> list[Obstruction]:
+    """The overlapping alignments of lw(g_i) and lw(g_j), by ascending offset.
 
     There is one per offset at which the two leading words agree.  For
     i == j only positive offsets count: d = 0 is the trivial coincidence
@@ -84,34 +82,4 @@ def nontrivial_obstructions(i: int, j: int, G, ordering) -> list[Obstruction]:
         common = lwj[:x] + lwi + lwj[a - d:]
         out.append(Obstruction(i, j, common[:x], common[x + a:],
                                common[:y], common[y + b:], common))
-    return sorted(out, key=lambda o: obstruction_key(o, G, ordering))
-
-
-def has_overlap(o: Obstruction, G) -> bool:
-    """Whether the two placed leading word copies share a letter position."""
-    a = len(o.wi)
-    b = len(o.wj)
-    return max(a, b) < min(a + len(G.leading_words[o.i]), b + len(G.leading_words[o.j]))
-
-
-def covered(o: Obstruction, G, candidates) -> bool:
-    """Whether the S-polynomial of ``o`` is already covered.
-
-    It is when the placed copies are disjoint, or when ``o`` equals
-    w * base * w2 for some base present in ``candidates`` (same indices,
-    one common extension pair).  ``candidates`` must reflect the current
-    surviving set: a base that was itself discarded cannot cover anything.
-    """
-    if not has_overlap(o, G):
-        return True
-    for base in candidates:
-        if base.i != o.i or base.j != o.j:
-            continue
-        cut = len(o.wi) - len(base.wi)
-        if cut < 0 or not o.wi.endswith(base.wi) or not o.wi2.startswith(base.wi2):
-            continue
-        w = o.wi[:cut]
-        w2 = o.wi2[len(base.wi2):]
-        if o.wj == w + base.wj and o.wj2 == base.wj2 + w2:
-            return True
-    return False
+    return out

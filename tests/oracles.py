@@ -4,16 +4,18 @@ Everything here takes a different route than the library: position scans
 instead of ``find`` and slice comparison, explicit enumeration of the
 placements in which one leading word starts the common word instead of
 one loop over signed offsets, and raw polynomial arithmetic for
-reconstruction.  Tests assert the library against these, never against
-itself.  The contract checks (``validate_division``,
+reconstruction, cofactor words instead of offsets for obstruction
+coverage and order.  Tests assert the library against these, never
+against itself.  The contract checks (``validate_division``,
 ``assert_removals_dominated``) recheck a library result against its
 inputs.
 """
 
 from fractions import Fraction
 
+from ncgb.criteria import CriteriaReport
 from ncgb.engine import BasisState
-from ncgb.obstructions import aligned, obstruction_key
+from ncgb.obstructions import Obstruction, obstruction_key
 from ncgb.polynomial import NcPolynomial, add_scaled, leading, sandwich
 
 
@@ -76,6 +78,74 @@ def nontrivial_obstructions_brute(i, j, G):
     return found
 
 
+def aligned(i, j, wi, wi2, wj, wj2, G) -> Obstruction:
+    """Build an obstruction, checking that the two placements spell the same word."""
+    common = wi + G.leading_words[i] + wi2
+    if common != wj + G.leading_words[j] + wj2:
+        raise ValueError("misaligned obstruction: the two placements differ")
+    if i > j:
+        raise ValueError("obstruction indices must satisfy i <= j")
+    return Obstruction(i, j, wi, wi2, wj, wj2, common)
+
+
+def has_overlap(o, G) -> bool:
+    """Whether the two placed leading word copies share a letter position."""
+    a = len(o.wi)
+    b = len(o.wj)
+    return max(a, b) < min(a + len(G.leading_words[o.i]), b + len(G.leading_words[o.j]))
+
+
+def covered(o, G, candidates) -> bool:
+    """Whether the S-polynomial of ``o`` is already covered.
+
+    It is when the placed copies are disjoint, or when ``o`` equals
+    w * base * w2 for some base present in ``candidates`` (same indices,
+    one common extension pair), found by comparing cofactor words.
+    """
+    if not has_overlap(o, G):
+        return True
+    for base in candidates:
+        if base.i != o.i or base.j != o.j:
+            continue
+        cut = len(o.wi) - len(base.wi)
+        if cut < 0 or not o.wi.endswith(base.wi) or not o.wi2.startswith(base.wi2):
+            continue
+        w = o.wi[:cut]
+        w2 = o.wi2[len(base.wi2):]
+        if o.wj == w + base.wj and o.wj2 == base.wj2 + w2:
+            return True
+    return False
+
+
+def backward_criterion_reference(B, news, s, G):
+    """The backward criterion by building both induced obstructions.
+
+    A pending obstruction goes when the leftmost occurrence of lw(g_s) in
+    its common word induces two obstructions against g_s that are each
+    :func:`covered` by the members of ``news`` with the same indices.
+    """
+    lw_s = G.leading_words[s]
+    survivors, removed = [], []
+    for o in B:
+        pos = o.common.find(lw_s) if lw_s else -1
+        hit = False
+        if pos != -1:
+            w, w2 = o.common[:pos], o.common[pos + len(lw_s):]
+            hit = all(covered(aligned(k, s, wk, wk2, w, w2, G), G,
+                              [n for n in news if n.i == k])
+                      for k, wk, wk2 in ((o.i, o.wi, o.wi2), (o.j, o.wj, o.wj2)))
+        if hit:
+            removed.append((o, None))
+        else:
+            survivors.append(o)
+    return CriteriaReport(survivors, removed_bk=len(removed), removed=removed)
+
+
+def translated_obstruction_key(o, ordering):
+    """The obstruction ordering with every cofactor compared as a word."""
+    return (ordering.key(o.common), o.j, ordering.key(o.wj), o.i, ordering.key(o.wi))
+
+
 def reference_find_divisor(word, leading_words):
     """(index, left, right) for the smallest index whose leading word occurs in ``word``.
 
@@ -128,7 +198,7 @@ def assert_removals_dominated(report, G, ordering):
     carry no such guarantee.  Raises AssertionError on violation.
     """
     def key(o):
-        return obstruction_key(o, G, ordering)
+        return obstruction_key(o, ordering)
 
     for o, just in report.removed:
         if key(o) <= key(just):

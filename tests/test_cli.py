@@ -299,6 +299,21 @@ class TestVerify:
         assert code == EXIT_VERIFY_FAILED
         assert "unresolved obstruction" in out
 
+    @pytest.mark.parametrize("name,drop,obstruction", [
+        ("g06", 1, "o[1,1](1,b^3*a*b*a*b;b*a*b^4*a,1)"),
+        ("g13", 1, "o[1,1](1,b*a*b^2*a*b*a*b*a*b*a*b;b*a*b^2*a*b^2*a*b*a*b*a,1)"),
+        # by offset, o[0,1](b*a*b^4*a*b*a,1;1,b^4) would fail first
+        ("g06", 0, "o[0,1](1,a*b^4*a*b*a*b;b^4,1)"),
+    ])
+    def test_first_unresolved_obstruction(self, tmp_path, capsys, name, drop, obstruction):
+        # a reduced basis without one generator; construction lists
+        # obstructions by offset, and verify reports the first failure by
+        # source index and then obstruction order
+        path = self.write_basis(tmp_path, capsys, drop=drop, name=name)
+        code, out, _ = run_main(["verify", str(path), str(problem_path(name))], capsys)
+        assert code == EXIT_VERIFY_FAILED
+        assert out == f"not a Groebner basis; unresolved obstruction {obstruction}\n"
+
     def test_problem_generator_outside_ideal(self, tmp_path, capsys):
         # a Groebner basis of g09's ideal, checked against a problem whose
         # generator a - 1 is not in that ideal
@@ -387,12 +402,32 @@ class TestVerify:
         assert "--trunc must be positive" in err
 
 
-def test_python_dash_m_runs_the_cli():
+def cli_env():
+    """The environment for a ``python -m ncgb`` subprocess that finds this package."""
     src = str(Path(ncgb.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "ncgb", "--help"], env=env,
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "ncgb", "--help"], env=cli_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: ncgb ")
     assert "{run,verify}" in proc.stdout
+
+
+def test_closed_stdout_ends_quietly():
+    """``ncgb run ... | head -1``: exit 2 with no traceback when the reader leaves.
+
+    braid3 at bound 10 prints about 277 KB, more than a pipe holds, so the
+    run always writes into the closed pipe.
+    """
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ncgb", "run", str(problem_path("braid3")), "--trunc", "10"],
+        env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "# gb 327\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_ERROR
+    assert "Traceback" not in err and "Exception ignored" not in err

@@ -10,14 +10,15 @@ from ncgb.criteria import (
     multiply_criterion,
 )
 from ncgb.engine import BasisState
-from ncgb.obstructions import (
-    aligned,
-    nontrivial_obstructions,
-    obstruction_key,
-    s_polynomial,
-)
+from ncgb.obstructions import nontrivial_obstructions, obstruction_key, s_polynomial
 from ncgb.polynomial import add_scaled, parse_polynomial, sandwich
-from oracles import assert_removals_dominated, random_basis
+from ncgb.words import Alphabet
+from oracles import (
+    aligned,
+    assert_removals_dominated,
+    backward_criterion_reference,
+    random_basis,
+)
 
 
 def basis(texts, alphabet):
@@ -25,11 +26,16 @@ def basis(texts, alphabet):
     return BasisState.from_polynomials(polys, alphabet.llex)
 
 
-def news_batch(G, ordering, s):
+def news_batch(G, s):
     out = []
     for i in range(s + 1):
-        out.extend(nontrivial_obstructions(i, s, G, ordering))
+        out.extend(nontrivial_obstructions(i, s, G))
     return out
+
+
+def pending_batch(G, s):
+    return [o for j in range(s) for i in range(j + 1)
+            for o in nontrivial_obstructions(i, j, G)]
 
 
 @pytest.fixture
@@ -46,7 +52,7 @@ class TestMultiplyCriterion:
     def test_extension_removed(self, triple, xy):
         big = aligned(0, 2, xy.word("xyxx"), b"", b"", xy.word("yy"), triple)
         small = aligned(1, 2, xy.word("xy"), b"", b"", xy.word("y"), triple)
-        rep = multiply_criterion([big, small], triple, xy.llex)
+        rep = multiply_criterion([big, small])
         assert rep.survivors == [small]
         assert rep.removed == [(big, small)]
         assert rep.removed_m == 1
@@ -54,24 +60,24 @@ class TestMultiplyCriterion:
 
     def test_singleton_unchanged(self, triple, xy):
         small = aligned(1, 2, xy.word("xy"), b"", b"", xy.word("y"), triple)
-        rep = multiply_criterion([small], triple, xy.llex)
+        rep = multiply_criterion([small])
         assert rep.survivors == [small] and rep.removed_m == 0
 
     def test_identical_cofactors_stay(self, xy):
         G = basis(["x*y - 1", "x*y - y", "y*x - 1"], xy)
         news = [aligned(0, 2, b"", xy.word("x"), xy.word("x"), b"", G),
                 aligned(1, 2, b"", xy.word("x"), xy.word("x"), b"", G)]
-        rep = multiply_criterion(news, G, xy.llex)
+        rep = multiply_criterion(news)
         assert rep.survivors == news
 
     def test_mixed_targets_rejected(self, triple, xy):
         a = aligned(0, 1, xy.word("xx"), b"", b"", xy.word("y"), triple)
         b = aligned(1, 2, xy.word("xy"), b"", b"", xy.word("y"), triple)
         with pytest.raises(ValueError):
-            multiply_criterion([a, b], triple, xy.llex)
+            multiply_criterion([a, b])
 
     def test_empty_batch(self, triple, xy):
-        assert multiply_criterion([], triple, xy.llex).survivors == []
+        assert multiply_criterion([]).survivors == []
 
 
 class TestLeadingWordCriterion:
@@ -79,7 +85,7 @@ class TestLeadingWordCriterion:
         G = basis(["x*y - 1", "x*y - y", "y*x - 1"], xy)
         lo = aligned(0, 2, b"", xy.word("x"), xy.word("x"), b"", G)
         hi = aligned(1, 2, b"", xy.word("x"), xy.word("x"), b"", G)
-        rep = leading_word_criterion([hi, lo], G, xy.llex)
+        rep = leading_word_criterion([hi, lo])
         assert rep.survivors == [lo]
         assert rep.removed == [(hi, lo)]
         assert_removals_dominated(rep, G, xy.llex)
@@ -87,10 +93,10 @@ class TestLeadingWordCriterion:
     def test_larger_left_cofactor_removed_on_tie(self, ab):
         # a*b occurs twice in a*b*a*b; same source, same target cofactors
         G = basis(["a*b - 1", "a*b*a*b - 1"], ab)
-        news = nontrivial_obstructions(0, 1, G, ab.llex)
+        news = nontrivial_obstructions(0, 1, G)
         centers = [o for o in news if not o.wj and not o.wj2]
         assert len(centers) == 2
-        rep = leading_word_criterion(centers, G, ab.llex)
+        rep = leading_word_criterion(centers)
         assert len(rep.survivors) == 1
         assert rep.survivors[0].wi == b""
         removed = rep.removed[0][0]
@@ -98,31 +104,31 @@ class TestLeadingWordCriterion:
 
     def test_singleton_unchanged(self, triple, xy):
         o = aligned(1, 2, xy.word("xy"), b"", b"", xy.word("y"), triple)
-        rep = leading_word_criterion([o], triple, xy.llex)
+        rep = leading_word_criterion([o])
         assert rep.survivors == [o]
 
 
 class TestBackwardCriterion:
     def test_rederived_pending_obstruction_removed(self, chain, xy):
         old = aligned(0, 1, b"", b"", xy.word("x"), xy.word("yx"), chain)
-        news = news_batch(chain, xy.llex, 2)
-        rep = backward_criterion([old], news, 2, chain, xy.llex)
+        news = news_batch(chain, 2)
+        rep = backward_criterion([old], news, 2, chain)
         assert rep.survivors == []
         assert rep.removed_bk == 1
 
     def test_new_leading_word_not_a_factor(self, xy):
         G = basis(["x^3*y*x + y", "x^2 + y", "y^2 + x"], xy)
         old = aligned(0, 1, b"", b"", xy.word("x"), xy.word("yx"), G)
-        news = news_batch(G, xy.llex, 2)
-        rep = backward_criterion([old], news, 2, G, xy.llex)
+        news = news_batch(G, 2)
+        rep = backward_criterion([old], news, 2, G)
         assert rep.survivors == [old]
 
     def test_removed_base_blocks_removal(self, chain, xy):
         # without the source-0 members of the new batch, the induced
         # obstruction has no covering base left
         old = aligned(0, 1, b"", b"", xy.word("x"), xy.word("yx"), chain)
-        news = [o for o in news_batch(chain, xy.llex, 2) if o.i != 0]
-        rep = backward_criterion([old], news, 2, chain, xy.llex)
+        news = [o for o in news_batch(chain, 2) if o.i != 0]
+        rep = backward_criterion([old], news, 2, chain)
         assert rep.survivors == [old]
 
 
@@ -132,18 +138,45 @@ def test_conservation_on_random_batches(xy):
     for _ in range(300):
         G = random_basis(rng, ordering, 2, rng.randint(2, 4), max_degree=4)
         s = len(G) - 1
-        news = news_batch(G, ordering, s)
-        pending = []
-        for j in range(s):
-            for i in range(j + 1):
-                pending.extend(nontrivial_obstructions(i, j, G, ordering))
+        news = news_batch(G, s)
+        pending = pending_batch(G, s)
         for rep, size in (
-            (multiply_criterion(news, G, ordering), len(news)),
-            (leading_word_criterion(news, G, ordering), len(news)),
-            (backward_criterion(pending, news, s, G, ordering), len(pending)),
+            (multiply_criterion(news), len(news)),
+            (leading_word_criterion(news), len(news)),
+            (backward_criterion(pending, news, s, G), len(pending)),
         ):
             assert len(rep.survivors) + len(rep.removed) == size
             assert not set(rep.survivors) & {o for o, _ in rep.removed}
+
+
+def test_backward_criterion_matches_reference_property():
+    """The offset lookup removes exactly what building the induced obstructions does.
+
+    Random 2- and 3-letter bases; the batch handed in is the full one, the
+    m and f survivors, or an arbitrary subset.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    orderings = {n: Alphabet(["a", "b", "c"][:n]).llex for n in (2, 3)}
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(st.randoms(use_true_random=False), st.sampled_from([2, 3]),
+                      st.integers(2, 5), st.sampled_from(["full", "thinned", "subset"]))
+    def check(rng, nletters, size, how):
+        G = random_basis(rng, orderings[nletters], nletters, size, max_degree=5)
+        s = len(G) - 1
+        news = news_batch(G, s)
+        if how == "thinned":
+            news = leading_word_criterion(multiply_criterion(news).survivors).survivors
+        elif how == "subset":
+            news = [n for n in news if rng.random() < 0.5]
+        pending = pending_batch(G, s)
+        got = backward_criterion(pending, news, s, G)
+        want = backward_criterion_reference(pending, news, s, G)
+        assert got.survivors == want.survivors
+        assert got.removed == want.removed and got.removed_bk == want.removed_bk
+
+    check()
 
 
 def test_removals_dominated_on_random_batches(xy):
@@ -152,9 +185,9 @@ def test_removals_dominated_on_random_batches(xy):
     for _ in range(300):
         G = random_basis(rng, ordering, 2, rng.randint(2, 4), max_degree=4)
         s = len(G) - 1
-        news = news_batch(G, ordering, s)
-        assert_removals_dominated(multiply_criterion(news, G, ordering), G, ordering)
-        assert_removals_dominated(leading_word_criterion(news, G, ordering), G, ordering)
+        news = news_batch(G, s)
+        assert_removals_dominated(multiply_criterion(news), G, ordering)
+        assert_removals_dominated(leading_word_criterion(news), G, ordering)
 
 
 def test_head_batch_identity(xy):
@@ -165,7 +198,7 @@ def test_head_batch_identity(xy):
     while checked < 1000:
         G = random_basis(rng, ordering, 2, rng.randint(2, 4), max_degree=4)
         s = len(G) - 1
-        news = news_batch(G, ordering, s)
+        news = news_batch(G, s)
         for o1 in news:
             for o2 in news:
                 if o1 is o2:
@@ -189,9 +222,9 @@ def test_head_batch_identity(xy):
                 strict = (i > j or (w or w2) or
                           (i == j and ordering.compare(o1.wi, o2.wi) > 0))
                 if strict:
-                    key = obstruction_key(o1, G, ordering)
-                    assert key > obstruction_key(o2, G, ordering)
-                    assert key > obstruction_key(third, G, ordering)
+                    key = obstruction_key(o1, ordering)
+                    assert key > obstruction_key(o2, ordering)
+                    assert key > obstruction_key(third, ordering)
                 checked += 1
     assert checked >= 1000
 
@@ -204,11 +237,8 @@ def test_tail_identity(xy):
     while checked < 1000:
         G = random_basis(rng, ordering, 2, rng.randint(2, 4), max_degree=4)
         s = len(G) - 1
-        news = news_batch(G, ordering, s)
-        pending = []
-        for j in range(s):
-            for i in range(j + 1):
-                pending.extend(nontrivial_obstructions(i, j, G, ordering))
+        news = news_batch(G, s)
+        pending = pending_batch(G, s)
         for o in news:
             for old in pending:
                 if old.j != o.i:
@@ -223,9 +253,9 @@ def test_tail_identity(xy):
                 rhs = add_scaled(s_polynomial(induced, G, ordering), -1,
                                  sandwich(w, s_polynomial(old, G, ordering), w2))
                 assert lhs == rhs
-                key = obstruction_key(o, G, ordering)
-                assert key > obstruction_key(old, G, ordering)
-                assert key > obstruction_key(induced, G, ordering)
+                key = obstruction_key(o, ordering)
+                assert key > obstruction_key(old, ordering)
+                assert key > obstruction_key(induced, ordering)
                 checked += 1
     assert checked >= 1000
 
@@ -243,7 +273,7 @@ def test_rederivation_identity(xy):
             continue
         for j in range(s):
             for i in range(j + 1):
-                for o in nontrivial_obstructions(i, j, G, ordering):
+                for o in nontrivial_obstructions(i, j, G):
                     pos = o.common.find(lw_s)
                     while pos != -1:
                         w, w2 = o.common[:pos], o.common[pos + len(lw_s):]

@@ -20,11 +20,11 @@ from ncgb.engine import (
     obstruction_batch,
     verify_groebner,
 )
-from ncgb.obstructions import aligned, nontrivial_obstructions, s_polynomial
+from ncgb.obstructions import nontrivial_obstructions, s_polynomial
 from ncgb.polynomial import NcPolynomial, add_scaled, leading, parse_polynomial, sandwich
 from ncgb.corpus import problem_path
 from ncgb.cli import parse_problem
-from oracles import assert_removals_dominated, validate_division
+from oracles import aligned, assert_removals_dominated, validate_division
 
 
 def polys(texts, alphabet):
@@ -35,12 +35,19 @@ def partition_holds(st):
     return st.tot == st.sel + st.m + st.f + st.tail + st.bk + st.truncated_discards
 
 
-def check_invariants(mp):
+def check_invariants(mp, ordering):
     """Make the engine check every m and f removal and every division it runs."""
+    basis = []
+    batch = engine.obstruction_batch
+
+    def recording_batch(s, G, trunc=None):
+        basis[:] = [G]
+        return batch(s, G, trunc)
+
     def checked(criterion):
-        def wrapper(news, G, ordering):
-            rep = criterion(news, G, ordering)
-            assert_removals_dominated(rep, G, ordering)
+        def wrapper(news):
+            rep = criterion(news)
+            assert_removals_dominated(rep, basis[0], ordering)
             return rep
         return wrapper
 
@@ -49,6 +56,7 @@ def check_invariants(mp):
         validate_division(result, f, G, ordering)
         return result.remainder
 
+    mp.setattr(engine, "obstruction_batch", recording_batch)
     for name in ("multiply_criterion", "leading_word_criterion"):
         mp.setattr(engine, name, checked(getattr(engine, name)))
     mp.setattr(engine, "normal_remainder", validated_remainder)
@@ -77,7 +85,7 @@ class TestSelection:
         lower = aligned(0, 1, b"", xy.word("yy"), xy.word("x"), xy.word("y"), G)
         upper = aligned(0, 1, b"", xy.word("xy"), xy.word("xx"), b"", G)
         quartic = aligned(0, 1, b"", xy.word("xyy"), xy.word("xx"), xy.word("y"), G)
-        queue = ObstructionQueue(G, xy.llex)
+        queue = ObstructionQueue(xy.llex)
         for o in (quartic, upper, lower):
             queue.push(o)
         return G, queue, (lower, upper, quartic)
@@ -155,7 +163,7 @@ class TestBuchberger:
         assert float(st.rho) == pytest.approx(0.2067, abs=5e-5)
 
     def test_invariant_checked_run(self, g09, monkeypatch):
-        check_invariants(monkeypatch)
+        check_invariants(monkeypatch, g09.ordering)
         G, st = buchberger(g09.generators, EngineConfig(ordering=g09.ordering))
         assert st.gb_size == 11
 
@@ -222,25 +230,24 @@ class TestBuchberger:
         for problem, trunc in ((g09, None), (braid4, 6)):
             batches, pendings = [], []
 
-            def record_m(news, G, ordering):
+            def record_m(news):
                 batches.append(list(news))
-                return multiply_criterion(news, G, ordering)
+                return multiply_criterion(news)
 
-            def record_bk(B, news, s, G, ordering):
+            def record_bk(B, news, s, G):
                 pendings.append((list(B), s))
-                return backward_criterion(B, news, s, G, ordering)
+                return backward_criterion(B, news, s, G)
 
             with monkeypatch.context() as mp:
                 mp.setattr(engine, "multiply_criterion", record_m)
                 mp.setattr(engine, "backward_criterion", record_bk)
                 cfg = EngineConfig(ordering=problem.ordering, truncation_degree=trunc)
                 G, st = buchberger(problem.generators, cfg)
-            ordering = problem.ordering
 
             def chain(batch, pending, s):
-                m = multiply_criterion(batch, G, ordering)
-                f = leading_word_criterion(m.survivors, G, ordering)
-                bk = backward_criterion(pending, f.survivors, s, G, ordering)
+                m = multiply_criterion(batch)
+                f = leading_word_criterion(m.survivors)
+                bk = backward_criterion(pending, f.survivors, s, G)
                 return (set(f.survivors), {o for o, _ in bk.removed},
                         (m.removed_m, f.removed_f, bk.removed_bk))
 
@@ -257,6 +264,29 @@ class TestBuchberger:
                     assert chain(mixed, mixed_pending, s) == expected
             assert totals == [st.m, st.f, st.bk]
             assert shuffled_batches > 20
+
+    def test_completion_ignores_batch_order(self, monkeypatch):
+        """Reversing every constructed batch leaves the basis and the row alone.
+
+        Construction lists each pair's obstructions by offset, not in
+        selection order; the criteria's removal sets and the queue's unique
+        keys must make that order irrelevant.
+        """
+        batch = engine.obstruction_batch
+
+        def reversed_batch(s, G, trunc=None):
+            news, cut = batch(s, G, trunc)
+            return news[::-1], cut
+
+        for name, trunc in (("g05", None), ("g09", None), ("braid4", 6)):
+            problem = parse_problem(problem_path(name))
+            cfg = EngineConfig(ordering=problem.ordering, truncation_degree=trunc)
+            G, st = buchberger(problem.generators, cfg)
+            with monkeypatch.context() as mp:
+                mp.setattr(engine, "obstruction_batch", reversed_batch)
+                reversed_G, reversed_st = buchberger(problem.generators, cfg)
+            assert list(reversed_G) == list(G)
+            assert reversed_st == st
 
     def test_input_leading_word_inside_another(self, ab):
         # lw(a*b - 1) is a factor of lw(a*b*a - b): the only kind of input on
@@ -355,11 +385,11 @@ def test_obstruction_batch_is_every_pair_within_the_bound(xy):
     G = BasisState.from_polynomials(polys(["x*y*x - y", "y*x*y - x", "x*x*y - y"], xy),
                                     xy.llex)
     for s in range(len(G)):
-        pairs = [o for i in range(s + 1) for o in nontrivial_obstructions(i, s, G, xy.llex)]
-        assert obstruction_batch(s, G, xy.llex) == (pairs, 0)
+        pairs = [o for i in range(s + 1) for o in nontrivial_obstructions(i, s, G)]
+        assert obstruction_batch(s, G) == (pairs, 0)
         for trunc in range(3, 7):
             kept = [o for o in pairs if len(o.common) <= trunc]
-            assert obstruction_batch(s, G, xy.llex, trunc) == (kept, len(pairs) - len(kept))
+            assert obstruction_batch(s, G, trunc) == (kept, len(pairs) - len(kept))
 
 
 def test_random_small_ideals_mode_equivalence(xy):
@@ -401,7 +431,7 @@ def test_corpus_mode_equivalence(name, trunc, monkeypatch):
                            criteria=criteria)
         with monkeypatch.context() as mp:
             if criteria:
-                check_invariants(mp)
+                check_invariants(mp, problem.ordering)
             G, st = buchberger(problem.generators, cfg)
         assert not st.capped and partition_holds(st)
         reduced.append(set(interreduce(G, problem.ordering).generators))

@@ -5,17 +5,17 @@ import random
 import pytest
 
 from ncgb.engine import BasisState
-from ncgb.obstructions import (
+from ncgb.obstructions import nontrivial_obstructions, obstruction_key, s_polynomial
+from ncgb.polynomial import NcPolynomial, add_scaled, leading, parse_polynomial, sandwich
+from ncgb.words import Alphabet, LLexOrdering
+from oracles import (
     aligned,
     covered,
     has_overlap,
-    nontrivial_obstructions,
-    obstruction_key,
-    s_polynomial,
+    nontrivial_obstructions_brute,
+    random_basis,
+    translated_obstruction_key,
 )
-from ncgb.polynomial import NcPolynomial, add_scaled, leading, parse_polynomial, sandwich
-from ncgb.words import Alphabet
-from oracles import nontrivial_obstructions_brute, random_basis
 
 W = lambda alphabet, text: alphabet.word(text)
 
@@ -70,7 +70,7 @@ class TestSPolynomial:
             G = random_basis(rng, ordering, 2, rng.randint(1, 3), max_degree=4)
             for j in range(len(G)):
                 for i in range(j + 1):
-                    for o in nontrivial_obstructions(i, j, G, ordering):
+                    for o in nontrivial_obstructions(i, j, G):
                         S = s_polynomial(o, G, ordering)
                         if S:
                             _, w = leading(S, ordering)
@@ -79,23 +79,23 @@ class TestSPolynomial:
 
 class TestNontrivialObstructions:
     def test_prefix_overlap_found(self, triple, xy):
-        got = nontrivial_obstructions(0, 2, triple, xy.llex)
+        got = nontrivial_obstructions(0, 2, triple)
         assert (W(xy, "xyxx"), b"", b"", W(xy, "yy")) in \
             {(o.wi, o.wi2, o.wj, o.wj2) for o in got}
 
     def test_self_border(self, xy):
         G = basis(["x*y*x^2*y - 1"], xy)
-        got = nontrivial_obstructions(0, 0, G, xy.llex)
+        got = nontrivial_obstructions(0, 0, G)
         assert [(o.wi, o.wi2, o.wj, o.wj2) for o in got] == \
             [(b"", W(xy, "xxy"), W(xy, "xyx"), b"")]
 
     def test_disjoint_letters_have_none(self, xy):
         G = basis(["x - 1", "y - 1"], xy)
-        assert nontrivial_obstructions(0, 1, G, xy.llex) == []
+        assert nontrivial_obstructions(0, 1, G) == []
 
     def test_equal_leading_words(self, xy):
         G = basis(["x*y*x - 1", "x*y*x - y"], xy)
-        got = nontrivial_obstructions(0, 1, G, xy.llex)
+        got = nontrivial_obstructions(0, 1, G)
         tuples = {(o.wi, o.wi2, o.wj, o.wj2) for o in got}
         # the coinciding placement once, plus both border orientations
         assert (b"", b"", b"", b"") in tuples
@@ -106,15 +106,14 @@ class TestNontrivialObstructions:
     def test_out_of_range(self, xy):
         G = basis(["x - 1"], xy)
         with pytest.raises(IndexError):
-            nontrivial_obstructions(0, 1, G, xy.llex)
+            nontrivial_obstructions(0, 1, G)
 
     def test_returned_in_ascending_order(self, triple, xy):
         for j in range(len(triple)):
             for i in range(j + 1):
-                got = nontrivial_obstructions(i, j, triple, xy.llex)
-                for a, b in zip(got, got[1:]):
-                    assert obstruction_key(a, triple, xy.llex) < \
-                        obstruction_key(b, triple, xy.llex)
+                offsets = [len(o.wj) - len(o.wi)
+                           for o in nontrivial_obstructions(i, j, triple)]
+                assert all(a < b for a, b in zip(offsets, offsets[1:]))
 
     def test_against_alignment_enumeration(self, xy):
         rng = random.Random(19)
@@ -125,14 +124,14 @@ class TestNontrivialObstructions:
             for j in range(len(G)):
                 for i in range(j + 1):
                     got = {(o.wi, o.wi2, o.wj, o.wj2)
-                           for o in nontrivial_obstructions(i, j, G, ordering)}
+                           for o in nontrivial_obstructions(i, j, G)}
                     assert got == nontrivial_obstructions_brute(i, j, G)
                     checked += 1
         assert checked >= 1000
 
 
     def test_offset_loop_property(self):
-        """Any two words, equal ones too: the brute-force set, aligned, ascending."""
+        """Any two words, equal ones too: the brute-force set, aligned, by offset."""
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         words = st.binary(max_size=12).map(lambda w: bytes(c % 3 for c in w))
@@ -148,19 +147,21 @@ class TestNontrivialObstructions:
             G = BasisState.from_polynomials([NcPolynomial.from_term(w1),
                                              NcPolynomial.from_term(w2)], ordering)
             for i, j in ((0, 0), (0, 1), (1, 1)):
-                got = nontrivial_obstructions(i, j, G, ordering)
+                got = nontrivial_obstructions(i, j, G)
                 assert {(o.wi, o.wi2, o.wj, o.wj2) for o in got} == \
                     nontrivial_obstructions_brute(i, j, G)
                 for o in got:
                     assert aligned(i, j, o.wi, o.wi2, o.wj, o.wj2, G).common == o.common
                     assert has_overlap(o, G)
-                keys = [obstruction_key(o, G, ordering) for o in got]
-                assert all(a < b for a, b in zip(keys, keys[1:]))
+                offsets = [len(o.wj) - len(o.wi) for o in got]
+                assert all(a < b for a, b in zip(offsets, offsets[1:]))
 
         check()
 
 
 class TestHasOverlap:
+    """The reference overlap test behind ``oracles.covered``."""
+
     def test_disjoint_copies(self, chain, xy):
         o = aligned(1, 2, W(xy, "x"), W(xy, "yx"), W(xy, "xxxy"), b"", chain)
         assert not has_overlap(o, chain)
@@ -172,7 +173,7 @@ class TestHasOverlap:
             G = random_basis(rng, ordering, 2, rng.randint(1, 3), max_degree=4)
             for j in range(len(G)):
                 for i in range(j + 1):
-                    for o in nontrivial_obstructions(i, j, G, ordering):
+                    for o in nontrivial_obstructions(i, j, G):
                         assert has_overlap(o, G)
 
     def test_shifted_products_do_not_overlap(self, xy):
@@ -189,31 +190,31 @@ class TestOrderings:
         G = basis(["a*b - 1", "a*b*a*b - 1"], ab)
         first = aligned(0, 1, b"", W(ab, "ab"), b"", b"", G)
         second = aligned(0, 1, W(ab, "ab"), b"", b"", b"", G)
-        assert obstruction_key(second, G, ab.llex) > obstruction_key(first, G, ab.llex)
+        assert obstruction_key(second, ab.llex) > obstruction_key(first, ab.llex)
 
     def test_equal_terms(self, xy):
         G = basis(["x*y - 1", "y*x - 1"], xy)
         a = aligned(0, 1, b"", W(xy, "x"), W(xy, "x"), b"", G)
         b = aligned(0, 1, b"", W(xy, "x"), W(xy, "x"), b"", G)
         assert a == b and hash(a) == hash(b)
-        assert obstruction_key(a, G, xy.llex) == obstruction_key(b, G, xy.llex)
+        assert obstruction_key(a, xy.llex) == obstruction_key(b, xy.llex)
 
     def test_index_breaks_placed_word_tie(self, xy):
         # same common word, target and target cofactors; the source index decides
         G = basis(["x*y - 1", "x*y - y", "y*x - 1"], xy)
         low = aligned(0, 2, b"", W(xy, "x"), W(xy, "x"), b"", G)
         high = aligned(1, 2, b"", W(xy, "x"), W(xy, "x"), b"", G)
-        assert obstruction_key(high, G, xy.llex) > obstruction_key(low, G, xy.llex)
+        assert obstruction_key(high, xy.llex) > obstruction_key(low, xy.llex)
 
     def test_obstruction_comparison_from_common_words(self, triple, xy):
         big = aligned(0, 2, W(xy, "xyxx"), b"", b"", W(xy, "yy"), triple)
         small = aligned(1, 2, W(xy, "xy"), b"", b"", W(xy, "y"), triple)
-        assert obstruction_key(big, triple, xy.llex) > obstruction_key(small, triple, xy.llex)
+        assert obstruction_key(big, xy.llex) > obstruction_key(small, xy.llex)
 
     def test_index_tie_on_equal_common_words(self, chain, xy):
         inner = aligned(0, 1, b"", b"", W(xy, "x"), W(xy, "yx"), chain)
         outer = aligned(0, 2, b"", b"", W(xy, "xxxy"), b"", chain)
-        assert obstruction_key(inner, chain, xy.llex) < obstruction_key(outer, chain, xy.llex)
+        assert obstruction_key(inner, xy.llex) < obstruction_key(outer, xy.llex)
 
     def test_total_order_laws(self, xy):
         """Keys are injective and refine the ordering of common words."""
@@ -225,19 +226,42 @@ class TestOrderings:
             pool = []
             for j in range(len(G)):
                 for i in range(j + 1):
-                    pool.extend(nontrivial_obstructions(i, j, G, ordering))
+                    pool.extend(nontrivial_obstructions(i, j, G))
             if len(pool) < 2:
                 continue
             for _ in range(10):
                 a, b = rng.choice(pool), rng.choice(pool)
-                ka, kb = obstruction_key(a, G, ordering), obstruction_key(b, G, ordering)
+                ka, kb = obstruction_key(a, ordering), obstruction_key(b, ordering)
                 assert (ka == kb) == (a == b)
                 if ordering.compare(a.common, b.common) < 0:
                     assert ka < kb
                 checked += 1
 
 
+    def test_key_matches_translated_key_property(self):
+        """Left cofactor lengths order obstructions as the cofactor words do."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        alphabet = Alphabet(["a", "b", "c"])
+        word = st.binary(min_size=1, max_size=6).map(lambda w: bytes(c % 3 for c in w))
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(st.lists(word, min_size=1, max_size=4),
+                          st.permutations(alphabet.symbols))
+        def check(lws, precedence):
+            ordering = LLexOrdering(alphabet, precedence)
+            G = BasisState.from_polynomials([NcPolynomial.from_term(w) for w in lws],
+                                            ordering)
+            pool = [o for j in range(len(G)) for i in range(j + 1)
+                    for o in nontrivial_obstructions(i, j, G)]
+            assert sorted(pool, key=lambda o: obstruction_key(o, ordering)) == \
+                sorted(pool, key=lambda o: translated_obstruction_key(o, ordering))
+
+        check()
+
 class TestClassify:
+    """The reference coverage test behind ``oracles.backward_criterion_reference``."""
+
     def test_two_sided_multiple(self, triple, xy):
         base = aligned(0, 1, W(xy, "xx"), b"", b"", W(xy, "y"), triple)
         o = aligned(0, 1, W(xy, "xyxx"), b"", W(xy, "xy"), W(xy, "y"), triple)
@@ -249,7 +273,7 @@ class TestClassify:
         assert covered(o, G, [])
 
     def test_member_is_multiple_of_itself(self, triple, xy):
-        candidates = nontrivial_obstructions(1, 2, triple, xy.llex)
+        candidates = nontrivial_obstructions(1, 2, triple)
         assert covered(candidates[0], triple, candidates)
 
     def test_missing_base_yields_neither(self, triple, xy):
