@@ -32,7 +32,7 @@ from .polynomial import NcPolynomial, add_scaled, leading, make_monic
 class BasisState:
     """An append-only list of monic generators with cached leading words.
 
-    Two caches serve division (see :mod:`ncgb.division`).
+    Three caches are kept.  Two serve division (see :mod:`ncgb.division`).
     ``divisor_index`` is an Aho-Corasick automaton over a prefix
     ``leading_words[:k]``; division builds it on first use and rebuilds it
     over all leading words once more than ``max(16, k // 4)`` have been
@@ -40,20 +40,31 @@ class BasisState:
     ``normal_words`` is the memo of remainder words: it maps a word to a
     count c such that none of ``leading_words[:c]`` occurs in it; a count
     of at least k lets division skip the automaton and search only
-    ``leading_words[c:]``.  Leading words are only appended
+    ``leading_words[c:]``.  The third serves obstruction construction (see
+    :mod:`ncgb.obstructions`): ``by_prefix`` and ``by_suffix`` map
+    ``hash(affix)`` to the ascending indices k whose leading word has that
+    proper, non-empty prefix or suffix.  They are keyed by hash rather
+    than by the affix itself because the affixes of one word of length n
+    hold about n**2 letters (16 MB for n = 4,000) while their hashes take
+    O(n); construction checks every candidate, so a collision only adds a
+    candidate that fails the check.  Leading words are only appended
     (``interreduce`` builds a new state and replaces generators, never
-    leading words), so neither cache ever becomes wrong.  ``append``
-    rejects zero; division checks a generator for zero only at the step
-    that applies it.
+    leading words), so no cache ever becomes wrong; ``append`` indexes the
+    affixes last, and an interrupt can leave only the newest word partly
+    indexed, after which nothing constructs.  ``append`` rejects zero;
+    division checks a generator for zero only at the step that applies it.
     """
 
-    __slots__ = ("generators", "leading_words", "normal_words", "divisor_index")
+    __slots__ = ("generators", "leading_words", "normal_words", "divisor_index",
+                 "by_prefix", "by_suffix")
 
     def __init__(self):
         self.generators = []
         self.leading_words = []
         self.normal_words = {}
         self.divisor_index = None
+        self.by_prefix = {}
+        self.by_suffix = {}
 
     @classmethod
     def from_polynomials(cls, polys, ordering):
@@ -71,7 +82,13 @@ class BasisState:
         # every generator with its leading word, which interreduce needs
         self.leading_words.append(lw)
         self.generators.append(f)
-        return len(self.generators) - 1
+        k = len(self.generators) - 1
+        for n in range(1, len(lw)):
+            for index, affix in ((self.by_prefix, lw[:n]), (self.by_suffix, lw[-n:])):
+                ks = index.setdefault(hash(affix), [])
+                if not ks or ks[-1] != k:  # two affixes of lw may share a hash
+                    ks.append(k)
+        return k
 
     def __len__(self):
         return len(self.generators)
@@ -164,9 +181,7 @@ def obstruction_batch(s: int, G: BasisState, trunc=None):
     by ascending offset, and the number whose common word is longer than
     ``trunc``.
     """
-    news = []
-    for i in range(s + 1):
-        news.extend(nontrivial_obstructions(i, s, G))
+    news = nontrivial_obstructions(s, G)
     if trunc is None:
         return news, 0
     kept = [n for n in news if len(n.common) <= trunc]

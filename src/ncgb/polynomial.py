@@ -245,6 +245,8 @@ class _Parser:
     def factor(self):
         kind, text, col = self.next()
         if kind == "num":
+            if "/" not in text:
+                return int(text), b""
             try:
                 return Fraction(text.replace(" ", "")), b""
             except ZeroDivisionError:
@@ -254,9 +256,9 @@ class _Parser:
                 letter = self.alphabet.index(text)
             except KeyError:
                 self.fail(f"undeclared variable {_shown(text)}", (kind, text, col))
-            return Fraction(1), self.power(bytes([letter]))
+            return 1, self.power(bytes([letter]))
         if kind == "op" and text == "(":
-            return Fraction(1), self.power(self.group_word())
+            return 1, self.power(self.group_word())
         self.fail("expected a coefficient, variable or '('", (kind, text, col))
 
     def group_word(self):

@@ -163,6 +163,10 @@ def overlaps(w1: bytes, w2: bytes) -> list[int]:
     Only placements that share at least one letter count, so d runs over
     ``-len(w2) < d < len(w1)``; the offsets come back ascending.  For
     identical words d = 0 is the full coincidence and -d mirrors d.
+
+    This is the pairwise form, kept for the benchmark's micro-timings.
+    Completion does not call it: it builds whole batches through the affix
+    index of :class:`ncgb.engine.BasisState`.
     """
     if not w1 or not w2:
         raise ValueError("overlap enumeration needs non-empty words")

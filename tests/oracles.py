@@ -78,6 +78,17 @@ def nontrivial_obstructions_brute(i, j, G):
     return found
 
 
+def batch_brute(s, G):
+    """(i, wi, wi2, wj, wj2) over the pairs (i, s), i <= s, by source, then offset.
+
+    The pairwise alignment search of :func:`nontrivial_obstructions_brute`
+    run once per source; the offset is ``len(wj) - len(wi)``.
+    """
+    return [(i,) + t for i in range(s + 1)
+            for t in sorted(nontrivial_obstructions_brute(i, s, G),
+                            key=lambda t: len(t[2]) - len(t[0]))]
+
+
 def aligned(i, j, wi, wi2, wj, wj2, G) -> Obstruction:
     """Build an obstruction, checking that the two placements spell the same word."""
     common = wi + G.leading_words[i] + wi2

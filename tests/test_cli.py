@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,18 @@ class TestProblemFiles:
         path = tmp_path / "bad.prob"
         path.write_text("vars a\ngens a + 1\n")
         with pytest.raises(ProblemError):
+            parse_problem(path)
+
+    def test_coefficients_stay_int_while_integral(self, tmp_path):
+        # TestRun::test_zero_denominator_diagnostic runs 1/0 through ncgb run
+        path = tmp_path / "p.prob"
+        path.write_text("vars a b\ngen 3*a - 6/3*b + 1/2\n")
+        [f] = parse_problem(path).generators
+        coeffs = dict(f.items())
+        assert [(type(c), c) for c in (coeffs[b"\0"], coeffs[b"\1"], coeffs[b""])] == \
+            [(int, 3), (int, -2), (Fraction, Fraction(1, 2))]
+        path.write_text("vars a b\ngen a - 1/0\n")
+        with pytest.raises(ProblemError, match="zero denominator"):
             parse_problem(path)
 
     def test_order_permutes_precedence(self, tmp_path):

@@ -1,6 +1,7 @@
 """The completion loop, interreduction, verification and bookkeeping."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -24,7 +25,7 @@ from ncgb.obstructions import nontrivial_obstructions, s_polynomial
 from ncgb.polynomial import NcPolynomial, add_scaled, leading, parse_polynomial, sandwich
 from ncgb.corpus import problem_path
 from ncgb.cli import parse_problem
-from oracles import aligned, assert_removals_dominated, validate_division
+from oracles import aligned, assert_removals_dominated, batch_brute, validate_division
 
 
 def polys(texts, alphabet):
@@ -77,6 +78,20 @@ class TestBasisState:
     def test_zero_rejected(self, xy):
         with pytest.raises(ValueError):
             BasisState().append(NcPolynomial.zero(), xy.llex)
+
+    def test_affix_index_is_linear_in_word_length(self, ab):
+        # keyed by the affixes themselves, the index of one 4,000-letter
+        # leading word would hold about 16 MB of prefixes and suffixes
+        f = parse_polynomial("(a*b)^2000 - a", ab)
+        tracemalloc.start()
+        try:
+            G = BasisState()
+            G.append(f, ab.llex)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(G.by_prefix) == len(G.by_suffix) == 3999
+        assert kept < 4_000_000
 
 
 class TestSelection:
@@ -385,11 +400,39 @@ def test_obstruction_batch_is_every_pair_within_the_bound(xy):
     G = BasisState.from_polynomials(polys(["x*y*x - y", "y*x*y - x", "x*x*y - y"], xy),
                                     xy.llex)
     for s in range(len(G)):
-        pairs = [o for i in range(s + 1) for o in nontrivial_obstructions(i, s, G)]
-        assert obstruction_batch(s, G) == (pairs, 0)
+        news = nontrivial_obstructions(s, G)
+        assert [(o.i, o.wi, o.wi2, o.wj, o.wj2) for o in news] == batch_brute(s, G)
+        assert obstruction_batch(s, G) == (news, 0)
         for trunc in range(3, 7):
-            kept = [o for o in pairs if len(o.common) <= trunc]
-            assert obstruction_batch(s, G, trunc) == (kept, len(pairs) - len(kept))
+            kept = [o for o in news if len(o.common) <= trunc]
+            assert obstruction_batch(s, G, trunc) == (kept, len(news) - len(kept))
+
+
+@pytest.mark.parametrize("name,trunc", [("g09", None), ("braid4", 6)])
+def test_construction_called_once_per_batch(name, trunc, monkeypatch):
+    """Construction goes through ``engine.nontrivial_obstructions``, once per batch.
+
+    The benchmark's tracer wraps that module global and counts ``tot`` as
+    the summed lengths of its results.
+    """
+    problem = parse_problem(problem_path(name))
+    calls = []
+    build = engine.nontrivial_obstructions
+
+    def counted(s, G):
+        batch = build(s, G)
+        calls.append(len(batch))
+        return batch
+
+    monkeypatch.setattr(engine, "nontrivial_obstructions", counted)
+    G, st = buchberger(problem.generators,
+                       EngineConfig(ordering=problem.ordering, truncation_degree=trunc))
+    assert len(calls) == st.gb_size == len(G)
+    assert sum(calls) == st.tot
+    calls.clear()
+    reduced = interreduce(G, problem.ordering)
+    assert verify_groebner(reduced, problem.ordering, trunc) == (True, [])
+    assert len(calls) == len(reduced)
 
 
 def test_random_small_ideals_mode_equivalence(xy):

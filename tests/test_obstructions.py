@@ -1,15 +1,21 @@
 """Obstruction construction, ordering, classification and S-polynomials."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+import ncgb.engine as engine
+import ncgb.obstructions as obstructions
+from ncgb.cli import parse_problem
+from ncgb.corpus import problem_path
 from ncgb.engine import BasisState
 from ncgb.obstructions import nontrivial_obstructions, obstruction_key, s_polynomial
 from ncgb.polynomial import NcPolynomial, add_scaled, leading, parse_polynomial, sandwich
 from ncgb.words import Alphabet, LLexOrdering
 from oracles import (
     aligned,
+    batch_brute,
     covered,
     has_overlap,
     nontrivial_obstructions_brute,
@@ -18,6 +24,14 @@ from oracles import (
 )
 
 W = lambda alphabet, text: alphabet.word(text)
+
+# the benchmark's reference bases: every triangle problem and two braid bases
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+def pair(i, j, G):
+    """The obstructions of the pair (i, j): target j's batch filtered by source."""
+    return [o for o in nontrivial_obstructions(j, G) if o.i == i]
 
 
 def basis(texts, alphabet):
@@ -69,33 +83,32 @@ class TestSPolynomial:
         for _ in range(400):
             G = random_basis(rng, ordering, 2, rng.randint(1, 3), max_degree=4)
             for j in range(len(G)):
-                for i in range(j + 1):
-                    for o in nontrivial_obstructions(i, j, G):
-                        S = s_polynomial(o, G, ordering)
-                        if S:
-                            _, w = leading(S, ordering)
-                            assert ordering.compare(w, o.common) == -1
+                for o in nontrivial_obstructions(j, G):
+                    S = s_polynomial(o, G, ordering)
+                    if S:
+                        _, w = leading(S, ordering)
+                        assert ordering.compare(w, o.common) == -1
 
 
 class TestNontrivialObstructions:
     def test_prefix_overlap_found(self, triple, xy):
-        got = nontrivial_obstructions(0, 2, triple)
+        got = pair(0, 2, triple)
         assert (W(xy, "xyxx"), b"", b"", W(xy, "yy")) in \
             {(o.wi, o.wi2, o.wj, o.wj2) for o in got}
 
     def test_self_border(self, xy):
         G = basis(["x*y*x^2*y - 1"], xy)
-        got = nontrivial_obstructions(0, 0, G)
+        got = pair(0, 0, G)
         assert [(o.wi, o.wi2, o.wj, o.wj2) for o in got] == \
             [(b"", W(xy, "xxy"), W(xy, "xyx"), b"")]
 
     def test_disjoint_letters_have_none(self, xy):
         G = basis(["x - 1", "y - 1"], xy)
-        assert nontrivial_obstructions(0, 1, G) == []
+        assert pair(0, 1, G) == []
 
     def test_equal_leading_words(self, xy):
         G = basis(["x*y*x - 1", "x*y*x - y"], xy)
-        got = nontrivial_obstructions(0, 1, G)
+        got = pair(0, 1, G)
         tuples = {(o.wi, o.wi2, o.wj, o.wj2) for o in got}
         # the coinciding placement once, plus both border orientations
         assert (b"", b"", b"", b"") in tuples
@@ -106,13 +119,15 @@ class TestNontrivialObstructions:
     def test_out_of_range(self, xy):
         G = basis(["x - 1"], xy)
         with pytest.raises(IndexError):
-            nontrivial_obstructions(0, 1, G)
+            nontrivial_obstructions(1, G)
+        with pytest.raises(IndexError):
+            nontrivial_obstructions(-1, G)
 
     def test_returned_in_ascending_order(self, triple, xy):
         for j in range(len(triple)):
             for i in range(j + 1):
                 offsets = [len(o.wj) - len(o.wi)
-                           for o in nontrivial_obstructions(i, j, triple)]
+                           for o in pair(i, j, triple)]
                 assert all(a < b for a, b in zip(offsets, offsets[1:]))
 
     def test_against_alignment_enumeration(self, xy):
@@ -124,7 +139,7 @@ class TestNontrivialObstructions:
             for j in range(len(G)):
                 for i in range(j + 1):
                     got = {(o.wi, o.wi2, o.wj, o.wj2)
-                           for o in nontrivial_obstructions(i, j, G)}
+                           for o in pair(i, j, G)}
                     assert got == nontrivial_obstructions_brute(i, j, G)
                     checked += 1
         assert checked >= 1000
@@ -147,7 +162,7 @@ class TestNontrivialObstructions:
             G = BasisState.from_polynomials([NcPolynomial.from_term(w1),
                                              NcPolynomial.from_term(w2)], ordering)
             for i, j in ((0, 0), (0, 1), (1, 1)):
-                got = nontrivial_obstructions(i, j, G)
+                got = pair(i, j, G)
                 assert {(o.wi, o.wi2, o.wj, o.wj2) for o in got} == \
                     nontrivial_obstructions_brute(i, j, G)
                 for o in got:
@@ -157,6 +172,67 @@ class TestNontrivialObstructions:
                 assert all(a < b for a, b in zip(offsets, offsets[1:]))
 
         check()
+
+
+    def test_batch_matches_pairwise_oracle_property(self):
+        """Every batch, pair by pair and offset by offset, is the brute-force search.
+
+        Random 1- to 3-letter bases with duplicated leading words, words that
+        contain earlier ones, periodic words (self overlaps) and constants;
+        every s, so also the batches of a basis that has grown past s.
+        """
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        orderings = {n: Alphabet(["a", "b", "c"][:n]).llex for n in (1, 2, 3)}
+        word = st.binary(max_size=6)
+        recipe = st.tuples(st.sampled_from(["fresh", "copy", "around", "periodic", "one"]),
+                           word, word, st.integers(0, 20))
+
+        @hypothesis.settings(max_examples=500, deadline=None, database=None)
+        @hypothesis.given(st.sampled_from([1, 2, 3]), st.lists(recipe, min_size=1, max_size=6))
+        def check(nletters, recipes):
+            lws = []
+            for how, u, v, k in recipes:
+                u, v = (bytes(c % nletters for c in w) for w in (u, v))
+                earlier = lws[k % len(lws)] if lws else u
+                lws.append({"fresh": u, "copy": earlier, "around": u + earlier + v,
+                            "periodic": (u * 4)[:2 * len(u) + k % (len(u) or 1)],
+                            "one": b""}[how])
+            G = BasisState.from_polynomials([NcPolynomial.from_term(w) for w in lws],
+                                            orderings[nletters])
+            for s in range(len(G)):
+                got = nontrivial_obstructions(s, G)
+                assert [(o.i, o.wi, o.wi2, o.wj, o.wj2) for o in got] == batch_brute(s, G)
+                assert all(o.j == s and o.common == o.wi + lws[o.i] + o.wi2 for o in got)
+
+        check()
+
+    def test_affix_hash_collisions_are_harmless(self, xy, monkeypatch):
+        """With every affix hashing alike, the index changes no batch.
+
+        The index is keyed by hash, so a lookup may list sources that lack
+        the affix, and one word may enter a list under several affixes.
+        """
+        for module in (engine, obstructions):
+            monkeypatch.setattr(module, "hash", lambda affix: 0, raising=False)
+        rng = random.Random(23)
+        for _ in range(300):
+            G = random_basis(rng, xy.llex, 2, rng.randint(1, 5), max_degree=5)
+            assert set(G.by_prefix) <= {0} and set(G.by_suffix) <= {0}
+            for s in range(len(G)):
+                got = nontrivial_obstructions(s, G)
+                assert [(o.i, o.wi, o.wi2, o.wj, o.wj2) for o in got] == batch_brute(s, G)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", sorted(p.stem for p in REFERENCES.glob("*.prob")))
+    def test_reference_bases_match_pairwise_oracle(self, name):
+        problem = parse_problem(problem_path(name.split("_")[0]))
+        basis_file = parse_problem(REFERENCES / f"{name}.prob",
+                                   base_alphabet=problem.alphabet)
+        G = BasisState.from_polynomials(basis_file.generators, problem.ordering)
+        for s in range(len(G)):
+            got = nontrivial_obstructions(s, G)
+            assert [(o.i, o.wi, o.wi2, o.wj, o.wj2) for o in got] == batch_brute(s, G)
 
 
 class TestHasOverlap:
@@ -172,9 +248,8 @@ class TestHasOverlap:
         for _ in range(300):
             G = random_basis(rng, ordering, 2, rng.randint(1, 3), max_degree=4)
             for j in range(len(G)):
-                for i in range(j + 1):
-                    for o in nontrivial_obstructions(i, j, G):
-                        assert has_overlap(o, G)
+                for o in nontrivial_obstructions(j, G):
+                    assert has_overlap(o, G)
 
     def test_shifted_products_do_not_overlap(self, xy):
         G = basis(["x - 1", "y - 1"], xy)
@@ -223,10 +298,7 @@ class TestOrderings:
         checked = 0
         while checked < 1000:
             G = random_basis(rng, ordering, 2, rng.randint(2, 4), max_degree=4)
-            pool = []
-            for j in range(len(G)):
-                for i in range(j + 1):
-                    pool.extend(nontrivial_obstructions(i, j, G))
+            pool = [o for j in range(len(G)) for o in nontrivial_obstructions(j, G)]
             if len(pool) < 2:
                 continue
             for _ in range(10):
@@ -252,8 +324,7 @@ class TestOrderings:
             ordering = LLexOrdering(alphabet, precedence)
             G = BasisState.from_polynomials([NcPolynomial.from_term(w) for w in lws],
                                             ordering)
-            pool = [o for j in range(len(G)) for i in range(j + 1)
-                    for o in nontrivial_obstructions(i, j, G)]
+            pool = [o for j in range(len(G)) for o in nontrivial_obstructions(j, G)]
             assert sorted(pool, key=lambda o: obstruction_key(o, ordering)) == \
                 sorted(pool, key=lambda o: translated_obstruction_key(o, ordering))
 
@@ -273,7 +344,7 @@ class TestClassify:
         assert covered(o, G, [])
 
     def test_member_is_multiple_of_itself(self, triple, xy):
-        candidates = nontrivial_obstructions(1, 2, triple)
+        candidates = pair(1, 2, triple)
         assert covered(candidates[0], triple, candidates)
 
     def test_missing_base_yields_neither(self, triple, xy):
