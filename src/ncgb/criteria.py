@@ -4,9 +4,16 @@ already covered by smaller ones.
 The three criteria are the free-algebra forms of Gebauer and Moeller's
 M, F and B, and the engine always applies them in that order.  The
 multiply and leading-word criteria work inside one batch of newly
-constructed obstructions (all targeting the newest generator); the
-leading-word criterion runs on the multiply criterion's survivors, where
-it reduces to a group minimum.  The backward criterion then prunes the
+constructed obstructions (all targeting the newest generator).  The
+multiply criterion splits the batch by the shape of its target
+cofactors: a member with an empty right cofactor can only be justified
+by another such member whose left cofactor is a proper suffix of its own
+(the longest one present), a member with an empty left cofactor by one
+whose right cofactor is a proper prefix of its own (the shortest one
+present), and each side is one sorted scan over a chain of prefixes;
+only the rare members with both cofactors non-empty probe every cut.
+The leading-word criterion runs on the multiply criterion's survivors,
+where it reduces to a group minimum.  The backward criterion then prunes the
 pending set using the newest generator; since a non-trivial obstruction
 of a pair is fixed by its offset, it is a lookup of the two induced
 offsets in the surviving batch.  Every removal here preserves the
@@ -38,6 +45,48 @@ def _single_target(batch):
             raise ValueError("obstruction batch mixes target indices")
 
 
+def _chain_justifiers(keys, positions, just, longest):
+    """Justify each key by a distinct shorter key that is a prefix of it.
+
+    ``keys[r]`` belongs to batch position ``positions[r]``.  The keys are
+    visited in sorted order, stably, so equal keys keep batch order; the
+    stack then holds the chain of distinct keys that are prefixes of the
+    current one, each with the batch position of its first copy.  A new
+    key is justified by the top of that chain (``longest``) or by its
+    bottom; a later copy of a key takes its first copy's justifier.
+    ``just`` maps batch positions to justifying batch positions.
+    """
+    stack = []
+    pick = -1 if longest else 0
+    for r in sorted(range(len(keys)), key=keys.__getitem__):
+        key = keys[r]
+        while stack and not key.startswith(stack[-1][0]):
+            stack.pop()
+        p = positions[r]
+        if stack and stack[-1][0] == key:
+            just[p] = just[stack[-1][1]]
+            continue
+        if stack:
+            just[p] = stack[pick][1]
+        stack.append((key, p))
+
+
+def _first_cut(u, u2, by_cof):
+    """The value of ``by_cof`` at the first proper cut (u[a:], u2[:c]), or None.
+
+    Cuts go a = 0, 1, ... outside and c = 0, 1, ... inside, skipping
+    (u, u2) itself.
+    """
+    for a in range(len(u) + 1):
+        v = u[a:]
+        for c in range(len(u2) + 1):
+            if a or c < len(u2):
+                hit = by_cof.get((v, u2[:c]))
+                if hit is not None:
+                    return hit
+    return None
+
+
 def multiply_criterion(news) -> CriteriaReport:
     """Drop every obstruction whose target cofactors strictly extend another's.
 
@@ -46,33 +95,53 @@ def multiply_criterion(news) -> CriteriaReport:
     u2 = v2*w2 with w, w2 not both empty.  Divisor chains compose, so
     testing against the full input batch removes exactly the same set as a
     largest-first sweep in which removed entries stop justifying.
+
+    The justifier is the first batch member with the first (v, v2) hit in
+    the cut order: w shortest first, then w2 longest first.  Almost every
+    member is one-sided, and a one-sided member can only be justified by
+    its own side, ("", "") belonging to both:
+
+    * (u, "") by the longest proper suffix v of u with a member (v, "");
+      reversed left cofactors make those suffixes prefixes;
+    * ("", u2) by the shortest proper prefix v2 of u2 with a member
+      ("", v2).
+
+    Each side is one sorted prefix-chain scan (:func:`_chain_justifiers`).
+    Members with equal cofactors do not justify each other: a later copy
+    goes exactly when its first copy does, with the same justifier.  Only
+    members with both cofactors non-empty probe every cut against a dict
+    of all the batch's cofactor pairs.
     """
     news = list(news)
     if not news:
         return CriteriaReport([])
     _single_target(news)
-    by_cof = {}
-    for o in news:
-        by_cof.setdefault((o.wj, o.wj2), o)
-    survivors, removed = [], []
-    for o in news:
+    left, left_at, right, right_at, two_sided = [], [], [], [], []
+    for p, o in enumerate(news):
         u, u2 = o.wj, o.wj2
-        just = None
-        for a in range(len(u) + 1):
-            v = u[a:]
-            for c in range(len(u2) + 1):
-                if a == 0 and c == len(u2):
-                    continue
-                hit = by_cof.get((v, u2[:c]))
-                if hit is not None:
-                    just = hit
-                    break
-            if just is not None:
-                break
-        if just is None:
+        if not u2:
+            left.append(u[::-1])
+            left_at.append(p)
+        if not u:
+            right.append(u2)
+            right_at.append(p)
+        if u and u2:
+            two_sided.append(p)
+    just = [None] * len(news)
+    _chain_justifiers(left, left_at, just, longest=True)
+    _chain_justifiers(right, right_at, just, longest=False)
+    if two_sided:
+        by_cof = {}
+        for p, o in enumerate(news):
+            by_cof.setdefault((o.wj, o.wj2), p)
+        for p in two_sided:
+            just[p] = _first_cut(news[p].wj, news[p].wj2, by_cof)
+    survivors, removed = [], []
+    for o, p in zip(news, just):
+        if p is None:
             survivors.append(o)
         else:
-            removed.append((o, just))
+            removed.append((o, news[p]))
     return CriteriaReport(survivors, removed_m=len(removed), removed=removed)
 
 

@@ -14,6 +14,7 @@ shared with the command line lives here as ``parse_polynomial`` /
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .words import Alphabet, LLexOrdering
@@ -245,12 +246,15 @@ class _Parser:
     def factor(self):
         kind, text, col = self.next()
         if kind == "num":
-            if "/" not in text:
-                return int(text), b""
             try:
-                return Fraction(text.replace(" ", "")), b""
+                if "/" not in text:
+                    return int(text), b""
+                return Fraction("".join(text.split())), b""
             except ZeroDivisionError:
                 self.fail("zero denominator", (kind, text, col))
+            except ValueError:  # the interpreter's limit on digits converted
+                self.fail(f"coefficient longer than {sys.get_int_max_str_digits()} digits",
+                          (kind, text, col))
         if kind == "name":
             try:
                 letter = self.alphabet.index(text)

@@ -128,6 +128,40 @@ def covered(o, G, candidates) -> bool:
     return False
 
 
+def multiply_criterion_reference(news):
+    """The multiply criterion by probing every cut of the target cofactors.
+
+    For each member (u, u2) the cuts (u[a:], u2[:c]) go a = 0, 1, ...
+    outside and c = 0, 1, ... inside, skipping (u, u2) itself; the first
+    cut that is the cofactor pair of a batch member removes it, justified
+    by the first such member in batch order.
+    """
+    news = list(news)
+    by_cof = {}
+    for o in news:
+        by_cof.setdefault((o.wj, o.wj2), o)
+    survivors, removed = [], []
+    for o in news:
+        u, u2 = o.wj, o.wj2
+        just = None
+        for a in range(len(u) + 1):
+            v = u[a:]
+            for c in range(len(u2) + 1):
+                if a == 0 and c == len(u2):
+                    continue
+                hit = by_cof.get((v, u2[:c]))
+                if hit is not None:
+                    just = hit
+                    break
+            if just is not None:
+                break
+        if just is None:
+            survivors.append(o)
+        else:
+            removed.append((o, just))
+    return CriteriaReport(survivors, removed_m=len(removed), removed=removed)
+
+
 def backward_criterion_reference(B, news, s, G):
     """The backward criterion by building both induced obstructions.
 

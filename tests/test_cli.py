@@ -219,6 +219,18 @@ class TestRun:
         assert err.endswith(f"{path}:2:3: power longer than 65536 letters, "
                             "got '99999999999999999999…'\n")
 
+    @pytest.mark.parametrize("coeff", ["1" * 5000, "1/" + "3" * 5000])
+    def test_long_coefficient_diagnostic(self, tmp_path, capsys, coeff):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not 0 < limit < 5000:
+            pytest.skip("this interpreter converts 5,000 digits")
+        path = tmp_path / "t.prob"
+        path.write_text(f"vars a b\ngen {coeff}*a - b\n")
+        code, out, err = run_main(["run", str(path)], capsys)
+        assert code == EXIT_ERROR and out == ""
+        assert err == (f"error: {path}:2:1: coefficient longer than {limit} digits, "
+                       f"got '{coeff[:20]}…'\n")
+
     def test_non_utf8_file_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "bad.prob"
         path.write_bytes(b"\xff\xfevars a\n")

@@ -4,20 +4,25 @@ import random
 
 import pytest
 
+import ncgb.engine as engine
+from ncgb.cli import parse_problem
+from ncgb.corpus import problem_path
 from ncgb.criteria import (
     backward_criterion,
     leading_word_criterion,
     multiply_criterion,
 )
-from ncgb.engine import BasisState
+from ncgb.engine import BasisState, EngineConfig, buchberger
 from ncgb.obstructions import nontrivial_obstructions, obstruction_key, s_polynomial
-from ncgb.polynomial import add_scaled, parse_polynomial, sandwich
+from ncgb.polynomial import NcPolynomial, add_scaled, parse_polynomial, sandwich
 from ncgb.words import Alphabet
 from oracles import (
     aligned,
     assert_removals_dominated,
     backward_criterion_reference,
+    multiply_criterion_reference,
     random_basis,
+    random_word,
 )
 
 
@@ -74,6 +79,120 @@ class TestMultiplyCriterion:
 
     def test_empty_batch(self, triple, xy):
         assert multiply_criterion([]).survivors == []
+
+
+    def test_left_side_takes_longest_suffix(self, ab):
+        # (aa, "") has the proper suffixes a and "" in the batch
+        G = basis(["a*a*b - 1", "a*b - 1", "b + 1", "b - 1"], ab)
+        news = [aligned(0, 3, b"", b"", ab.word("aa"), b"", G),
+                aligned(1, 3, b"", b"", ab.word("a"), b"", G),
+                aligned(2, 3, b"", b"", b"", b"", G)]
+        rep = multiply_criterion(news)
+        assert rep.removed == [(news[0], news[1]), (news[1], news[2])]
+
+    def test_right_side_takes_shortest_prefix(self, ab):
+        # ("", aa) has the proper prefixes a and "" in the batch
+        G = basis(["b*a*a - 1", "b*a - 1", "b + 1", "b - 1"], ab)
+        news = [aligned(0, 3, b"", b"", b"", ab.word("aa"), G),
+                aligned(1, 3, b"", b"", b"", ab.word("a"), G),
+                aligned(2, 3, b"", b"", b"", b"", G)]
+        rep = multiply_criterion(news)
+        assert rep.removed == [(news[0], news[2]), (news[1], news[2])]
+
+    def test_later_copy_takes_first_copys_justifier(self, ab):
+        # sources 1 and 2 share a leading word, so their target cofactors
+        # are equal; neither copy justifies the other, and an extension of
+        # both is justified by the first copy in batch order
+        G = basis(["a*a*b - 1", "a*b - 1", "a*b - b", "b + 1", "b - 1"], ab)
+        copies = [aligned(1, 4, b"", b"", ab.word("a"), b"", G),
+                  aligned(2, 4, b"", b"", ab.word("a"), b"", G)]
+        longer = aligned(0, 4, b"", b"", ab.word("aa"), b"", G)
+        rep = multiply_criterion([longer] + copies)
+        assert rep.survivors == copies and rep.removed == [(longer, copies[0])]
+        base = aligned(3, 4, b"", b"", b"", b"", G)
+        rep = multiply_criterion(copies + [base])
+        assert rep.removed == [(copies[0], base), (copies[1], base)]
+
+    def test_two_sided_member_probes_every_cut(self, ab):
+        # (a, b) is justified by the one-sided (a, "") before ("", b)
+        G = basis(["a*b*b - 1", "a*b + 1", "b*b - 1", "b - 1"], ab)
+        news = [aligned(0, 3, b"", b"", ab.word("a"), ab.word("b"), G),
+                aligned(2, 3, b"", b"", b"", ab.word("b"), G),
+                aligned(1, 3, b"", b"", ab.word("a"), b"", G)]
+        rep = multiply_criterion(news)
+        assert rep.removed == [(news[0], news[2])]
+        assert rep.removed == multiply_criterion_reference(news).removed
+
+
+def test_multiply_criterion_matches_reference_property():
+    """Per-side prefix-chain scans remove what probing every cut removes.
+
+    Random 1- to 3-letter bases, extended by copies, extensions and factors
+    of earlier leading words so that batches hold equal cofactors, ("", "")
+    and two-sided members; every target s, in construction order and
+    shuffled.  Survivors, removals with their justifiers and the count
+    must all agree.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    orderings = {n: Alphabet(["a", "b", "c"][:n]).llex for n in (1, 2, 3)}
+    seen = {"duplicate": 0, "empty": 0, "two-sided": 0}
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(st.randoms(use_true_random=False), st.sampled_from([1, 2, 3]),
+                      st.integers(1, 4), st.integers(0, 3))
+    def check(rng, nletters, size, extra):
+        ordering = orderings[nletters]
+        G = random_basis(rng, ordering, nletters, size, max_degree=4)
+        for _ in range(extra):
+            lw = rng.choice(G.leading_words)
+            how = rng.choice(["copy", "extension", "factor"])
+            if how == "extension":
+                lw = (random_word(rng, nletters, 0, 2) + lw
+                      + random_word(rng, nletters, 0, 2))
+            elif how == "factor" and lw:
+                start = rng.randrange(len(lw))
+                lw = lw[start:rng.randint(start + 1, len(lw))]
+            G.append(NcPolynomial({lw: 1, b"": 1} if lw else {b"": 1}), ordering)
+        for s in range(len(G)):
+            news = news_batch(G, s)
+            shuffled = list(news)
+            rng.shuffle(shuffled)
+            for batch in (news, shuffled):
+                got = multiply_criterion(batch)
+                want = multiply_criterion_reference(batch)
+                assert got.survivors == want.survivors
+                assert got.removed == want.removed
+                assert got.removed_m == want.removed_m
+            cofactors = [(o.wj, o.wj2) for o in news]
+            seen["duplicate"] += len(set(cofactors)) < len(cofactors)
+            seen["empty"] += (b"", b"") in cofactors
+            seen["two-sided"] += any(u and u2 for u, u2 in cofactors)
+
+    check()
+    assert all(seen.values()), seen
+
+
+@pytest.mark.slow
+def test_multiply_criterion_matches_reference_on_corpus(monkeypatch):
+    """Every batch completion hands to m, on g01-g13 and braid4 at trunc 6."""
+    batches = []
+
+    def record(news):
+        batches.append(list(news))
+        return multiply_criterion(news)
+
+    monkeypatch.setattr(engine, "multiply_criterion", record)
+    runs = [(f"g{k:02d}", None) for k in range(1, 14)] + [("braid4", 6)]
+    for name, trunc in runs:
+        problem = parse_problem(problem_path(name))
+        buchberger(problem.generators,
+                   EngineConfig(ordering=problem.ordering, truncation_degree=trunc))
+    assert len(batches) > len(runs)
+    for batch in batches:
+        got, want = multiply_criterion(batch), multiply_criterion_reference(batch)
+        assert got.survivors == want.survivors
+        assert got.removed == want.removed and got.removed_m == want.removed_m
 
 
 class TestLeadingWordCriterion:

@@ -159,6 +159,7 @@ class TestParsing:
 
     def test_whitespace_insignificant(self, ab):
         assert poly(" a ^ 2 * b - 1 / 2 ", ab) == poly("a^2*b-1/2", ab)
+        assert poly("a - 1\t/\t2", ab) == poly("a-1/2", ab)
 
     def test_nested_groups(self, ab):
         assert poly("((a*b)^2*b)^2", ab) == \
