@@ -1,12 +1,15 @@
 """Completion engine: enumerate a two-sided Groebner basis from generators.
 
-Two procedures share one loop.  The improved one passes each batch of
-newly constructed obstructions through the criteria in a fixed order: the
-multiply and then the leading-word criterion thin the batch, then the
-backward criterion prunes the pending set, before the survivors are
-merged.  The basic one reduces every non-trivial obstruction.  Both
-enumerate the same basis and differ only in how many S-polynomials they
-reduce.
+Two procedures share one loop.  Each new generator s brings a batch of
+non-trivial obstructions, found as offset pairs (i, d) (see
+:mod:`ncgb.obstructions`); the truncation bound is decided on the pairs
+from the lengths alone.  The improved procedure passes the batch through
+the criteria in a fixed order: the multiply and then the leading-word
+criterion thin the pairs, then the backward criterion prunes the pending
+set.  Only the surviving pairs are built into obstructions and merged.
+The basic one builds and reduces every non-trivial obstruction within the
+bound.  Both enumerate the same basis and differ only in how many
+S-polynomials they reduce.
 
 Selection uses the normal strategy: the pending obstruction with the
 smallest common word (degree first) comes next, ties broken by the
@@ -22,6 +25,7 @@ from fractions import Fraction
 from .criteria import backward_criterion, leading_word_criterion, multiply_criterion
 from .division import normal_remainder
 from .obstructions import (
+    build_obstructions,
     nontrivial_obstructions,
     obstruction_key,
     s_polynomial,
@@ -121,10 +125,13 @@ class RunStats:
     """Counters for one run; the removal counts partition the constructed total.
 
     ``tail`` keeps the paper's column in the statistics row; this engine has
-    no tail criterion, so it is always 0.
+    no tail criterion, so it is always 0.  ``built`` counts the obstruction
+    tuples completion makes, ``tot - truncated_discards - m - f`` (``tot -
+    truncated_discards`` in the basic procedure); it is not in the row.
     """
 
     tot: int = 0
+    built: int = 0
     sel: int = 0
     m: int = 0
     f: int = 0
@@ -177,22 +184,26 @@ class ObstructionQueue:
 def obstruction_batch(s: int, G: BasisState, trunc=None):
     """The non-trivial obstructions of the pairs (i, s), i <= s, that fit the bound.
 
-    Returns (obstructions, cut): the obstructions pair by pair, each pair's
-    by ascending offset, and the number whose common word is longer than
-    ``trunc``.
+    Returns (pairs, cut): the offset pairs (i, d), sorted, and the number
+    whose common word is longer than ``trunc``.  With a = len(lw(g_i)) and
+    b = len(lw(g_s)) the common word has length max(-d, 0) + max(a, b + d),
+    so nothing is built to decide the bound.
     """
-    news = nontrivial_obstructions(s, G)
+    pairs = nontrivial_obstructions(s, G)
     if trunc is None:
-        return news, 0
-    kept = [n for n in news if len(n.common) <= trunc]
-    return kept, len(news) - len(kept)
+        return pairs, 0
+    lws = G.leading_words
+    b = len(lws[s])
+    kept = [(i, d) for i, d in pairs
+            if (-d if d < 0 else 0) + max(len(lws[i]), b + d) <= trunc]
+    return kept, len(pairs) - len(kept)
 
 
 def buchberger(G0, cfg: EngineConfig):
     """Run completion on the given generators; returns (basis, stats).
 
     Input generators are absorbed one at a time through the same
-    construct-and-prune step the loop uses for new basis elements, so the
+    find, prune and build step the loop uses for new basis elements, so the
     criteria already thin the initial obstructions.  The returned basis is
     the enumerated one, not yet interreduced.  With a truncation degree
     (homogeneous input only) obstructions whose common word exceeds the
@@ -221,22 +232,24 @@ def buchberger(G0, cfg: EngineConfig):
     queue = ObstructionQueue(ordering)
 
     def absorb(f):
-        """Append one generator and merge its pruned obstruction batch."""
+        """Append one generator; prune its batch of pairs, build and merge the rest."""
         s = G.append(f, ordering)
         news, cut = obstruction_batch(s, G, trunc)
         stats.tot += len(news) + cut
         stats.truncated_discards += cut
         if cfg.criteria:
-            rep = multiply_criterion(news)
+            rep = multiply_criterion(news, s, G)
             stats.m += rep.removed_m
-            rep = leading_word_criterion(rep.survivors)
+            rep = leading_word_criterion(rep.survivors, s, G)
             stats.f += rep.removed_f
             news = rep.survivors
             rep = backward_criterion(queue.live(), news, s, G)
             stats.bk += rep.removed_bk
             for dead, _ in rep.removed:
                 queue.discard(dead)
-        for n in news:
+        built = build_obstructions(s, G, news)
+        stats.built += len(built)
+        for n in built:
             queue.push(n)
 
     try:
@@ -309,7 +322,7 @@ def verify_groebner(G: BasisState, ordering, truncation=None):
     if truncation is not None and not all(f.is_homogeneous() for f in G):
         raise ValueError("truncation requires homogeneous generators")
     for s in range(len(G)):
-        batch = obstruction_batch(s, G, truncation)[0]
+        batch = build_obstructions(s, G, obstruction_batch(s, G, truncation)[0])
         for o in sorted(batch, key=lambda o: (o.i, obstruction_key(o, ordering))):
             if normal_remainder(s_polynomial(o, G, ordering), G, ordering):
                 return False, [o]

@@ -5,19 +5,23 @@ that wi * lw(g_i) * wi2 == wj * lw(g_j) * wj2.  Its S-polynomial is the
 difference of the two scaled placements, whose top terms cancel.
 
 A non-trivial obstruction is one in which the placed leading words share
-letters, so it is fixed by (i, j, d): the signed offset d =
-len(wj) - len(wi) at which lw(g_j) starts after lw(g_i) (see
-:mod:`ncgb.words`).  The common word is the union of the two placements,
-and the four cofactors are what it leaves on either side of each copy.
+letters, so within the batch of target j it is fixed by the pair (i, d):
+the signed offset d = len(wj) - len(wi) at which lw(g_j) starts after
+lw(g_i) (see :mod:`ncgb.words`).  With a = len(lw(g_i)) and b =
+len(lw(g_j)) the common word has length max(-d, 0) + max(a, b + d), and
+the target cofactors are slices of lw(g_i): wj = lw(g_i)[:d] when d > 0,
+wj2 = lw(g_i)[d + b:] when d + b < a, and empty otherwise.  So the
+truncation bound and the criteria (see :mod:`ncgb.criteria`) decide on
+pairs, and an obstruction is (i, d) until it survives them.
 
-Construction builds the whole batch of one target j at once.  The
-containments come from one ``find`` per pair; the proper overlaps from the
-basis's index of leading-word prefixes and suffixes
-(``BasisState.by_prefix`` and ``by_suffix``), so their cost follows the
-number of obstructions found rather than the number of pairs times the
-word length.  An obstruction is a named tuple: cheap to create, immutable
-and hashable.  The batch lists its pairs by source index and each pair's
-obstructions by ascending offset; the order in which completion selects
+:func:`nontrivial_obstructions` finds the pairs of one target j at once.
+The containments come from one ``find`` per pair; the proper overlaps from
+the basis's index of leading-word prefixes and suffixes (``BasisState``
+``by_prefix`` and ``by_suffix``), so their cost follows the number of
+obstructions found rather than the number of pairs times the word length.
+:func:`build_obstructions` turns the survivors into :class:`Obstruction`
+named tuples, which carry the common word and the four cofactors: cheap to
+create, immutable and hashable.  The order in which completion selects
 them lives in :func:`obstruction_key`.
 """
 
@@ -63,22 +67,20 @@ def s_polynomial(o: Obstruction, G, ordering):
                       sandwich(o.wj, G.generators[o.j], o.wj2))
 
 
-# tuple.__new__ skips the Python-level NamedTuple.__new__ call, about 40%
-# of the cost of creating each obstruction
-_new = tuple.__new__
 
 
-def nontrivial_obstructions(s: int, G) -> list[Obstruction]:
-    """The batch of target s: every overlapping alignment of a pair (i, s), i <= s.
+def nontrivial_obstructions(s: int, G) -> list[tuple[int, int]]:
+    """The batch of target s: the offset pair (i, d) of every overlapping
+    alignment of a pair (i, s), i <= s, sorted.
 
-    Listed by source index i, each pair's by ascending offset d, one per
-    offset at which lw(g_i) and W = lw(g_s) agree.  Containments come from
-    one ``find`` loop per source; a proper overlap puts a proper prefix of
-    W at the end of lw(g_i) (d > 0) or a proper suffix of W at the start
-    of it (d < 0), and the sources with that affix are read off the
-    basis's affix index.  For i == s only positive offsets count: d = 0 is
-    the trivial coincidence and -d mirrors d.  For i < s with equal
-    leading words d = 0 is the all-empty alignment.
+    One pair per offset d at which lw(g_i) and W = lw(g_s) agree.
+    Containments come from one ``find`` loop per source; a proper overlap
+    puts a proper prefix of W at the end of lw(g_i) (d > 0) or a proper
+    suffix of W at the start of it (d < 0), and the sources with that affix
+    are read off the basis's affix index.  For i == s only positive offsets
+    count: d = 0 is the trivial coincidence and -d mirrors d, so s itself
+    takes part only in the suffix loop.  For i < s with equal leading words
+    d = 0 is the all-empty alignment.
     """
     lws = G.leading_words
     if not 0 <= s < len(lws):
@@ -88,7 +90,7 @@ def nontrivial_obstructions(s: int, G) -> list[Obstruction]:
     if not b:
         return []
     found = []
-    for i in range(s + 1):
+    for i in range(s):
         lw = lws[i]
         if len(lw) >= b:  # W inside lw(g_i) at d
             d = lw.find(W)
@@ -112,19 +114,33 @@ def nontrivial_obstructions(s: int, G) -> list[Obstruction]:
                 found.append((i, len(lw) - k))
         tail = W[-k:]
         for i in by_prefix.get(hash(tail), ()):
-            if i > s:
+            if i >= s:
                 break
             lw = lws[i]
             if len(lw) > k and lw.startswith(tail):
                 found.append((i, k - b))
     found.sort()
+    return found
+
+
+# tuple.__new__ skips the Python-level NamedTuple.__new__ call, about 40%
+# of the cost of creating each obstruction
+_new = tuple.__new__
+
+
+def build_obstructions(s: int, G, pairs) -> list[Obstruction]:
+    """The obstruction of target s at each offset pair (i, d), in the given order.
+
+    lw(g_i) sits at x = max(-d, 0) and W = lw(g_s) at y = x + d inside the
+    common word, which W's letters outside lw(g_i) extend on either side.
+    """
+    lws = G.leading_words
+    W = lws[s]
+    b = len(W)
     out = []
-    for i, d in found:
-        if i == s and d <= 0:
-            continue
+    for i, d in pairs:
         lwi = lws[i]
         a = len(lwi)
-        # lw(g_i) sits at x and W at y = x + d inside the common word
         x = -d if d < 0 else 0
         y = x + d
         common = W[:x] + lwi + W[a - d:]

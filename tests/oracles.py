@@ -5,7 +5,8 @@ instead of ``find`` and slice comparison, explicit enumeration of the
 placements in which one leading word starts the common word instead of
 one loop over signed offsets, and raw polynomial arithmetic for
 reconstruction, cofactor words instead of offsets for obstruction
-coverage and order.  Tests assert the library against these, never
+coverage and order, and a letter canvas to build an obstruction from its
+offset.  Tests assert the library against these, never
 against itself.  The contract checks (``validate_division``,
 ``assert_removals_dominated``) recheck a library result against its
 inputs.
@@ -99,6 +100,42 @@ def aligned(i, j, wi, wi2, wj, wj2, G) -> Obstruction:
     return Obstruction(i, j, wi, wi2, wj, wj2, common)
 
 
+def obstruction_at(i, s, d, G) -> Obstruction:
+    """The obstruction of the pair (i, s) at offset d, letter by letter.
+
+    Writes lw(g_i) and lw(g_s) into one canvas, the second starting d
+    letters after the first, and checks that the copies agree and share a
+    position.
+    """
+    lwi, lws = G.leading_words[i], G.leading_words[s]
+    x = max(-d, 0)
+    y = x + d
+    canvas = [None] * max(x + len(lwi), y + len(lws))
+    shared = 0
+    for start, word in ((x, lwi), (y, lws)):
+        for k, letter in enumerate(word):
+            if canvas[start + k] is not None:
+                if canvas[start + k] != letter:
+                    raise ValueError("the two copies disagree at this offset")
+                shared += 1
+            canvas[start + k] = letter
+    if not shared:
+        raise ValueError("the two copies share no position at this offset")
+    common = bytes(canvas)
+    return aligned(i, s, common[:x], common[x + len(lwi):], common[:y],
+                   common[y + len(lws):], G)
+
+
+def built(pairs, s, G):
+    """:func:`obstruction_at` for each offset pair (i, d) of target s."""
+    return [obstruction_at(i, s, d, G) for i, d in pairs]
+
+
+def offset_pair(o):
+    """The (source index, signed offset) pair of a built obstruction."""
+    return o.i, len(o.wj) - len(o.wi)
+
+
 def has_overlap(o, G) -> bool:
     """Whether the two placed leading word copies share a letter position."""
     a = len(o.wi)
@@ -160,6 +197,25 @@ def multiply_criterion_reference(news):
         else:
             removed.append((o, just))
     return CriteriaReport(survivors, removed_m=len(removed), removed=removed)
+
+
+def leading_word_criterion_reference(news):
+    """The leading-word criterion as a group minimum over built obstructions.
+
+    Each member is compared with every member of equal target cofactors;
+    the one with the smallest source index, then the shortest source-side
+    left cofactor, stays and justifies the removal of all the others.
+    """
+    news = list(news)
+    survivors, removed = [], []
+    for o in news:
+        group = [n for n in news if (n.wj, n.wj2) == (o.wj, o.wj2)]
+        best = sorted(group, key=lambda n: (n.i, len(n.wi)))[0]
+        if best == o:
+            survivors.append(o)
+        else:
+            removed.append((o, best))
+    return CriteriaReport(survivors, removed_f=len(removed), removed=removed)
 
 
 def backward_criterion_reference(B, news, s, G):
@@ -236,16 +292,18 @@ def validate_division(result, f, G, ordering):
                 raise AssertionError("remainder exceeds the dividend's leading word")
 
 
-def assert_removals_dominated(report, G, ordering):
+def assert_removals_dominated(report, s, G, ordering):
     """Check that each removal is larger than both obstructions explaining it.
 
-    Applies to the multiply and leading-word criteria; backward removals
-    carry no such guarantee.  Raises AssertionError on violation.
+    Applies to the multiply and leading-word criteria, whose reports hold
+    offset pairs of target s; backward removals carry no such guarantee.
+    Raises AssertionError on violation.
     """
     def key(o):
         return obstruction_key(o, ordering)
 
     for o, just in report.removed:
+        o, just = built([o, just], s, G)
         if key(o) <= key(just):
             raise AssertionError(f"removed {o!r} does not dominate its justifier")
         w = o.wj[:len(o.wj) - len(just.wj)]

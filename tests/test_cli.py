@@ -1,5 +1,6 @@
 """The batch front end: problem files, run output, verification."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -112,6 +113,34 @@ CORPUS_ROWS = {
 }
 
 
+# sha256 of the full ``ncgb run`` stdout: statistics rows, both bases and
+# their order, and the formatting of every coefficient
+STDOUT_SHA256 = {
+    ("g01",): "b83e9b390a59d47267692280343612aea79dc8ab64793ab722c49a0c56c038c6",
+    ("g02",): "9f9929ae01bf4a1a6568a5b81bd34d0837264d8a77ce25776ba2dba16cb5c930",
+    ("g03",): "bc707c49d03079c9750a4a16c83909267c0515ff6bca615bc53044ccd60f4d79",
+    ("g04",): "8f58b0698cde9561f061a15d7f134837f55c4ab8b021e2f1aa4086ceeb1082f1",
+    ("g05",): "03df7b544c1173520246c2042cf168ae311d8d9fec5e4d7b279013556175c063",
+    ("g06",): "16607e6f03146ee4f3defee698a016103f7e5bca59f27d333c5a64eb7c7117c6",
+    ("g07",): "82f713a0e56c10a76213829e861d8b97b1c87f499ea8921caa08e7ffa3a6345b",
+    ("g08",): "cb50f732da3df76a367e5fe30a9ef643f8506588065c0308d3107ffeb37c25ad",
+    ("g09",): "23f1231fb698f20cb6d95ba679ef08faa8d9cf699f953ad7fd0b872297573717",
+    ("g10",): "fd03c3e3c59970483ee33354e95c84fb61ddb7c03ce348b5852c996c7e358654",
+    ("g11",): "302a4884e2fb93e1b45367086b4bff2d2ad279c4903b0de933b79abd5786034e",
+    ("g12",): "31e4f796cc962b1d3f397513f983b3f927cc283a54b0765661bec21702a02539",
+    ("g13",): "18c75ae92a26d8d814a824ad6a07f965baefeac66a91aa77cc567566dc79d6aa",
+    ("g06", "--mode", "basic"):
+        "4b5d4cf540025d66f6b4bb5b0be344114141234c7d759fd018498b8b6c223d8d",
+    ("braid4",): "3320cdc4b5d55df3e0977b0908de1500f034d2ebbd44a2fa05474f1b053bb379",
+    ("braid3", "--trunc", "10"):
+        "bb7df544308ca2d230ea7a8046931b0f561bcce00220cb09888365e773f91f2e",
+}
+
+
+def assert_stdout_pinned(out, name, argv=()):
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[(name, *argv)]
+
+
 def assert_row(out, name, row):
     gb, rgb = row.split()[:2]
     lines = out.splitlines()
@@ -128,6 +157,13 @@ class TestRun:
         code, out, _ = run_main(["run", str(problem_path(name))], capsys)
         assert code == EXIT_OK
         assert_row(out, name, CORPUS_ROWS[name])
+        assert_stdout_pinned(out, name)
+
+    def test_basic_mode_stdout(self, capsys):
+        argv = ("--mode", "basic")
+        code, out, _ = run_main(["run", str(problem_path("g06")), *argv], capsys)
+        assert code == EXIT_OK
+        assert_stdout_pinned(out, "g06", argv)
 
     def test_output_is_deterministic(self, capsys):
         _, first, _ = run_main(["run", str(problem_path("g09"))], capsys)
@@ -279,6 +315,7 @@ class TestRun:
         code, out, _ = run_main(["run", str(problem_path(name))] + argv, capsys)
         assert code == EXIT_OK
         assert_row(out, name, row)
+        assert_stdout_pinned(out, name, argv)
 
     def test_trunc_flag_requires_homogeneous(self, capsys):
         code, _, err = run_main(

@@ -13,14 +13,22 @@ from ncgb.criteria import (
     multiply_criterion,
 )
 from ncgb.engine import BasisState, EngineConfig, buchberger
-from ncgb.obstructions import nontrivial_obstructions, obstruction_key, s_polynomial
+from ncgb.obstructions import (
+    build_obstructions,
+    nontrivial_obstructions,
+    obstruction_key,
+    s_polynomial,
+)
 from ncgb.polynomial import NcPolynomial, add_scaled, parse_polynomial, sandwich
 from ncgb.words import Alphabet
 from oracles import (
     aligned,
     assert_removals_dominated,
     backward_criterion_reference,
+    built,
+    leading_word_criterion_reference,
     multiply_criterion_reference,
+    offset_pair,
     random_basis,
     random_word,
 )
@@ -32,11 +40,23 @@ def basis(texts, alphabet):
 
 
 def news_batch(G, s):
-    return nontrivial_obstructions(s, G)
+    """The built batch of target s."""
+    return build_obstructions(s, G, nontrivial_obstructions(s, G))
 
 
 def pending_batch(G, s):
-    return [o for j in range(s) for o in nontrivial_obstructions(j, G)]
+    return [o for j in range(s) for o in news_batch(G, j)]
+
+
+def pairs(*obstructions):
+    return [offset_pair(o) for o in obstructions]
+
+
+def assert_matches(got, want, s, G):
+    """A pair criterion's report equals a reference report on built obstructions."""
+    assert built(got.survivors, s, G) == want.survivors
+    assert [tuple(built(r, s, G)) for r in got.removed] == want.removed
+    assert (got.removed_m, got.removed_f) == (want.removed_m, want.removed_f)
 
 
 @pytest.fixture
@@ -53,50 +73,43 @@ class TestMultiplyCriterion:
     def test_extension_removed(self, triple, xy):
         big = aligned(0, 2, xy.word("xyxx"), b"", b"", xy.word("yy"), triple)
         small = aligned(1, 2, xy.word("xy"), b"", b"", xy.word("y"), triple)
-        rep = multiply_criterion([big, small])
-        assert rep.survivors == [small]
-        assert rep.removed == [(big, small)]
+        rep = multiply_criterion(pairs(big, small), 2, triple)
+        assert rep.survivors == pairs(small)
+        assert rep.removed == [tuple(pairs(big, small))]
         assert rep.removed_m == 1
-        assert_removals_dominated(rep, triple, xy.llex)
+        assert_removals_dominated(rep, 2, triple, xy.llex)
 
     def test_singleton_unchanged(self, triple, xy):
         small = aligned(1, 2, xy.word("xy"), b"", b"", xy.word("y"), triple)
-        rep = multiply_criterion([small])
-        assert rep.survivors == [small] and rep.removed_m == 0
+        rep = multiply_criterion(pairs(small), 2, triple)
+        assert rep.survivors == pairs(small) and rep.removed_m == 0
 
     def test_identical_cofactors_stay(self, xy):
         G = basis(["x*y - 1", "x*y - y", "y*x - 1"], xy)
-        news = [aligned(0, 2, b"", xy.word("x"), xy.word("x"), b"", G),
-                aligned(1, 2, b"", xy.word("x"), xy.word("x"), b"", G)]
-        rep = multiply_criterion(news)
+        news = pairs(aligned(0, 2, b"", xy.word("x"), xy.word("x"), b"", G),
+                     aligned(1, 2, b"", xy.word("x"), xy.word("x"), b"", G))
+        rep = multiply_criterion(news, 2, G)
         assert rep.survivors == news
 
-    def test_mixed_targets_rejected(self, triple, xy):
-        a = aligned(0, 1, xy.word("xx"), b"", b"", xy.word("y"), triple)
-        b = aligned(1, 2, xy.word("xy"), b"", b"", xy.word("y"), triple)
-        with pytest.raises(ValueError):
-            multiply_criterion([a, b])
-
     def test_empty_batch(self, triple, xy):
-        assert multiply_criterion([]).survivors == []
-
+        assert multiply_criterion([], 2, triple).survivors == []
 
     def test_left_side_takes_longest_suffix(self, ab):
         # (aa, "") has the proper suffixes a and "" in the batch
         G = basis(["a*a*b - 1", "a*b - 1", "b + 1", "b - 1"], ab)
-        news = [aligned(0, 3, b"", b"", ab.word("aa"), b"", G),
-                aligned(1, 3, b"", b"", ab.word("a"), b"", G),
-                aligned(2, 3, b"", b"", b"", b"", G)]
-        rep = multiply_criterion(news)
+        news = pairs(aligned(0, 3, b"", b"", ab.word("aa"), b"", G),
+                     aligned(1, 3, b"", b"", ab.word("a"), b"", G),
+                     aligned(2, 3, b"", b"", b"", b"", G))
+        rep = multiply_criterion(news, 3, G)
         assert rep.removed == [(news[0], news[1]), (news[1], news[2])]
 
     def test_right_side_takes_shortest_prefix(self, ab):
         # ("", aa) has the proper prefixes a and "" in the batch
         G = basis(["b*a*a - 1", "b*a - 1", "b + 1", "b - 1"], ab)
-        news = [aligned(0, 3, b"", b"", b"", ab.word("aa"), G),
-                aligned(1, 3, b"", b"", b"", ab.word("a"), G),
-                aligned(2, 3, b"", b"", b"", b"", G)]
-        rep = multiply_criterion(news)
+        news = pairs(aligned(0, 3, b"", b"", b"", ab.word("aa"), G),
+                     aligned(1, 3, b"", b"", b"", ab.word("a"), G),
+                     aligned(2, 3, b"", b"", b"", b"", G))
+        rep = multiply_criterion(news, 3, G)
         assert rep.removed == [(news[0], news[2]), (news[1], news[2])]
 
     def test_later_copy_takes_first_copys_justifier(self, ab):
@@ -104,13 +117,13 @@ class TestMultiplyCriterion:
         # are equal; neither copy justifies the other, and an extension of
         # both is justified by the first copy in batch order
         G = basis(["a*a*b - 1", "a*b - 1", "a*b - b", "b + 1", "b - 1"], ab)
-        copies = [aligned(1, 4, b"", b"", ab.word("a"), b"", G),
-                  aligned(2, 4, b"", b"", ab.word("a"), b"", G)]
-        longer = aligned(0, 4, b"", b"", ab.word("aa"), b"", G)
-        rep = multiply_criterion([longer] + copies)
+        copies = pairs(aligned(1, 4, b"", b"", ab.word("a"), b"", G),
+                       aligned(2, 4, b"", b"", ab.word("a"), b"", G))
+        longer, = pairs(aligned(0, 4, b"", b"", ab.word("aa"), b"", G))
+        rep = multiply_criterion([longer] + copies, 4, G)
         assert rep.survivors == copies and rep.removed == [(longer, copies[0])]
-        base = aligned(3, 4, b"", b"", b"", b"", G)
-        rep = multiply_criterion(copies + [base])
+        base, = pairs(aligned(3, 4, b"", b"", b"", b"", G))
+        rep = multiply_criterion(copies + [base], 4, G)
         assert rep.removed == [(copies[0], base), (copies[1], base)]
 
     def test_two_sided_member_probes_every_cut(self, ab):
@@ -119,24 +132,25 @@ class TestMultiplyCriterion:
         news = [aligned(0, 3, b"", b"", ab.word("a"), ab.word("b"), G),
                 aligned(2, 3, b"", b"", b"", ab.word("b"), G),
                 aligned(1, 3, b"", b"", ab.word("a"), b"", G)]
-        rep = multiply_criterion(news)
-        assert rep.removed == [(news[0], news[2])]
-        assert rep.removed == multiply_criterion_reference(news).removed
+        rep = multiply_criterion(pairs(*news), 3, G)
+        assert rep.removed == [tuple(pairs(news[0], news[2]))]
+        assert_matches(rep, multiply_criterion_reference(news), 3, G)
 
 
 def test_multiply_criterion_matches_reference_property():
-    """Per-side prefix-chain scans remove what probing every cut removes.
+    """M and F on offset pairs remove what the references remove on built batches.
 
     Random 1- to 3-letter bases, extended by copies, extensions and factors
     of earlier leading words so that batches hold equal cofactors, ("", "")
     and two-sided members; every target s, in construction order and
-    shuffled.  Survivors, removals with their justifiers and the count
-    must all agree.
+    shuffled.  M is checked against probing every cut, F against a group
+    minimum, on the full batch and on M's survivors.  Survivors, removals
+    with their justifiers and the counts must all agree.
     """
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     orderings = {n: Alphabet(["a", "b", "c"][:n]).llex for n in (1, 2, 3)}
-    seen = {"duplicate": 0, "empty": 0, "two-sided": 0}
+    seen = {"duplicate": 0, "empty": 0, "two-sided": 0, "f": 0}
 
     @hypothesis.settings(max_examples=400, deadline=None, database=None)
     @hypothesis.given(st.randoms(use_true_random=False), st.sampled_from([1, 2, 3]),
@@ -155,16 +169,18 @@ def test_multiply_criterion_matches_reference_property():
                 lw = lw[start:rng.randint(start + 1, len(lw))]
             G.append(NcPolynomial({lw: 1, b"": 1} if lw else {b"": 1}), ordering)
         for s in range(len(G)):
-            news = news_batch(G, s)
+            news = nontrivial_obstructions(s, G)
             shuffled = list(news)
             rng.shuffle(shuffled)
             for batch in (news, shuffled):
-                got = multiply_criterion(batch)
-                want = multiply_criterion_reference(batch)
-                assert got.survivors == want.survivors
-                assert got.removed == want.removed
-                assert got.removed_m == want.removed_m
-            cofactors = [(o.wj, o.wj2) for o in news]
+                m = multiply_criterion(batch, s, G)
+                assert_matches(m, multiply_criterion_reference(built(batch, s, G)), s, G)
+                for members in (batch, m.survivors):
+                    f = leading_word_criterion(members, s, G)
+                    assert_matches(f, leading_word_criterion_reference(built(members, s, G)),
+                                   s, G)
+                    seen["f"] += f.removed_f
+            cofactors = [(o.wj, o.wj2) for o in built(news, s, G)]
             seen["duplicate"] += len(set(cofactors)) < len(cofactors)
             seen["empty"] += (b"", b"") in cofactors
             seen["two-sided"] += any(u and u2 for u, u2 in cofactors)
@@ -178,9 +194,9 @@ def test_multiply_criterion_matches_reference_on_corpus(monkeypatch):
     """Every batch completion hands to m, on g01-g13 and braid4 at trunc 6."""
     batches = []
 
-    def record(news):
-        batches.append(list(news))
-        return multiply_criterion(news)
+    def record(news, s, G):
+        batches.append((list(news), s, G))
+        return multiply_criterion(news, s, G)
 
     monkeypatch.setattr(engine, "multiply_criterion", record)
     runs = [(f"g{k:02d}", None) for k in range(1, 14)] + [("braid4", 6)]
@@ -189,44 +205,41 @@ def test_multiply_criterion_matches_reference_on_corpus(monkeypatch):
         buchberger(problem.generators,
                    EngineConfig(ordering=problem.ordering, truncation_degree=trunc))
     assert len(batches) > len(runs)
-    for batch in batches:
-        got, want = multiply_criterion(batch), multiply_criterion_reference(batch)
-        assert got.survivors == want.survivors
-        assert got.removed == want.removed and got.removed_m == want.removed_m
+    for batch, s, G in batches:
+        want = multiply_criterion_reference(built(batch, s, G))
+        assert_matches(multiply_criterion(batch, s, G), want, s, G)
 
 
 class TestLeadingWordCriterion:
     def test_larger_source_index_removed(self, xy):
         G = basis(["x*y - 1", "x*y - y", "y*x - 1"], xy)
-        lo = aligned(0, 2, b"", xy.word("x"), xy.word("x"), b"", G)
-        hi = aligned(1, 2, b"", xy.word("x"), xy.word("x"), b"", G)
-        rep = leading_word_criterion([hi, lo])
+        lo, hi = pairs(aligned(0, 2, b"", xy.word("x"), xy.word("x"), b"", G),
+                       aligned(1, 2, b"", xy.word("x"), xy.word("x"), b"", G))
+        rep = leading_word_criterion([hi, lo], 2, G)
         assert rep.survivors == [lo]
         assert rep.removed == [(hi, lo)]
-        assert_removals_dominated(rep, G, xy.llex)
+        assert_removals_dominated(rep, 2, G, xy.llex)
 
     def test_larger_left_cofactor_removed_on_tie(self, ab):
         # a*b occurs twice in a*b*a*b; same source, same target cofactors
         G = basis(["a*b - 1", "a*b*a*b - 1"], ab)
-        news = [o for o in nontrivial_obstructions(1, G) if o.i == 0]
-        centers = [o for o in news if not o.wj and not o.wj2]
-        assert len(centers) == 2
-        rep = leading_word_criterion(centers)
-        assert len(rep.survivors) == 1
-        assert rep.survivors[0].wi == b""
-        removed = rep.removed[0][0]
-        assert removed.wi == ab.word("ab")
+        news = [o for o in news_batch(G, 1) if o.i == 0]
+        centers = pairs(*(o for o in news if not o.wj and not o.wj2))
+        assert centers == [(0, -2), (0, 0)]
+        rep = leading_word_criterion(centers, 1, G)
+        assert rep.survivors == [(0, 0)]
+        assert rep.removed == [((0, -2), (0, 0))]
 
     def test_singleton_unchanged(self, triple, xy):
-        o = aligned(1, 2, xy.word("xy"), b"", b"", xy.word("y"), triple)
-        rep = leading_word_criterion([o])
-        assert rep.survivors == [o]
+        o = pairs(aligned(1, 2, xy.word("xy"), b"", b"", xy.word("y"), triple))
+        rep = leading_word_criterion(o, 2, triple)
+        assert rep.survivors == o
 
 
 class TestBackwardCriterion:
     def test_rederived_pending_obstruction_removed(self, chain, xy):
         old = aligned(0, 1, b"", b"", xy.word("x"), xy.word("yx"), chain)
-        news = news_batch(chain, 2)
+        news = nontrivial_obstructions(2, chain)
         rep = backward_criterion([old], news, 2, chain)
         assert rep.survivors == []
         assert rep.removed_bk == 1
@@ -234,7 +247,7 @@ class TestBackwardCriterion:
     def test_new_leading_word_not_a_factor(self, xy):
         G = basis(["x^3*y*x + y", "x^2 + y", "y^2 + x"], xy)
         old = aligned(0, 1, b"", b"", xy.word("x"), xy.word("yx"), G)
-        news = news_batch(G, 2)
+        news = nontrivial_obstructions(2, G)
         rep = backward_criterion([old], news, 2, G)
         assert rep.survivors == [old]
 
@@ -242,7 +255,7 @@ class TestBackwardCriterion:
         # without the source-0 members of the new batch, the induced
         # obstruction has no covering base left
         old = aligned(0, 1, b"", b"", xy.word("x"), xy.word("yx"), chain)
-        news = [o for o in news_batch(chain, 2) if o.i != 0]
+        news = [(i, d) for i, d in nontrivial_obstructions(2, chain) if i != 0]
         rep = backward_criterion([old], news, 2, chain)
         assert rep.survivors == [old]
 
@@ -253,11 +266,11 @@ def test_conservation_on_random_batches(xy):
     for _ in range(300):
         G = random_basis(rng, ordering, 2, rng.randint(2, 4), max_degree=4)
         s = len(G) - 1
-        news = news_batch(G, s)
+        news = nontrivial_obstructions(s, G)
         pending = pending_batch(G, s)
         for rep, size in (
-            (multiply_criterion(news), len(news)),
-            (leading_word_criterion(news), len(news)),
+            (multiply_criterion(news, s, G), len(news)),
+            (leading_word_criterion(news, s, G), len(news)),
             (backward_criterion(pending, news, s, G), len(pending)),
         ):
             assert len(rep.survivors) + len(rep.removed) == size
@@ -280,14 +293,15 @@ def test_backward_criterion_matches_reference_property():
     def check(rng, nletters, size, how):
         G = random_basis(rng, orderings[nletters], nletters, size, max_degree=5)
         s = len(G) - 1
-        news = news_batch(G, s)
+        news = nontrivial_obstructions(s, G)
         if how == "thinned":
-            news = leading_word_criterion(multiply_criterion(news).survivors).survivors
+            news = leading_word_criterion(multiply_criterion(news, s, G).survivors,
+                                          s, G).survivors
         elif how == "subset":
             news = [n for n in news if rng.random() < 0.5]
         pending = pending_batch(G, s)
         got = backward_criterion(pending, news, s, G)
-        want = backward_criterion_reference(pending, news, s, G)
+        want = backward_criterion_reference(pending, built(news, s, G), s, G)
         assert got.survivors == want.survivors
         assert got.removed == want.removed and got.removed_bk == want.removed_bk
 
@@ -300,9 +314,9 @@ def test_removals_dominated_on_random_batches(xy):
     for _ in range(300):
         G = random_basis(rng, ordering, 2, rng.randint(2, 4), max_degree=4)
         s = len(G) - 1
-        news = news_batch(G, s)
-        assert_removals_dominated(multiply_criterion(news), G, ordering)
-        assert_removals_dominated(leading_word_criterion(news), G, ordering)
+        news = nontrivial_obstructions(s, G)
+        assert_removals_dominated(multiply_criterion(news, s, G), s, G, ordering)
+        assert_removals_dominated(leading_word_criterion(news, s, G), s, G, ordering)
 
 
 def test_head_batch_identity(xy):

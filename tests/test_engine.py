@@ -21,11 +21,12 @@ from ncgb.engine import (
     obstruction_batch,
     verify_groebner,
 )
-from ncgb.obstructions import nontrivial_obstructions, s_polynomial
+from ncgb.obstructions import build_obstructions, nontrivial_obstructions, s_polynomial
 from ncgb.polynomial import NcPolynomial, add_scaled, leading, parse_polynomial, sandwich
+from ncgb.words import Alphabet
 from ncgb.corpus import problem_path
 from ncgb.cli import parse_problem
-from oracles import aligned, assert_removals_dominated, batch_brute, validate_division
+from oracles import aligned, assert_removals_dominated, batch_brute, built, validate_division
 
 
 def polys(texts, alphabet):
@@ -38,17 +39,10 @@ def partition_holds(st):
 
 def check_invariants(mp, ordering):
     """Make the engine check every m and f removal and every division it runs."""
-    basis = []
-    batch = engine.obstruction_batch
-
-    def recording_batch(s, G, trunc=None):
-        basis[:] = [G]
-        return batch(s, G, trunc)
-
     def checked(criterion):
-        def wrapper(news):
-            rep = criterion(news)
-            assert_removals_dominated(rep, basis[0], ordering)
+        def wrapper(news, s, G):
+            rep = criterion(news, s, G)
+            assert_removals_dominated(rep, s, G, ordering)
             return rep
         return wrapper
 
@@ -57,7 +51,6 @@ def check_invariants(mp, ordering):
         validate_division(result, f, G, ordering)
         return result.remainder
 
-    mp.setattr(engine, "obstruction_batch", recording_batch)
     for name in ("multiply_criterion", "leading_word_criterion"):
         mp.setattr(engine, name, checked(getattr(engine, name)))
     mp.setattr(engine, "normal_remainder", validated_remainder)
@@ -245,9 +238,9 @@ class TestBuchberger:
         for problem, trunc in ((g09, None), (braid4, 6)):
             batches, pendings = [], []
 
-            def record_m(news):
+            def record_m(news, s, G):
                 batches.append(list(news))
-                return multiply_criterion(news)
+                return multiply_criterion(news, s, G)
 
             def record_bk(B, news, s, G):
                 pendings.append((list(B), s))
@@ -260,8 +253,8 @@ class TestBuchberger:
                 G, st = buchberger(problem.generators, cfg)
 
             def chain(batch, pending, s):
-                m = multiply_criterion(batch)
-                f = leading_word_criterion(m.survivors)
+                m = multiply_criterion(batch, s, G)
+                f = leading_word_criterion(m.survivors, s, G)
                 bk = backward_criterion(pending, f.survivors, s, G)
                 return (set(f.survivors), {o for o, _ in bk.removed},
                         (m.removed_m, f.removed_f, bk.removed_bk))
@@ -401,38 +394,128 @@ def test_obstruction_batch_is_every_pair_within_the_bound(xy):
                                     xy.llex)
     for s in range(len(G)):
         news = nontrivial_obstructions(s, G)
-        assert [(o.i, o.wi, o.wi2, o.wj, o.wj2) for o in news] == batch_brute(s, G)
+        batch = build_obstructions(s, G, news)
+        assert [(o.i, o.wi, o.wi2, o.wj, o.wj2) for o in batch] == batch_brute(s, G)
         assert obstruction_batch(s, G) == (news, 0)
         for trunc in range(3, 7):
-            kept = [o for o in news if len(o.common) <= trunc]
-            assert obstruction_batch(s, G, trunc) == (kept, len(news) - len(kept))
+            kept = [o for o in batch if len(o.common) <= trunc]
+            pairs, cut = obstruction_batch(s, G, trunc)
+            assert (build_obstructions(s, G, pairs), cut) == (kept, len(news) - len(kept))
+
+
+def test_truncation_arithmetic_property():
+    """The bound decided from (i, d) and the lengths is the built common word's.
+
+    ``max(-d, 0) + max(a, b + d) <= T`` must hold exactly when the common
+    word fits T, for every pair of random 1- to 3-letter bases and every
+    bound from 1 to past the longest common word: bounds below both word
+    lengths, and leading words longer than the bound, included.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    orderings = {n: Alphabet(["a", "b", "c"][:n]).llex for n in (1, 2, 3)}
+    word = st.binary(min_size=1, max_size=7)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from([1, 2, 3]), st.lists(word, min_size=1, max_size=5))
+    def check(nletters, words):
+        lws = [bytes(c % nletters for c in w) for w in words]
+        G = BasisState.from_polynomials([NcPolynomial.from_term(w) for w in lws],
+                                        orderings[nletters])
+        for s in range(len(G)):
+            news = nontrivial_obstructions(s, G)
+            lengths = [len(o.common) for o in built(news, s, G)]
+            for trunc in range(1, max(lengths, default=0) + 2):
+                pairs, cut = obstruction_batch(s, G, trunc)
+                fits = [p for p, n in zip(news, lengths) if n <= trunc]
+                assert pairs == fits and cut == len(news) - len(fits)
+
+    check()
+
+
+def test_truncation_drops_every_pair_of_a_longer_generator(xy):
+    # a homogeneous generator of degree 5 under bound 4: its self overlaps
+    # and its overlaps with x*y all have a common word of 5 letters or more
+    G = BasisState.from_polynomials(polys(["x*y - y*x", "x*y*x*y*x - y^5"], xy), xy.llex)
+    news = nontrivial_obstructions(1, G)
+    assert news and obstruction_batch(1, G, 4) == ([], len(news))
+    assert obstruction_batch(1, G, 5) == ([(0, -2), (0, 0)], len(news) - 2)
+    cfg = EngineConfig(ordering=xy.llex, truncation_degree=4)
+    _, st = buchberger(polys(["x*y*x*y*x - y^5"], xy), cfg)
+    assert st.tot == st.truncated_discards > 0 and st.built == st.sel == 0
 
 
 @pytest.mark.parametrize("name,trunc", [("g09", None), ("braid4", 6)])
 def test_construction_called_once_per_batch(name, trunc, monkeypatch):
-    """Construction goes through ``engine.nontrivial_obstructions``, once per batch.
+    """Construction and each criterion go through a module global, once per batch.
 
-    The benchmark's tracer wraps that module global and counts ``tot`` as
-    the summed lengths of its results.
+    The benchmark's tracer wraps ``engine.nontrivial_obstructions`` and
+    the three criteria as module globals: it counts ``tot`` as the summed
+    lengths of the construction results, and m, f and bk as the summed
+    ``removed_*`` counts of the criterion reports.
     """
     problem = parse_problem(problem_path(name))
-    calls = []
-    build = engine.nontrivial_obstructions
+    names = ("nontrivial_obstructions", "multiply_criterion",
+             "leading_word_criterion", "backward_criterion")
+    calls = {name: [] for name in names}
 
-    def counted(s, G):
-        batch = build(s, G)
-        calls.append(len(batch))
-        return batch
+    def counted(name):
+        fn = getattr(engine, name)
 
-    monkeypatch.setattr(engine, "nontrivial_obstructions", counted)
+        def wrapper(*args):
+            result = fn(*args)
+            calls[name].append(result)
+            return result
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(engine, name, counted(name))
     G, st = buchberger(problem.generators,
                        EngineConfig(ordering=problem.ordering, truncation_degree=trunc))
-    assert len(calls) == st.gb_size == len(G)
-    assert sum(calls) == st.tot
-    calls.clear()
+    assert all(len(results) == st.gb_size == len(G) for results in calls.values())
+    assert sum(map(len, calls["nontrivial_obstructions"])) == st.tot
+    for name, kind in zip(names[1:], ("m", "f", "bk")):
+        assert sum(getattr(rep, f"removed_{kind}") for rep in calls[name]) == \
+            getattr(st, kind)
+    for results in calls.values():
+        results.clear()
     reduced = interreduce(G, problem.ordering)
     assert verify_groebner(reduced, problem.ordering, trunc) == (True, [])
-    assert len(calls) == len(reduced)
+    assert len(calls["nontrivial_obstructions"]) == len(reduced)
+
+
+@pytest.mark.parametrize("name,trunc,modes", [("g09", None, (True, False)),
+                                               ("braid4", 6, (True, False)),
+                                               ("g13", None, (True,))],
+                         ids=["g09", "braid4", "g13"])
+def test_only_survivors_are_built(name, trunc, modes, monkeypatch):
+    """``built`` counts the obstruction tuples completion makes: the m and f survivors.
+
+    In the basic procedure every pair within the bound is built.  On g13 m
+    and f leave under 5% of the batch, so building only the survivors
+    skips almost all the work.
+    """
+    problem = parse_problem(problem_path(name))
+    made = []
+    build = engine.build_obstructions
+
+    def counted(s, G, pairs):
+        made.append(len(pairs))
+        return build(s, G, pairs)
+
+    monkeypatch.setattr(engine, "build_obstructions", counted)
+    for criteria in modes:
+        made.clear()
+        cfg = EngineConfig(ordering=problem.ordering, truncation_degree=trunc,
+                           criteria=criteria)
+        _, st = buchberger(problem.generators, cfg)
+        assert st.built == sum(made)
+        if criteria:
+            assert st.built == st.tot - st.truncated_discards - st.m - st.f
+            if name == "g13":
+                assert st.built < 0.05 * st.tot
+        else:
+            assert st.built == st.tot - st.truncated_discards
 
 
 def test_random_small_ideals_mode_equivalence(xy):

@@ -10,12 +10,18 @@ import ncgb.obstructions as obstructions
 from ncgb.cli import parse_problem
 from ncgb.corpus import problem_path
 from ncgb.engine import BasisState
-from ncgb.obstructions import nontrivial_obstructions, obstruction_key, s_polynomial
+from ncgb.obstructions import (
+    build_obstructions,
+    nontrivial_obstructions,
+    obstruction_key,
+    s_polynomial,
+)
 from ncgb.polynomial import NcPolynomial, add_scaled, leading, parse_polynomial, sandwich
 from ncgb.words import Alphabet, LLexOrdering
 from oracles import (
     aligned,
     batch_brute,
+    built,
     covered,
     has_overlap,
     nontrivial_obstructions_brute,
@@ -29,9 +35,23 @@ W = lambda alphabet, text: alphabet.word(text)
 REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
+def batch(s, G):
+    """The built batch of target s."""
+    return build_obstructions(s, G, nontrivial_obstructions(s, G))
+
+
 def pair(i, j, G):
     """The obstructions of the pair (i, j): target j's batch filtered by source."""
-    return [o for o in nontrivial_obstructions(j, G) if o.i == i]
+    return [o for o in batch(j, G) if o.i == i]
+
+
+def assert_batch_is_brute(s, G):
+    """The pairs of target s and their built form against the pairwise oracle."""
+    want = batch_brute(s, G)
+    got = nontrivial_obstructions(s, G)
+    assert got == [(t[0], len(t[3]) - len(t[1])) for t in want]
+    assert [(o.i, o.wi, o.wi2, o.wj, o.wj2) for o in build_obstructions(s, G, got)] == want
+    assert build_obstructions(s, G, got) == built(got, s, G)
 
 
 def basis(texts, alphabet):
@@ -83,7 +103,7 @@ class TestSPolynomial:
         for _ in range(400):
             G = random_basis(rng, ordering, 2, rng.randint(1, 3), max_degree=4)
             for j in range(len(G)):
-                for o in nontrivial_obstructions(j, G):
+                for o in batch(j, G):
                     S = s_polynomial(o, G, ordering)
                     if S:
                         _, w = leading(S, ordering)
@@ -201,9 +221,9 @@ class TestNontrivialObstructions:
             G = BasisState.from_polynomials([NcPolynomial.from_term(w) for w in lws],
                                             orderings[nletters])
             for s in range(len(G)):
-                got = nontrivial_obstructions(s, G)
-                assert [(o.i, o.wi, o.wi2, o.wj, o.wj2) for o in got] == batch_brute(s, G)
-                assert all(o.j == s and o.common == o.wi + lws[o.i] + o.wi2 for o in got)
+                assert_batch_is_brute(s, G)
+                assert all(o.j == s and o.common == o.wi + lws[o.i] + o.wi2
+                           for o in batch(s, G))
 
         check()
 
@@ -220,8 +240,7 @@ class TestNontrivialObstructions:
             G = random_basis(rng, xy.llex, 2, rng.randint(1, 5), max_degree=5)
             assert set(G.by_prefix) <= {0} and set(G.by_suffix) <= {0}
             for s in range(len(G)):
-                got = nontrivial_obstructions(s, G)
-                assert [(o.i, o.wi, o.wi2, o.wj, o.wj2) for o in got] == batch_brute(s, G)
+                assert_batch_is_brute(s, G)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("name", sorted(p.stem for p in REFERENCES.glob("*.prob")))
@@ -231,8 +250,7 @@ class TestNontrivialObstructions:
                                    base_alphabet=problem.alphabet)
         G = BasisState.from_polynomials(basis_file.generators, problem.ordering)
         for s in range(len(G)):
-            got = nontrivial_obstructions(s, G)
-            assert [(o.i, o.wi, o.wi2, o.wj, o.wj2) for o in got] == batch_brute(s, G)
+            assert_batch_is_brute(s, G)
 
 
 class TestHasOverlap:
@@ -248,7 +266,7 @@ class TestHasOverlap:
         for _ in range(300):
             G = random_basis(rng, ordering, 2, rng.randint(1, 3), max_degree=4)
             for j in range(len(G)):
-                for o in nontrivial_obstructions(j, G):
+                for o in batch(j, G):
                     assert has_overlap(o, G)
 
     def test_shifted_products_do_not_overlap(self, xy):
@@ -298,7 +316,7 @@ class TestOrderings:
         checked = 0
         while checked < 1000:
             G = random_basis(rng, ordering, 2, rng.randint(2, 4), max_degree=4)
-            pool = [o for j in range(len(G)) for o in nontrivial_obstructions(j, G)]
+            pool = [o for j in range(len(G)) for o in batch(j, G)]
             if len(pool) < 2:
                 continue
             for _ in range(10):
@@ -324,7 +342,7 @@ class TestOrderings:
             ordering = LLexOrdering(alphabet, precedence)
             G = BasisState.from_polynomials([NcPolynomial.from_term(w) for w in lws],
                                             ordering)
-            pool = [o for j in range(len(G)) for o in nontrivial_obstructions(j, G)]
+            pool = [o for j in range(len(G)) for o in batch(j, G)]
             assert sorted(pool, key=lambda o: obstruction_key(o, ordering)) == \
                 sorted(pool, key=lambda o: translated_obstruction_key(o, ordering))
 
