@@ -4,6 +4,8 @@ A problem file is line oriented: ``vars a b`` declares the variables,
 ``order llex a b`` optionally permutes their precedence, ``gen <poly>``
 lines list the generators, and ``name``, ``mode``, ``trunc``,
 ``maxbasis``, ``maxdegree`` tune the run.  ``#`` starts a comment.
+``ncgb run --basis-out PATH`` writes the reduced basis in this form, as
+vars, order and gen lines that ``ncgb verify`` reads back.
 """
 
 from __future__ import annotations
@@ -155,9 +157,11 @@ def cmd_run(args, out) -> int:
     print(f"# gb {len(basis)}", file=out)
     for f in basis:
         print(f"gen {format_polynomial(f, problem.alphabet, problem.ordering)}", file=out)
+    rgb_lines = [f"gen {format_polynomial(f, problem.alphabet, problem.ordering)}"
+                 for f in reduced]
     print(f"# rgb {len(reduced)}", file=out)
-    for f in reduced:
-        print(f"gen {format_polynomial(f, problem.alphabet, problem.ordering)}", file=out)
+    for line in rgb_lines:
+        print(line, file=out)
     if stats.capped:
         print(f"# capped {stats.cap_reason}", file=out)
     row = stats_values(problem, stats)
@@ -171,6 +175,13 @@ def cmd_run(args, out) -> int:
                 writer.writerow(row)
         except OSError as exc:
             raise ValueError(f"cannot write {args.stats_csv}: {exc.strerror}") from None
+    if args.basis_out:
+        lines = [f"vars {' '.join(problem.alphabet.symbols)}",
+                 f"order llex {' '.join(problem.ordering.precedence)}", *rgb_lines]
+        try:
+            Path(args.basis_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.basis_out}: {exc.strerror}") from None
     return EXIT_CAPPED if stats.capped else EXIT_OK
 
 
@@ -216,6 +227,9 @@ def main(argv=None) -> int:
     prun.add_argument("--max-basis", type=int, metavar="N")
     prun.add_argument("--max-degree", type=int, metavar="D")
     prun.add_argument("--stats-csv", metavar="PATH")
+    prun.add_argument("--basis-out", metavar="PATH",
+                      help="also write the reduced basis (vars, order and gen "
+                           "lines) to PATH, as a basis file for 'ncgb verify'")
 
     pver = sub.add_parser(
         "verify", help="check that a basis file is a Groebner basis of an ideal "

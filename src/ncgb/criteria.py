@@ -197,7 +197,8 @@ def leading_word_criterion(news, s, G) -> CriteriaReport:
 def backward_criterion(B, news, s, G) -> CriteriaReport:
     """Prune pending obstructions that the newest generator re-derives.
 
-    ``B`` holds built obstructions, ``news`` the offset pairs (i, d) of
+    ``B`` holds built obstructions (any iterable, read once; the engine
+    passes the queue's live keys), ``news`` the offset pairs (i, d) of
     target s that survived the batch criteria.  A pending obstruction goes
     when the newest leading word occurs in its common word (leftmost
     occurrence) placed so that both induced obstructions against the new
@@ -208,11 +209,10 @@ def backward_criterion(B, news, s, G) -> CriteriaReport:
     occurrence justifies removal; checking only the leftmost one prunes
     slightly less.
     """
-    B = list(B)
     lws = G.leading_words
     lw_s = lws[s]
     if not lw_s:
-        return CriteriaReport(B)
+        return CriteriaReport(list(B))
     low = -len(lw_s)
     kept = set(news)
 

@@ -12,15 +12,19 @@ words in the llex order (the simplest form of Yan's geobuckets), so
 finding the largest word costs a pop instead of a scan of every live
 term.  Deletion is lazy: a word is pushed whenever it enters the dict,
 and a popped word that is no longer in the dict was cancelled and is
-skipped.  A processed word never comes back, because every word a step
-adds is smaller than the one it rewrites.
+skipped.  A popped word leaves the dict at once: the divisor is monic,
+so its placed leading term cancels the word exactly, and a step places
+only the divisor's other terms.  A processed word never comes back,
+because every word a step adds is smaller than the one it rewrites.
 
-The divisor of a word is found by a :class:`DivisorIndex` kept on the
-basis (``G.divisor_index``): an Aho-Corasick automaton (Aho and
-Corasick, 1975) over the first k leading words, where each state holds
-the smallest index of a leading word ending there, merged along the
-failure links.  One pass over the word gives the smallest occurring
-index and, at the first position where it ends, its leftmost
+The divisor of a word is found with an Aho-Corasick automaton (Aho and
+Corasick, 1975) kept on the basis (``G.divisor_index``, a
+:class:`DivisorIndex`) over the first k leading words, where each state
+holds the smallest index of a leading word ending there, merged along
+the failure links.  The division loop walks it itself, the only walk
+there is: one pass over the word, starting from the root's own index
+(an empty leading word ends at position 0), gives the smallest occurring
+index, and ``bytes.find`` then gives that leading word's leftmost
 occurrence: exactly the divisor rule.  The leading words appended since,
 ``leading_words[k:]``, form a short tail that is searched one by one
 with ``bytes.find``, only when the automaton misses; every tail index is
@@ -66,19 +70,19 @@ class DivisionResult:
 class DivisorIndex:
     """Aho-Corasick automaton over a list of patterns (leading words).
 
-    ``size`` is the number of patterns covered.  A state is a list of
-    ``width + 1`` slots: the successor state per column, then the smallest
-    index of a pattern that is a suffix of the text read so far (``size``
-    when there is none).  Columns are the letters the patterns use, in
-    increasing order, then one for every other letter, which leads back to
-    the root; ``cols`` translates a word into columns.
+    Only the tables: :func:`divide` walks them.  ``size`` is the number of
+    patterns covered.  A state is a list of ``width + 1`` slots: the
+    successor state per column, then the smallest index of a pattern that
+    is a suffix of the text read so far (``size`` when there is none).
+    Columns are the letters the patterns use, in increasing order, then one
+    for every other letter, which leads back to the root; ``cols``
+    translates a word into columns.
     """
 
-    __slots__ = ("size", "lengths", "width", "cols", "root")
+    __slots__ = ("size", "width", "cols", "root")
 
     def __init__(self, patterns):
         n = self.size = len(patterns)
-        self.lengths = [len(p) for p in patterns]
         letters = sorted(set(b"".join(patterns)))
         other = len(letters)
         w = self.width = other + 1
@@ -116,46 +120,6 @@ class DivisorIndex:
                 else:
                     queue.append((t, fail[c]))
 
-    def search(self, word):
-        """(index, left, right) for the smallest pattern index occurring in ``word``.
-
-        ``word = left + pattern + right`` at the pattern's leftmost
-        occurrence; None when no pattern occurs.
-        """
-        w = self.width
-        s = self.root
-        best = s[w]
-        end = pos = 0
-        for c in word.translate(self.cols):
-            s = s[c]
-            pos += 1
-            if s[w] < best:
-                best = s[w]
-                end = pos
-        if best == self.size:
-            return None
-        return best, word[:end - self.lengths[best]], word[end:]
-
-
-def _find_divisor(word, leading_words, start, index):
-    """Smallest divisor index from ``start`` on whose leading word occurs in ``word``, leftmost split.
-
-    ``index`` covers ``leading_words[:index.size]``; the caller guarantees
-    that none of ``leading_words[:start]`` occurs in ``word``.
-    """
-    k = index.size
-    if start < k:
-        hit = index.search(word)
-        if hit is not None:
-            return hit
-        start = k
-    for i in range(start, len(leading_words)):
-        lw = leading_words[i]
-        pos = word.find(lw)
-        if pos >= 0:
-            return i, word[:pos], word[pos + len(lw):]
-    return None
-
 
 def divide(f: NcPolynomial, G, ordering) -> DivisionResult:
     """Divide ``f`` by the basis ``G``, returning quotients and remainder.
@@ -172,6 +136,8 @@ def divide(f: NcPolynomial, G, ordering) -> DivisionResult:
     # the logarithmic method: rebuild once the tail outgrows a quarter of the index
     if index is None or n - index.size > max(16, index.size // 4):
         index = G.divisor_index = DivisorIndex(lws)
+    k = index.size
+    root, width, cols = index.root, index.width, index.cols
     normal_words = G.normal_words
     rev = ordering.rev_tbl
     v = dict(f.items())
@@ -182,21 +148,43 @@ def divide(f: NcPolynomial, G, ordering) -> DivisionResult:
     quotients = []
     while heap:
         word = heappop(heap)[2]
-        c = v.get(word)
+        # the step below cancels the word exactly, so it leaves the live set now
+        c = v.pop(word, None)
         if c is None:
             continue
-        hit = _find_divisor(word, lws, normal_words.get(word, 0), index)
-        if hit is None:
-            normal_words[word] = n
-            del v[word]
-            remainder[word] = normal_coefficient(c)
-            continue
-        i, left, right = hit
-        terms = gens[i].items()
+        i = normal_words.get(word, 0)
+        if i < k:
+            # the automaton walk: the smallest index ending anywhere in the
+            # word, starting from the root's (an empty leading word ends at 0)
+            s = root
+            i = s[width]
+            for col in word.translate(cols):
+                s = s[col]
+                if s[width] < i:
+                    i = s[width]
+        if i < k:
+            lw = lws[i]
+            pos = word.find(lw)
+        else:
+            # the memo or the automaton ruled out every index below i
+            for i in range(i, n):
+                lw = lws[i]
+                pos = word.find(lw)
+                if pos >= 0:
+                    break
+            else:
+                normal_words[word] = n
+                remainder[word] = normal_coefficient(c)
+                continue
+        left = word[:pos]
+        right = word[pos + len(lw):]
+        terms = gens[i]._terms
         if not terms:
             raise ValueError("division by a zero polynomial")
         quotients.append((i, c, left, right))  # basis elements are monic
-        for u, cu in terms:
+        for u, cu in terms.items():
+            if u == lw:
+                continue
             w = left + u + right
             old = v.get(w)
             if old is None:

@@ -170,8 +170,11 @@ class ObstructionQueue:
         self._live.pop(o, None)
 
     def live(self):
-        """Pending obstructions, oldest insertion first."""
-        return list(self._live)
+        """Pending obstructions, oldest insertion first.
+
+        A view, not a copy: finish reading it before discarding.
+        """
+        return self._live.keys()
 
     def pop_smallest(self):
         while self._heap:

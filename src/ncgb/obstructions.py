@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .polynomial import add_scaled, sandwich
+from .polynomial import NcPolynomial, normal_coefficient
 
 
 class Obstruction(NamedTuple):
@@ -59,14 +59,36 @@ def obstruction_key(o: Obstruction, ordering):
 
 
 def s_polynomial(o: Obstruction, G, ordering):
-    """wi g_i wi2 - wj g_j wj2 over a monic basis; the common top term cancels."""
+    """wi g_i wi2 - wj g_j wj2 over a monic basis, built in one pass.
+
+    Both placed leading terms are the common word with coefficient 1 and
+    cancel, so only the two tails are placed: g_i's into a fresh dict, then
+    g_j's subtracted from it.  Raises ValueError when the obstruction is not
+    aligned over ``G``.
+    """
+    i, j = o.i, o.j
     lws = G.leading_words
-    if o.wi + lws[o.i] + o.wi2 != o.wj + lws[o.j] + o.wj2:
+    lwi, lwj = lws[i], lws[j]
+    wi, wi2, wj, wj2 = o.wi, o.wi2, o.wj, o.wj2
+    if wi + lwi + wi2 != wj + lwj + wj2:
         raise ValueError("obstruction is not aligned over this basis")
-    return add_scaled(sandwich(o.wi, G.generators[o.i], o.wi2), -1,
-                      sandwich(o.wj, G.generators[o.j], o.wj2))
-
-
+    out = {wi + u + wi2: c for u, c in G.generators[i]._terms.items() if u != lwi}
+    for u, c in G.generators[j]._terms.items():
+        if u == lwj:
+            continue
+        w = wj + u + wj2
+        old = out.get(w)
+        if old is None:
+            out[w] = -c
+        else:
+            acc = old - c
+            if acc:
+                out[w] = acc if type(acc) is int else normal_coefficient(acc)
+            else:
+                del out[w]
+    res = NcPolynomial.__new__(NcPolynomial)
+    res._terms = out
+    return res
 
 
 def nontrivial_obstructions(s: int, G) -> list[tuple[int, int]]:

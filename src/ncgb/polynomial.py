@@ -22,6 +22,7 @@ from .words import Alphabet, LLexOrdering
 # Longest word a single ``^`` power may spell; larger powers are rejected
 # before the repeated word is built.
 MAX_POWER_LETTERS = 65536
+_POWER_DIGITS = len(str(MAX_POWER_LETTERS))
 
 # Longest token a syntax error echoes; a longer one is cut and ends in "…".
 _SHOWN_CHARS = 20
@@ -175,7 +176,15 @@ def _shown(text):
     return repr(text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "…")
 
 
-_TOKEN_RE = re.compile(r"(?P<num>\d+(?:\s*/\s*\d+)?)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*^()])|(?P<bad>\S)")
+_NAME = r"[A-Za-z_]\w*"
+# A run is a product of variables with optional integer powers written
+# without spaces, ``x1^2*x2*x3^3``: the bulk of a basis file.  It is
+# exactly the sequence of name, ``*``, ``^`` and num tokens it spells, so it
+# ends wherever one of those would: a power is taken only when no further
+# digit or fraction bar follows it.
+_TOKEN_RE = re.compile(
+    rf"(?P<run>{_NAME}(?:\^\d+(?!\d|\s*/))?(?:\*{_NAME}(?:\^\d+(?!\d|\s*/))?)*)"
+    r"|(?P<num>\d+(?:\s*/\s*\d+)?)|(?P<op>[-+*^()])|(?P<bad>\S)")
 
 
 def _tokenize(text, line):
@@ -206,6 +215,8 @@ class _Parser:
 
     def fail(self, message, tok=None):
         kind, text, col = tok if tok is not None else self.peek()
+        if kind == "run":  # the error is at its first variable
+            text = text.partition("*")[0].partition("^")[0]
         if kind is None:
             col = self.tokens[-1][2] + len(self.tokens[-1][1]) if self.tokens else 1
             raise PolynomialSyntaxError(message + " (at end of input)", self.line, col)
@@ -255,15 +266,34 @@ class _Parser:
             except ValueError:  # the interpreter's limit on digits converted
                 self.fail(f"coefficient longer than {sys.get_int_max_str_digits()} digits",
                           (kind, text, col))
-        if kind == "name":
-            try:
-                letter = self.alphabet.index(text)
-            except KeyError:
-                self.fail(f"undeclared variable {_shown(text)}", (kind, text, col))
-            return 1, self.power(bytes([letter]))
+        if kind == "run":
+            return 1, self.run(text, col)
         if kind == "op" and text == "(":
             return 1, self.power(self.group_word())
         self.fail("expected a coefficient, variable or '('", (kind, text, col))
+
+    def run(self, text, col):
+        """The word a run token spells.
+
+        A power that follows the run after a space (``a*b ^ 2``) belongs to
+        its last variable, unless that variable already carries one.
+        """
+        index = self.alphabet._index
+        word = bytearray()
+        for factor in text.split("*"):
+            name, caret, digits = factor.partition("^")
+            letter = index.get(name)
+            if letter is None:
+                self.fail(f"undeclared variable {_shown(name)}", ("name", name, col))
+            if caret:
+                word += self.repeat(bytes((letter,)), ("num", digits, col + len(name) + 1))
+            else:
+                word.append(letter)
+            col += len(factor) + 1
+        tokens, pos = self.tokens, self.pos
+        if caret or pos == len(tokens) or tokens[pos][1] != "^":
+            return bytes(word)
+        return bytes(word[:-1]) + self.power(bytes(word[-1:]))
 
     def group_word(self):
         """The body of a parenthesized subword: variables and groups only."""
@@ -280,12 +310,8 @@ class _Parser:
                     expect_factor = True
                     continue
                 self.fail("expected '*' or ')' inside group", (kind, text, col))
-            if kind == "name":
-                try:
-                    letter = self.alphabet.index(text)
-                except KeyError:
-                    self.fail(f"undeclared variable {_shown(text)}", (kind, text, col))
-                word += self.power(bytes([letter]))
+            if kind == "run":
+                word += self.run(text, col)
             elif kind == "op" and text == "(":
                 word += self.power(self.group_word())
             elif kind is None:
@@ -299,16 +325,20 @@ class _Parser:
         kind, text, _ = self.peek()
         if kind == "op" and text == "^":
             self.next()
-            kind, text, col = self.next()
-            if kind != "num" or "/" in text:
-                self.fail("exponent must be a non-negative integer", (kind, text, col))
-            # compare digit counts first: int() refuses very long digit strings
-            digits = text.lstrip("0") or "0"
-            if (len(digits) > len(str(MAX_POWER_LETTERS))
-                    or len(word) * int(digits) > MAX_POWER_LETTERS):
-                self.fail(f"power longer than {MAX_POWER_LETTERS} letters", (kind, text, col))
-            return word * int(digits)
+            tok = self.next()
+            if tok[0] != "num" or "/" in tok[1]:
+                self.fail("exponent must be a non-negative integer", tok)
+            return self.repeat(word, tok)
         return word
+
+    def repeat(self, word, tok):
+        """``word`` repeated by the exponent of the num token ``tok``."""
+        # compare digit counts first: int() refuses very long digit strings
+        digits = tok[1].lstrip("0") or "0"
+        n = int(digits) if len(digits) <= _POWER_DIGITS else MAX_POWER_LETTERS + 1
+        if len(word) * n > MAX_POWER_LETTERS:
+            self.fail(f"power longer than {MAX_POWER_LETTERS} letters", tok)
+        return word * n
 
 
 def parse_polynomial(text: str, alphabet: Alphabet, line: int = 1) -> NcPolynomial:

@@ -242,6 +242,15 @@ def backward_criterion_reference(B, news, s, G):
     return CriteriaReport(survivors, removed_bk=len(removed), removed=removed)
 
 
+def s_polynomial_reference(o, G):
+    """wi g_i wi2 - wj g_j wj2 as two full sandwiches and one scaled sum.
+
+    The leading terms are placed too and cancel in the sum.
+    """
+    return add_scaled(sandwich(o.wi, G.generators[o.i], o.wi2), -1,
+                      sandwich(o.wj, G.generators[o.j], o.wj2))
+
+
 def translated_obstruction_key(o, ordering):
     """The obstruction ordering with every cofactor compared as a word."""
     return (ordering.key(o.common), o.j, ordering.key(o.wj), o.i, ordering.key(o.wi))

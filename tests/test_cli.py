@@ -346,6 +346,31 @@ class TestVerify:
             ["verify", str(path), str(problem_path("g09"))], capsys)
         assert code == EXIT_OK and out.strip() == "ok"
 
+    @pytest.mark.parametrize("name, argv", [("g06", []), ("braid4", ["--trunc", "10"])])
+    def test_basis_out_verifies(self, tmp_path, capsys, name, argv):
+        """run --basis-out writes only the reduced basis; verify accepts it as is."""
+        path = tmp_path / "rgb.prob"
+        code, out, _ = run_main(["run", str(problem_path(name)), *argv,
+                                 "--basis-out", str(path)], capsys)
+        assert code == EXIT_OK
+        if not argv:
+            assert_stdout_pinned(out, name)
+        lines = out.splitlines()
+        rgb = lines[lines.index(next(l for l in lines if l.startswith("# rgb"))) + 1:-2]
+        problem = parse_problem(problem_path(name))
+        assert path.read_text().splitlines() == [
+            f"vars {' '.join(problem.alphabet.symbols)}",
+            f"order llex {' '.join(problem.ordering.precedence)}", *rgb]
+        code, out, err = run_main(["verify", str(path), str(problem_path(name)), *argv],
+                                  capsys)
+        assert (code, out, err) == (EXIT_OK, "ok\n", "")
+
+    def test_unwritable_basis_out(self, capsys):
+        code, _, err = run_main(["run", str(problem_path("g09")), "--basis-out",
+                                 "/nonexistent/dir/rgb.prob"], capsys)
+        assert code == EXIT_ERROR
+        assert err.startswith("error: cannot write ") and "rgb.prob" in err
+
     def test_interrupt_is_an_error(self, tmp_path, capsys, monkeypatch):
         # verification has no partial answer: an interrupt is never "ok"
         path = self.write_basis(tmp_path, capsys)

@@ -6,7 +6,7 @@ import pytest
 
 from ncgb.cli import parse_problem
 from ncgb.corpus import problem_path
-from ncgb.division import DivisorIndex, divide, normal_remainder
+from ncgb.division import divide, normal_remainder
 from ncgb.engine import BasisState, EngineConfig, buchberger, verify_groebner
 from ncgb.polynomial import NcPolynomial, parse_polynomial
 from ncgb.words import Alphabet, LLexOrdering
@@ -18,6 +18,11 @@ from oracles import (
     reference_find_divisor,
     validate_division,
 )
+
+
+# the divisor rule does not depend on the ordering, and bytes outside this
+# alphabet rank as themselves, so it serves words over any letters
+LETTERS = Alphabet(["x", "y"])
 
 
 def basis(texts, alphabet):
@@ -87,6 +92,18 @@ def test_constant_divisor_kills_everything(xy):
     G = basis(["2"], xy)
     f = random_polynomial(random.Random(0), 2)
     assert not normal_remainder(f, G, xy.llex)
+
+
+def test_constant_divisor_in_the_tail(xy):
+    # 2 joins after the automaton is built over x*y, so only the find tail
+    # (b"" occurs at position 0 of every word) can report it
+    G = basis(["x*y - 1"], xy)
+    divide(NcPolynomial.zero(), G, xy.llex)
+    G.append(parse_polynomial("2", xy), xy.llex)
+    f = random_polynomial(random.Random(1), 2)
+    res = divide(f, G, xy.llex)
+    assert G.divisor_index.size == 1 and not res.remainder
+    assert (res.quotients, res.remainder) == reference_divide(f, G, xy.llex)
 
 
 def test_full_contract_on_random_instances(xy):
@@ -218,6 +235,31 @@ def test_verify_leaves_memo_empty():
     assert ok and G.normal_words == {}
 
 
+def divisor_found(patterns, word, indexed):
+    """The divisor ``divide`` applies to the monomial ``word``: (index, left, right) or None.
+
+    The basis holds the monomials ``patterns``.  The automaton covers the
+    first ``indexed`` of them, and the rest form the ``find`` tail (at
+    most 16, so no rebuild).  Monomial divisors leave no tail terms, so
+    the first quotient is the only one.
+    """
+    ordering = LETTERS.llex
+    G = BasisState.from_polynomials([NcPolynomial.from_term(p) for p in patterns[:indexed]],
+                                    ordering)
+    divide(NcPolynomial.zero(), G, ordering)  # builds the automaton
+    for p in patterns[indexed:]:
+        G.append(NcPolynomial.from_term(p), ordering)
+    res = divide(NcPolynomial.from_term(word), G, ordering)
+    assert G.divisor_index.size == indexed
+    if not res.quotients:
+        assert res.remainder == NcPolynomial.from_term(word)
+        return None
+    assert not res.remainder
+    (i, c, left, right), = res.quotients
+    assert c == 1
+    return i, left, right
+
+
 @pytest.mark.parametrize("patterns, word, expected", [
     # the empty leading word occurs at position 0 of every word
     ([b"\0\1", b""], b"\1\1\0", (1, b"", b"\1\1\0")),
@@ -241,22 +283,64 @@ def test_verify_leaves_memo_empty():
 ])
 def test_index_cases(patterns, word, expected):
     assert reference_find_divisor(word, patterns) == expected
-    assert DivisorIndex(patterns).search(word) == expected
+    for indexed in range(max(len(patterns) - 16, 0), len(patterns) + 1):
+        assert divisor_found(patterns, word, indexed) == expected
 
 
 def test_index_matches_plain_scan_property():
+    """The walk and the ``find`` tail, split anywhere, agree with a plain scan."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     words = st.binary(max_size=5).map(lambda w: bytes(c % 3 for c in w))
 
     @hypothesis.settings(max_examples=400, deadline=None, database=None)
-    @hypothesis.given(st.lists(words, max_size=8), st.binary(max_size=12))
-    def check(patterns, text):
+    @hypothesis.given(st.lists(words, max_size=8), st.binary(max_size=12), st.data())
+    def check(patterns, text, data):
         text = bytes(c % 4 for c in text)  # letter 3 is in no pattern
+        indexed = data.draw(st.integers(0, len(patterns)))
         expected = reference_find_divisor(text, patterns)
-        assert DivisorIndex(patterns).search(text) == expected
+        assert divisor_found(patterns, text, indexed) == expected
 
     check()
+
+
+def test_divide_matches_reference_property():
+    """Quotients and remainder equal a rescan, on integer and rational bases.
+
+    The automaton covers a random prefix of the basis; the rest is appended
+    one generator at a time and ``f`` is divided after every append, so
+    the ``find`` tail, the memo carried across appends and (past 16
+    appended generators) the rebuild all take part.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    orderings = {2: LETTERS.llex, 3: LLexOrdering(Alphabet(["a", "b", "c"]), ["b", "c", "a"])}
+    seen = {"rebuilt": 0, "tail": 0}
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(st.randoms(use_true_random=False), st.sampled_from([2, 3]),
+                      st.booleans(), st.integers(1, 22), st.integers(0, 22))
+    def check(rng, nletters, integral, size, indexed):
+        ordering = orderings[nletters]
+        gens = random_basis(rng, ordering, nletters, size, max_degree=4,
+                            integral=integral).generators
+        f = random_polynomial(rng, nletters, max_terms=6, max_degree=6, integral=integral)
+        indexed = min(indexed, size)
+        G = BasisState.from_polynomials(gens[:indexed], ordering)
+        divide(NcPolynomial.zero(), G, ordering)
+        built = G.divisor_index
+        appended = gens[indexed:]
+        while True:
+            res = divide(f, G, ordering)
+            assert (res.quotients, res.remainder) == reference_divide(f, G, ordering)
+            seen["tail"] += G.divisor_index.size < len(G)
+            if not appended:
+                break
+            G.append(appended.pop(0), ordering)
+        seen["rebuilt"] += G.divisor_index is not built
+
+    check()
+    assert seen["tail"] and seen["rebuilt"]
 
 
 def test_index_across_rebuilds():

@@ -26,6 +26,8 @@ from oracles import (
     has_overlap,
     nontrivial_obstructions_brute,
     random_basis,
+    random_word,
+    s_polynomial_reference,
     translated_obstruction_key,
 )
 
@@ -86,6 +88,63 @@ class TestSPolynomial:
         G = basis(["y^3 - 1", "x^2*y^2 - 1"], xy)
         with pytest.raises(ValueError):
             aligned(0, 1, W(xy, "x"), b"", b"", W(xy, "y"), G)
+
+    def test_misaligned_obstruction_raises(self, xy):
+        G = basis(["y^3 - 1", "x^2*y^2 - 1"], xy)
+        o = aligned(0, 1, W(xy, "xx"), b"", b"", W(xy, "y"), G)
+        with pytest.raises(ValueError, match="not aligned"):
+            s_polynomial(o._replace(wi2=W(xy, "y")), G, xy.llex)
+        with pytest.raises(ValueError, match="not aligned"):
+            s_polynomial(o._replace(j=0), G, xy.llex)
+
+    def test_matches_sandwich_formula_property(self):
+        """One pass equals the two sandwiches and a scaled sum, normal coefficients included.
+
+        Random rational bases get copies, extensions and factors of their
+        leading words, so batches hold containments, equal leading words
+        and self-overlaps (i == j); disjoint placements of every pair are
+        checked too.
+        """
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        orderings = {n: Alphabet(["a", "b", "c"][:n]).llex for n in (1, 2, 3)}
+        seen = {"self": 0, "containment": 0, "disjoint": 0}
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(st.randoms(use_true_random=False), st.sampled_from([1, 2, 3]),
+                          st.integers(1, 4), st.integers(0, 3), st.booleans())
+        def check(rng, nletters, size, extra, integral):
+            ordering = orderings[nletters]
+            G = random_basis(rng, ordering, nletters, size, max_degree=4, integral=integral)
+            for _ in range(extra):
+                lw = rng.choice(G.leading_words)
+                how = rng.choice(["copy", "extension", "factor"])
+                if how == "extension":
+                    lw = (random_word(rng, nletters, 0, 2) + lw
+                          + random_word(rng, nletters, 0, 2))
+                elif how == "factor" and lw:
+                    start = rng.randrange(len(lw))
+                    lw = lw[start:rng.randint(start + 1, len(lw))]
+                tail = random_word(rng, nletters, 0, max(len(lw) - 1, 0))
+                f = NcPolynomial({lw: 1, tail: rng.choice([-2, -1, 1, 3])})
+                if f and leading(f, ordering)[1] == lw:
+                    G.append(f, ordering)
+            obstructions = [o for s in range(len(G)) for o in batch(s, G)]
+            lws = G.leading_words
+            for i in range(len(G)):
+                for j in range(i, len(G)):
+                    gap = random_word(rng, nletters, 0, 2)
+                    obstructions.append(aligned(i, j, b"", gap + lws[j], lws[i] + gap, b"", G))
+                    seen["disjoint"] += 1
+            for o in obstructions:
+                seen["self"] += o.i == o.j and o.wi != o.wj
+                seen["containment"] += len(o.common) in (len(lws[o.i]), len(lws[o.j]))
+                S = s_polynomial(o, G, ordering)
+                assert S == s_polynomial_reference(o, G)
+                assert all(c and (type(c) is int or c.denominator != 1) for _, c in S.items())
+
+        check()
+        assert all(seen.values())
 
     def test_representation_identity(self, triple, xy):
         # o(xyx^2,1;1,y^2) against target 2 decomposes through o(xy,1;1,y)

@@ -186,6 +186,28 @@ class TestParsing:
         assert err.value.column == 5
         assert err.value.token == "q"
 
+    @pytest.mark.parametrize("text, column, token, message", [
+        ("3 a*b", 3, "a", "expected '+' or '-' between terms, got 'a'"),
+        ("a*b*q^2", 5, "q", "undeclared variable 'q', got 'q'"),
+        ("a^2^3*b", 4, "^", "expected '+' or '-' between terms, got '^'"),
+        ("a^2/3*b", 3, "2/3", "exponent must be a non-negative integer, got '2/3'"),
+        ("a^2 /3", 3, "2 /3", "exponent must be a non-negative integer, got '2 /3'"),
+        ("a^b*a", 3, "b", "exponent must be a non-negative integer, got 'b'"),
+        ("(a*b^2 b)", 8, "b", "expected '*' or ')' inside group, got 'b'"),
+        ("b*a^70000*q", 5, "70000", "power longer than 65536 letters, got '70000'"),
+        ("a*b^2a", 6, "a", "expected '+' or '-' between terms, got 'a'"),
+        ("a^02*b +", 9, "", "expected a coefficient, variable or '(' (at end of input)"),
+    ])
+    def test_error_inside_a_product(self, ab, text, column, token, message):
+        """A product like a*b^2 is read in one piece; errors still point at its parts."""
+        with pytest.raises(PolynomialSyntaxError) as err:
+            parse_polynomial(text, ab)
+        assert (err.value.column, err.value.token, err.value.message) == (column, token, message)
+
+    def test_spaced_power_takes_the_last_variable(self, ab):
+        assert poly("a*b ^ 2*a", ab) == NcPolynomial.from_term(ab.word("abba"))
+        assert poly("(a*b ^2)", ab) == NcPolynomial.from_term(ab.word("abb"))
+
     def test_zero_denominator_rejected(self, ab):
         with pytest.raises(PolynomialSyntaxError) as err:
             parse_polynomial("a - 1/0", ab, line=3)
