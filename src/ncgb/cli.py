@@ -5,7 +5,8 @@ A problem file is line oriented: ``vars a b`` declares the variables,
 lines list the generators, and ``name``, ``mode``, ``trunc``,
 ``maxbasis``, ``maxdegree`` tune the run.  ``#`` starts a comment.
 ``ncgb run --basis-out PATH`` writes the reduced basis in this form, as
-vars, order and gen lines that ``ncgb verify`` reads back.
+vars, order and gen lines that ``ncgb verify`` reads back; a basis file's
+vars and order lines, when it has them, must match the problem's.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ class Problem:
     truncation: int | None = None
     max_basis: int | None = None
     max_degree: int | None = None
+    order_line: int = 0  # the line of the order directive; 0 without one
 
 
 def parse_problem(path, base_alphabet=None) -> Problem:
@@ -64,6 +66,7 @@ def parse_problem(path, base_alphabet=None) -> Problem:
     name = path.stem
     alphabet = None
     precedence = None
+    order_line = 0
     mode = truncation = max_basis = max_degree = None
     raw_gens = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -80,10 +83,13 @@ def parse_problem(path, base_alphabet=None) -> Problem:
             except ValueError as exc:
                 raise ProblemError(path, lineno, str(exc)) from None
         elif directive == "order":
+            if order_line:
+                raise ProblemError(path, lineno, "duplicate order line")
             parts = rest.split()
             if not parts or parts[0] != "llex":
                 raise ProblemError(path, lineno, "only 'order llex <vars...>' is supported")
             precedence = parts[1:] or None
+            order_line = lineno
         elif directive == "name":
             if not rest:
                 raise ProblemError(path, lineno, "empty name")
@@ -118,7 +124,7 @@ def parse_problem(path, base_alphabet=None) -> Problem:
     try:
         ordering = LLexOrdering(alphabet, precedence) if precedence else alphabet.llex
     except ValueError as exc:
-        raise ProblemError(path, 0, str(exc)) from None
+        raise ProblemError(path, order_line, str(exc)) from None
     generators = []
     for lineno, body in raw_gens:
         try:
@@ -128,7 +134,7 @@ def parse_problem(path, base_alphabet=None) -> Problem:
     if not generators:
         raise ProblemError(path, 0, "no generators")
     return Problem(name, alphabet, ordering, generators, mode,
-                   truncation, max_basis, max_degree)
+                   truncation, max_basis, max_degree, order_line)
 
 
 def render_obstruction(o, alphabet) -> str:
@@ -190,6 +196,10 @@ def cmd_verify(args, out) -> int:
     basis_file = parse_problem(args.basis, base_alphabet=problem.alphabet)
     if basis_file.alphabet != problem.alphabet:
         raise ProblemError(args.basis, 0, "basis and problem declare different variables")
+    if (basis_file.order_line
+            and basis_file.ordering.precedence != problem.ordering.precedence):
+        raise ProblemError(args.basis, basis_file.order_line,
+                           "basis and problem declare different orders")
     G = BasisState.from_polynomials(basis_file.generators, problem.ordering)
     truncation = args.trunc if args.trunc is not None else problem.truncation
     ok, failures = verify_groebner(G, problem.ordering, truncation)
@@ -239,7 +249,8 @@ def main(argv=None) -> int:
                     "zero modulo it, both up to the truncation degree.  The reverse "
                     "inclusion, that the basis lies in the problem's ideal, is not "
                     "checked.")
-    pver.add_argument("basis", help="file with gen lines for the basis")
+    pver.add_argument("basis", help="file with gen lines for the basis; its vars and "
+                                    "order lines, if present, must match the problem's")
     pver.add_argument("problem", help="problem file supplying variables and ordering")
     pver.add_argument("--trunc", type=int, metavar="D",
                       help="only check obstructions and generators up to this degree")

@@ -10,12 +10,15 @@ is built: a member of the batch is its offset pair (i, d) (see
 lw(g_i), left-only when d + b >= a, right-only when d <= 0 (a =
 len(lw(g_i)), b = len(lw(g_s))).  The multiply criterion splits the
 batch by that shape: a member with an empty right cofactor can only be
-justified by another such member whose left cofactor is a proper suffix
-of its own (the longest one present), a member with an empty left
-cofactor by one whose right cofactor is a proper prefix of its own (the
-shortest one present), and each side is one sorted scan over a chain of
-prefixes; only the rare members with both cofactors non-empty probe
-every cut.  The leading-word criterion runs on the multiply criterion's
+removed by another such member whose left cofactor is a proper suffix of
+its own, and a member with an empty left cofactor by one whose right
+cofactor is a proper prefix of its own.  Keyed by the reversed left or
+the right cofactor, a one-sided member stays exactly when its key extends
+no other key of its side, and each side is one sorted scan that skips, by
+bisection, the whole block of keys extending each survivor, so its
+Python work follows the survivors, not the batch.  Only the rare members
+with both cofactors non-empty probe every cut.  M chooses no
+justifiers.  The leading-word criterion runs on the multiply criterion's
 survivors, where it reduces to a group minimum keyed (i, max(-d, 0)).
 The backward criterion then prunes the pending set of built obstructions
 using the newest generator; since a non-trivial obstruction of a pair is
@@ -27,7 +30,10 @@ work changes.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import not_
 
 
 @dataclass
@@ -38,51 +44,37 @@ class CriteriaReport:
     removed_m: int = 0
     removed_f: int = 0
     removed_bk: int = 0
-    # (removed member, justifying member or None) pairs: offset pairs for
-    # m and f, built obstructions for bk
+    # (removed member, justifying member) pairs: offset pairs for f; m
+    # (offset pairs) and bk (built obstructions) report None as justifier
     removed: list = field(default_factory=list)
 
 
-def _chain_justifiers(keys, positions, just, longest):
-    """Justify each key by a distinct shorter key that is a prefix of it.
+def _minimal_keys(keys):
+    """The set of keys that have no proper prefix among ``keys``.
 
-    ``keys[r]`` belongs to batch position ``positions[r]``.  The keys are
-    visited in sorted order, stably, so equal keys keep batch order; the
-    stack then holds the chain of distinct keys that are prefixes of the
-    current one, each with the batch position of its first copy.  A new
-    key is justified by the top of that chain (``longest``) or by its
-    bottom; a later copy of a key takes its first copy's justifier.
-    ``just`` maps batch positions to justifying batch positions.
+    One block skip per survivor over the sorted keys: a survivor r is the
+    first key that does not extend the previous survivor, its copies end at
+    ``bisect_right(ks, r, q)``, and every key that extends r lies in
+    [r, r + b"\\xff") (letters are alphabet indices, at most 254), so the
+    next survivor is at ``bisect_left(ks, r + b"\\xff", e)``.  Every key
+    extends an empty one, so an empty key ends the scan.
     """
-    stack = []
-    pick = -1 if longest else 0
-    for r in sorted(range(len(keys)), key=keys.__getitem__):
-        key = keys[r]
-        while stack and not key.startswith(stack[-1][0]):
-            stack.pop()
-        p = positions[r]
-        if stack and stack[-1][0] == key:
-            just[p] = just[stack[-1][1]]
-            continue
-        if stack:
-            just[p] = stack[pick][1]
-        stack.append((key, p))
+    ks = sorted(keys)
+    minimal = set()
+    q = 0
+    while q < len(ks):
+        r = ks[q]
+        minimal.add(r)
+        e = bisect_right(ks, r, q)
+        q = bisect_left(ks, r + b"\xff", e)
+    return minimal
 
 
-def _first_cut(u, u2, by_cof):
-    """The value of ``by_cof`` at the first proper cut (u[a:], u2[:c]), or None.
-
-    Cuts go a = 0, 1, ... outside and c = 0, 1, ... inside, skipping
-    (u, u2) itself.
-    """
-    for a in range(len(u) + 1):
-        v = u[a:]
-        for c in range(len(u2) + 1):
-            if a or c < len(u2):
-                hit = by_cof.get((v, u2[:c]))
-                if hit is not None:
-                    return hit
-    return None
+def _has_proper_cut(u, u2, cofs):
+    """Whether some cut (u[a:], u2[:c]) other than (u, u2) itself is in ``cofs``."""
+    return any((u[a:], u2[:c]) in cofs
+               for a in range(len(u) + 1) for c in range(len(u2) + 1)
+               if a or c < len(u2))
 
 
 def _target_cofactors(news, s, G):
@@ -104,28 +96,28 @@ def multiply_criterion(news, s, G) -> CriteriaReport:
     """Drop every pair whose target cofactors strictly extend another's.
 
     ``news`` holds offset pairs (i, d) of target s.  A candidate with
-    target cofactors (u, u2) goes when the batch contains a distinct pair
-    with cofactors (v, v2) such that u = w*v and u2 = v2*w2 with w, w2 not
-    both empty.  Divisor chains compose, so testing against the full input
-    batch removes exactly the same set as a largest-first sweep in which
-    removed entries stop justifying.
+    target cofactors (u, u2) goes when the batch contains a pair with
+    cofactors (v, v2) such that u = w*v and u2 = v2*w2 with w, w2 not both
+    empty; members with equal cofactors never remove each other.  Divisor
+    chains compose, so testing against the full input batch removes exactly
+    the same set as a largest-first sweep in which removed entries stop
+    justifying.
 
-    The justifier is the first batch member with the first (v, v2) hit in
-    the cut order: w shortest first, then w2 longest first.  Almost every
-    member is one-sided, and a one-sided member can only be justified by
-    its own side, ("", "") belonging to both:
+    Almost every member is one-sided, and a one-sided member can only be
+    removed by its own side, ("", "") belonging to both:
 
-    * (u, "") (d + b >= a) by the longest proper suffix v of u with a
-      member (v, ""); reversed left cofactors make those suffixes prefixes;
-    * ("", u2) (d <= 0) by the shortest proper prefix v2 of u2 with a
-      member ("", v2).
+    * (u, "") (d + b >= a) by a member (v, "") with v a proper suffix of u;
+      its key is u reversed, so those suffixes become prefixes;
+    * ("", u2) (d <= 0) by a member ("", v2) with v2 a proper prefix of u2;
+      its key is u2.
 
-    Each side is one sorted prefix-chain scan (:func:`_chain_justifiers`)
-    over slices of the source leading words.  Members with equal cofactors
-    do not justify each other: a later copy goes exactly when its first
-    copy does, with the same justifier.  Only members with both cofactors
-    non-empty probe every cut against a dict of all the batch's cofactor
-    pairs.
+    So a one-sided member stays exactly when its key extends no other key
+    of its side, and :func:`_minimal_keys` finds those keys with one block
+    skip per survivor over the side's sorted keys.  The removed members are
+    never visited one by one in Python, and no justifier is chosen: the
+    report's removals are (member, None) pairs.  Only members with both
+    cofactors non-empty probe every cut against the set of all the batch's
+    cofactor pairs.
     """
     news = list(news)
     lws = G.leading_words
@@ -133,33 +125,28 @@ def multiply_criterion(news, s, G) -> CriteriaReport:
     left, left_at, right, right_at, two_sided = [], [], [], [], []
     for p, (i, d) in enumerate(news):
         lw = lws[i]
-        if d + b >= len(lw):  # empty right cofactor
-            left.append(lw[d - 1::-1] if d > 0 else b"")
-            left_at.append(p)
-            if d <= 0:
-                right.append(b"")
-                right_at.append(p)
-        elif d <= 0:
+        if d <= 0:  # empty left cofactor
             right.append(lw[d + b:])
             right_at.append(p)
+            if d + b >= len(lw):
+                left.append(b"")
+                left_at.append(p)
+        elif d + b >= len(lw):  # empty right cofactor
+            left.append(lw[d - 1::-1])
+            left_at.append(p)
         else:
             two_sided.append(p)
-    just = [None] * len(news)
-    _chain_justifiers(left, left_at, just, longest=True)
-    _chain_justifiers(right, right_at, just, longest=False)
+    alive = [False] * len(news)
+    for keys, at in ((left, left_at), (right, right_at)):
+        for p in compress(at, map(_minimal_keys(keys).__contains__, keys)):
+            alive[p] = True
     if two_sided:
         cofs = _target_cofactors(news, s, G)
-        by_cof = {}
-        for p, cof in enumerate(cofs):
-            by_cof.setdefault(cof, p)
+        present = set(cofs)
         for p in two_sided:
-            just[p] = _first_cut(*cofs[p], by_cof)
-    survivors, removed = [], []
-    for o, p in zip(news, just):
-        if p is None:
-            survivors.append(o)
-        else:
-            removed.append((o, news[p]))
+            alive[p] = not _has_proper_cut(*cofs[p], present)
+    survivors = list(compress(news, alive))
+    removed = list(zip(compress(news, map(not_, alive)), repeat(None)))
     return CriteriaReport(survivors, removed_m=len(removed), removed=removed)
 
 

@@ -169,33 +169,20 @@ def multiply_criterion_reference(news):
     """The multiply criterion by probing every cut of the target cofactors.
 
     For each member (u, u2) the cuts (u[a:], u2[:c]) go a = 0, 1, ...
-    outside and c = 0, 1, ... inside, skipping (u, u2) itself; the first
-    cut that is the cofactor pair of a batch member removes it, justified
-    by the first such member in batch order.
+    outside and c = 0, 1, ... inside, skipping (u, u2) itself; a cut that
+    is the cofactor pair of a batch member removes it.  Like the criterion,
+    it reports no justifier.
     """
     news = list(news)
-    by_cof = {}
-    for o in news:
-        by_cof.setdefault((o.wj, o.wj2), o)
+    cofs = {(o.wj, o.wj2) for o in news}
     survivors, removed = [], []
     for o in news:
         u, u2 = o.wj, o.wj2
-        just = None
-        for a in range(len(u) + 1):
-            v = u[a:]
-            for c in range(len(u2) + 1):
-                if a == 0 and c == len(u2):
-                    continue
-                hit = by_cof.get((v, u2[:c]))
-                if hit is not None:
-                    just = hit
-                    break
-            if just is not None:
-                break
-        if just is None:
-            survivors.append(o)
+        if any((u[a:], u2[:c]) in cofs for a in range(len(u) + 1)
+               for c in range(len(u2) + 1) if a or c < len(u2)):
+            removed.append((o, None))
         else:
-            removed.append((o, just))
+            survivors.append(o)
     return CriteriaReport(survivors, removed_m=len(removed), removed=removed)
 
 
@@ -302,27 +289,40 @@ def validate_division(result, f, G, ordering):
 
 
 def assert_removals_dominated(report, s, G, ordering):
-    """Check that each removal is larger than both obstructions explaining it.
+    """Check that each removal is dominated by some other member of its batch.
 
     Applies to the multiply and leading-word criteria, whose reports hold
-    offset pairs of target s; backward removals carry no such guarantee.
-    Raises AssertionError on violation.
+    offset pairs of target s; the batch is the report's survivors and
+    removed members.  Reported justifiers are not read: for each removed
+    member, the batch is searched for another member whose target
+    cofactors (v, v2) it extends as (w*v, v2*w2), w and w2 possibly empty,
+    such that the removed member is larger than both that member and the
+    obstruction the two induce between their sources.  Backward removals
+    carry no such guarantee.  Raises AssertionError on violation.
     """
     def key(o):
         return obstruction_key(o, ordering)
 
-    for o, just in report.removed:
-        o, just = built([o, just], s, G)
-        if key(o) <= key(just):
-            raise AssertionError(f"removed {o!r} does not dominate its justifier")
-        w = o.wj[:len(o.wj) - len(just.wj)]
-        w2 = o.wj2[len(just.wj2):]
-        if o.i <= just.i:
-            third = aligned(o.i, just.i, o.wi, o.wi2, w + just.wi, just.wi2 + w2, G)
+    def dominates(o, base):
+        w = o.wj[:len(o.wj) - len(base.wj)]
+        w2 = o.wj2[len(base.wj2):]
+        if o.i <= base.i:
+            third = aligned(o.i, base.i, o.wi, o.wi2, w + base.wi, base.wi2 + w2, G)
         else:
-            third = aligned(just.i, o.i, w + just.wi, just.wi2 + w2, o.wi, o.wi2, G)
-        if key(o) <= key(third):
-            raise AssertionError(f"removed {o!r} does not dominate the induced obstruction")
+            third = aligned(base.i, o.i, w + base.wi, base.wi2 + w2, o.wi, o.wi2, G)
+        return key(o) > key(base) and key(o) > key(third)
+
+    removed = [o for o, _ in report.removed]
+    batch = built(list(report.survivors) + removed, s, G)
+    by_cof = {}
+    for o in batch:
+        by_cof.setdefault((o.wj, o.wj2), []).append(o)
+    for o in batch[len(report.survivors):]:
+        u, u2 = o.wj, o.wj2
+        bases = (base for a in range(len(u) + 1) for c in range(len(u2) + 1)
+                 for base in by_cof.get((u[a:], u2[:c]), ()) if base != o)
+        if not any(dominates(o, base) for base in bases):
+            raise AssertionError(f"removed {o!r} is dominated by no member of its batch")
 
 
 def reference_divide(f, G, ordering):

@@ -93,6 +93,23 @@ class TestProblemFiles:
         path.write_text("vars a b\norder llex b a\ngen a*b - 1\n")
         problem = parse_problem(path)
         assert problem.ordering.precedence == ("b", "a")
+        assert problem.order_line == 2
+
+    @pytest.mark.parametrize("order", ["order llex a a", "order llex a c", "order llex a"])
+    def test_bad_order_line_reports_its_line(self, tmp_path, order):
+        path = tmp_path / "bad.prob"
+        path.write_text(f"vars a b\n{order}\ngen a - 1\n")
+        with pytest.raises(ProblemError) as err:
+            parse_problem(path)
+        assert err.value.line == 2
+        assert str(err.value).startswith(f"{path}:2: ")
+
+    def test_duplicate_order_line_rejected(self, tmp_path):
+        path = tmp_path / "bad.prob"
+        path.write_text("vars a b\norder llex b a\norder llex a b\ngen a - 1\n")
+        with pytest.raises(ProblemError, match="duplicate order line") as err:
+            parse_problem(path)
+        assert err.value.line == 3
 
 
 # the statistics rows of perfbench/README.md
@@ -449,6 +466,23 @@ class TestVerify:
         code, _, err = run_main(
             ["verify", str(basis), str(problem_path("g09"))], capsys)
         assert code == EXIT_ERROR and "different variables" in err
+
+    @pytest.mark.parametrize("order, code", [
+        ("order llex a b", EXIT_OK), ("order llex b a", EXIT_ERROR), (None, EXIT_OK)])
+    def test_basis_order_must_match(self, tmp_path, capsys, order, code):
+        """A basis file's order line, when it has one, must be the problem's."""
+        path = tmp_path / "rgb.prob"
+        run_main(["run", str(problem_path("g09")), "--basis-out", str(path)], capsys)
+        lines = path.read_text().splitlines()
+        assert lines[1] == "order llex a b"
+        lines[1:2] = [order] if order else []
+        path.write_text("\n".join(lines) + "\n")
+        got, out, err = run_main(["verify", str(path), str(problem_path("g09"))], capsys)
+        assert got == code
+        if code == EXIT_OK:
+            assert out == "ok\n"
+        else:
+            assert err == f"error: {path}:2: basis and problem declare different orders\n"
 
     def test_truncated_verify(self, tmp_path, capsys):
         _, out, _ = run_main(

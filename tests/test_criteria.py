@@ -28,6 +28,7 @@ from oracles import (
     built,
     leading_word_criterion_reference,
     multiply_criterion_reference,
+    obstruction_at,
     offset_pair,
     random_basis,
     random_word,
@@ -52,10 +53,15 @@ def pairs(*obstructions):
     return [offset_pair(o) for o in obstructions]
 
 
+def built_removal(removal, s, G):
+    """A (member, justifier) removal with both built; an absent justifier stays None."""
+    return tuple(None if o is None else obstruction_at(o[0], s, o[1], G) for o in removal)
+
+
 def assert_matches(got, want, s, G):
     """A pair criterion's report equals a reference report on built obstructions."""
     assert built(got.survivors, s, G) == want.survivors
-    assert [tuple(built(r, s, G)) for r in got.removed] == want.removed
+    assert [built_removal(r, s, G) for r in got.removed] == want.removed
     assert (got.removed_m, got.removed_f) == (want.removed_m, want.removed_f)
 
 
@@ -75,7 +81,7 @@ class TestMultiplyCriterion:
         small = aligned(1, 2, xy.word("xy"), b"", b"", xy.word("y"), triple)
         rep = multiply_criterion(pairs(big, small), 2, triple)
         assert rep.survivors == pairs(small)
-        assert rep.removed == [tuple(pairs(big, small))]
+        assert rep.removed == [(pairs(big)[0], None)]
         assert rep.removed_m == 1
         assert_removals_dominated(rep, 2, triple, xy.llex)
 
@@ -94,47 +100,85 @@ class TestMultiplyCriterion:
     def test_empty_batch(self, triple, xy):
         assert multiply_criterion([], 2, triple).survivors == []
 
-    def test_left_side_takes_longest_suffix(self, ab):
-        # (aa, "") has the proper suffixes a and "" in the batch
+    def test_left_side_keeps_only_shortest_suffix(self, ab):
+        # (aa, "") has the proper suffixes a and "" in the batch, and (a, "")
+        # has ""; the containment ("", "") removes the whole left side
         G = basis(["a*a*b - 1", "a*b - 1", "b + 1", "b - 1"], ab)
         news = pairs(aligned(0, 3, b"", b"", ab.word("aa"), b"", G),
                      aligned(1, 3, b"", b"", ab.word("a"), b"", G),
                      aligned(2, 3, b"", b"", b"", b"", G))
         rep = multiply_criterion(news, 3, G)
-        assert rep.removed == [(news[0], news[1]), (news[1], news[2])]
+        assert rep.survivors == news[2:] and rep.removed_m == 2
+        assert rep.removed == [(news[0], None), (news[1], None)]
+        assert_removals_dominated(rep, 3, G, ab.llex)
 
-    def test_right_side_takes_shortest_prefix(self, ab):
-        # ("", aa) has the proper prefixes a and "" in the batch
+    def test_right_side_keeps_only_shortest_prefix(self, ab):
+        # ("", aa) has the proper prefixes a and "" in the batch, and ("", a)
+        # has ""; the containment ("", "") removes the whole right side
         G = basis(["b*a*a - 1", "b*a - 1", "b + 1", "b - 1"], ab)
         news = pairs(aligned(0, 3, b"", b"", b"", ab.word("aa"), G),
                      aligned(1, 3, b"", b"", b"", ab.word("a"), G),
                      aligned(2, 3, b"", b"", b"", b"", G))
         rep = multiply_criterion(news, 3, G)
-        assert rep.removed == [(news[0], news[2]), (news[1], news[2])]
+        assert rep.survivors == news[2:] and rep.removed_m == 2
+        assert_removals_dominated(rep, 3, G, ab.llex)
 
-    def test_later_copy_takes_first_copys_justifier(self, ab):
+    def test_copies_stay_and_go_together(self, ab):
         # sources 1 and 2 share a leading word, so their target cofactors
-        # are equal; neither copy justifies the other, and an extension of
-        # both is justified by the first copy in batch order
+        # are equal: neither copy removes the other, both remove an
+        # extension of them, and both go when a cut of theirs is present
         G = basis(["a*a*b - 1", "a*b - 1", "a*b - b", "b + 1", "b - 1"], ab)
         copies = pairs(aligned(1, 4, b"", b"", ab.word("a"), b"", G),
                        aligned(2, 4, b"", b"", ab.word("a"), b"", G))
         longer, = pairs(aligned(0, 4, b"", b"", ab.word("aa"), b"", G))
         rep = multiply_criterion([longer] + copies, 4, G)
-        assert rep.survivors == copies and rep.removed == [(longer, copies[0])]
+        assert rep.survivors == copies and rep.removed_m == 1
+        assert_removals_dominated(rep, 4, G, ab.llex)
         base, = pairs(aligned(3, 4, b"", b"", b"", b"", G))
         rep = multiply_criterion(copies + [base], 4, G)
-        assert rep.removed == [(copies[0], base), (copies[1], base)]
+        assert rep.survivors == [base] and rep.removed_m == 2
+        assert_removals_dominated(rep, 4, G, ab.llex)
 
     def test_two_sided_member_probes_every_cut(self, ab):
-        # (a, b) is justified by the one-sided (a, "") before ("", b)
+        # (a, b) extends the one-sided (a, "") and ("", b), which both stay
         G = basis(["a*b*b - 1", "a*b + 1", "b*b - 1", "b - 1"], ab)
         news = [aligned(0, 3, b"", b"", ab.word("a"), ab.word("b"), G),
                 aligned(2, 3, b"", b"", b"", ab.word("b"), G),
                 aligned(1, 3, b"", b"", ab.word("a"), b"", G)]
         rep = multiply_criterion(pairs(*news), 3, G)
-        assert rep.removed == [tuple(pairs(news[0], news[2]))]
+        assert rep.survivors == pairs(*news[1:]) and rep.removed_m == 1
         assert_matches(rep, multiply_criterion_reference(news), 3, G)
+        assert_removals_dominated(rep, 3, G, ab.llex)
+
+    def test_containment_removes_both_sides(self, ab):
+        # b lies inside a*b, so ("", "") is in the batch: it is a cut of the
+        # one-sided ("", b) and (a, "") and of the two-sided (a, b)
+        G = basis(["b - 1", "b*b - 1", "a*a - 1", "a*a*b*b - 1", "a*b - 1"], ab)
+        news = nontrivial_obstructions(4, G)
+        cofs = [(o.wj, o.wj2) for o in built(news, 4, G)]
+        a, b = ab.word("a"), ab.word("b")
+        assert {(b"", b), (a, b""), (a, b)} <= set(cofs)
+        rep = multiply_criterion(news, 4, G)
+        assert rep.survivors == [o for o, cof in zip(news, cofs) if cof == (b"", b"")]
+        assert rep.removed_m == len(news) - 1
+        assert_matches(rep, multiply_criterion_reference(built(news, 4, G)), 4, G)
+
+    def test_top_letter_extensions_skipped(self):
+        # letter 254 is the largest an alphabet can have: the block of keys
+        # extending x254 ends below x254 followed by the bound b"\xff"
+        names = [f"x{k}" for k in range(255)]
+        ordering = Alphabet(names).llex
+        top, low = bytes([254]), bytes([0])
+        lws = [low + top, low + top + top, low + top + low, low + bytes([253]) + top,
+               top + low, top + top + low, low]
+        G = BasisState.from_polynomials(
+            [NcPolynomial({lw: 1, b"": 1}) for lw in lws], ordering)
+        s = len(lws) - 1
+        news = nontrivial_obstructions(s, G)
+        rep = multiply_criterion(news, s, G)
+        kept = {(o.wj, o.wj2) for o in built(rep.survivors, s, G)}
+        assert kept == {(b"", top), (b"", bytes([253]) + top), (top, b"")}
+        assert_matches(rep, multiply_criterion_reference(built(news, s, G)), s, G)
 
 
 def test_multiply_criterion_matches_reference_property():
@@ -145,7 +189,7 @@ def test_multiply_criterion_matches_reference_property():
     and two-sided members; every target s, in construction order and
     shuffled.  M is checked against probing every cut, F against a group
     minimum, on the full batch and on M's survivors.  Survivors, removals
-    with their justifiers and the counts must all agree.
+    (with F's justifiers; M reports none) and the counts must all agree.
     """
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -187,6 +231,34 @@ def test_multiply_criterion_matches_reference_property():
 
     check()
     assert all(seen.values()), seen
+
+
+def test_multiply_criterion_on_top_letters_property():
+    """M removes what the reference removes when keys hold the largest letters.
+
+    Random leading words over 2 or 3 letters, taken from 254, 253 and 0 of
+    a 255-variable alphabet, so that the sorted keys of each side meet the
+    bound that ends a block of extensions; every target s.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ordering = Alphabet([f"x{k}" for k in range(255)]).llex
+    top = bytes([254, 253, 0]) + bytes(range(3, 256))
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(st.randoms(use_true_random=False), st.sampled_from([2, 3]),
+                      st.integers(2, 6))
+    def check(rng, nletters, size):
+        G = BasisState()
+        for _ in range(size):
+            lw = random_word(rng, nletters, 1, 4).translate(top)
+            G.append(NcPolynomial({lw: 1, b"": 1}), ordering)
+        for s in range(len(G)):
+            news = nontrivial_obstructions(s, G)
+            want = multiply_criterion_reference(built(news, s, G))
+            assert_matches(multiply_criterion(news, s, G), want, s, G)
+
+    check()
 
 
 @pytest.mark.slow
