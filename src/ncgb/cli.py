@@ -4,6 +4,7 @@ A problem file is line oriented: ``vars a b`` declares the variables,
 ``order llex a b`` optionally permutes their precedence, ``gen <poly>``
 lines list the generators, and ``name``, ``mode``, ``trunc``,
 ``maxbasis``, ``maxdegree`` tune the run.  ``#`` starts a comment.
+Every directive but ``gen`` may appear once, and no generator may be zero.
 ``ncgb run --basis-out PATH`` writes the reduced basis in this form, as
 vars, order and gen lines that ``ncgb verify`` reads back; a basis file's
 vars and order lines, when it has them, must match the problem's.
@@ -67,24 +68,26 @@ def parse_problem(path, base_alphabet=None) -> Problem:
     alphabet = None
     precedence = None
     order_line = 0
-    mode = truncation = max_basis = max_degree = None
+    mode = None
+    caps = {}  # the positive integer directives: trunc, maxbasis, maxdegree
     raw_gens = []
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         directive, _, rest = line.partition(" ")
         rest = rest.strip()
+        if directive in seen:
+            raise ProblemError(path, lineno, f"duplicate {directive} line")
+        if directive != "gen":
+            seen.add(directive)
         if directive == "vars":
-            if alphabet is not None:
-                raise ProblemError(path, lineno, "duplicate vars line")
             try:
                 alphabet = Alphabet(rest.split())
             except ValueError as exc:
                 raise ProblemError(path, lineno, str(exc)) from None
         elif directive == "order":
-            if order_line:
-                raise ProblemError(path, lineno, "duplicate order line")
             parts = rest.split()
             if not parts or parts[0] != "llex":
                 raise ProblemError(path, lineno, "only 'order llex <vars...>' is supported")
@@ -100,17 +103,11 @@ def parse_problem(path, base_alphabet=None) -> Problem:
             mode = rest
         elif directive in ("trunc", "maxbasis", "maxdegree"):
             try:
-                value = int(rest)
+                caps[directive] = int(rest)
             except ValueError:
                 raise ProblemError(path, lineno, f"{directive} needs an integer") from None
-            if value < 1:
+            if caps[directive] < 1:
                 raise ProblemError(path, lineno, f"{directive} must be positive")
-            if directive == "trunc":
-                truncation = value
-            elif directive == "maxbasis":
-                max_basis = value
-            else:
-                max_degree = value
         elif directive == "gen":
             if alphabet is None and base_alphabet is None:
                 raise ProblemError(path, lineno, "vars must be declared before gen")
@@ -128,13 +125,16 @@ def parse_problem(path, base_alphabet=None) -> Problem:
     generators = []
     for lineno, body in raw_gens:
         try:
-            generators.append(parse_polynomial(body, alphabet, line=lineno))
+            g = parse_polynomial(body, alphabet, line=lineno)
         except PolynomialSyntaxError as exc:
             raise ProblemError(path, lineno, exc.message, exc.column) from None
+        if not g:
+            raise ProblemError(path, lineno, "generator is zero")
+        generators.append(g)
     if not generators:
         raise ProblemError(path, 0, "no generators")
-    return Problem(name, alphabet, ordering, generators, mode,
-                   truncation, max_basis, max_degree, order_line)
+    return Problem(name, alphabet, ordering, generators, mode, caps.get("trunc"),
+                   caps.get("maxbasis"), caps.get("maxdegree"), order_line)
 
 
 def render_obstruction(o, alphabet) -> str:
@@ -210,7 +210,7 @@ def cmd_verify(args, out) -> int:
     # the problem's ideal must lie inside the basis's: with a Groebner basis
     # that is a zero remainder for every generator within the bound
     for k, g in enumerate(problem.generators, 1):
-        if not g or (truncation is not None and g.degree() > truncation):
+        if truncation is not None and g.degree() > truncation:
             continue
         if normal_remainder(g, G, problem.ordering):
             print(f"problem generator {k} does not reduce to zero: "

@@ -17,35 +17,37 @@ the right cofactor, a one-sided member stays exactly when its key extends
 no other key of its side, and each side is one sorted scan that skips, by
 bisection, the whole block of keys extending each survivor, so its
 Python work follows the survivors, not the batch.  Only the rare members
-with both cofactors non-empty probe every cut.  M chooses no
-justifiers.  The leading-word criterion runs on the multiply criterion's
-survivors, where it reduces to a group minimum keyed (i, max(-d, 0)).
-The backward criterion then prunes the pending set of built obstructions
-using the newest generator; since a non-trivial obstruction of a pair is
-fixed by its offset, it is a lookup of the two induced offset pairs in
-the surviving batch.  Only the pairs that survive are built.  Every
-removal here preserves the computed basis; only the amount of reduction
-work changes.
+with both cofactors non-empty probe every cut.  The leading-word
+criterion runs on the multiply criterion's survivors, where it reduces
+to a group minimum keyed (i, max(-d, 0)).  Both report only their
+survivors, the pairs the engine builds, and a count.  The backward
+criterion then prunes the pending set of built obstructions using the
+newest generator; since a non-trivial obstruction of a pair is fixed by
+its offset, it is a lookup of the two induced offset pairs in the
+surviving batch.  Every removal here preserves the computed basis; only
+the amount of reduction work changes.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import not_
+from itertools import compress
 
 
 @dataclass
 class CriteriaReport:
-    """Survivors plus per-criterion removal counts for one transformer call."""
+    """What one criterion call tells the engine.
 
-    survivors: list
+    M and F fill ``survivors``, the offset pairs of the batch that stay,
+    and ``removed_m`` or ``removed_f``; B fills ``removed``, the pending
+    obstructions it prunes in the order it read them, and ``removed_bk``.
+    """
+
+    survivors: list = field(default_factory=list)
     removed_m: int = 0
     removed_f: int = 0
     removed_bk: int = 0
-    # (removed member, justifying member) pairs: offset pairs for f; m
-    # (offset pairs) and bk (built obstructions) report None as justifier
     removed: list = field(default_factory=list)
 
 
@@ -114,10 +116,10 @@ def multiply_criterion(news, s, G) -> CriteriaReport:
     So a one-sided member stays exactly when its key extends no other key
     of its side, and :func:`_minimal_keys` finds those keys with one block
     skip per survivor over the side's sorted keys.  The removed members are
-    never visited one by one in Python, and no justifier is chosen: the
-    report's removals are (member, None) pairs.  Only members with both
-    cofactors non-empty probe every cut against the set of all the batch's
-    cofactor pairs.
+    never visited one by one in Python: the report holds the survivors, in
+    batch order, and how many went.  Only members with both cofactors
+    non-empty probe every cut against the set of all the batch's cofactor
+    pairs.
     """
     news = list(news)
     lws = G.leading_words
@@ -146,8 +148,7 @@ def multiply_criterion(news, s, G) -> CriteriaReport:
         for p in two_sided:
             alive[p] = not _has_proper_cut(*cofs[p], present)
     survivors = list(compress(news, alive))
-    removed = list(zip(compress(news, map(not_, alive)), repeat(None)))
-    return CriteriaReport(survivors, removed_m=len(removed), removed=removed)
+    return CriteriaReport(survivors, removed_m=len(news) - len(survivors))
 
 
 def leading_word_criterion(news, s, G) -> CriteriaReport:
@@ -157,10 +158,11 @@ def leading_word_criterion(news, s, G) -> CriteriaReport:
     by target cofactors (wj, wj2); each group keeps its member with the
     smallest key (i, max(-d, 0)), the source index and then the length of
     the source's left cofactor (all are prefixes of the group's common
-    word), and every other member goes, justified by that minimum.  On the
-    survivors of :func:`multiply_criterion` this is the full criterion: a
-    member whose target cofactors strictly extend another's is already
-    gone, so only equal target cofactors remain to compare.
+    word), and every other member goes; survivors come in the order their
+    groups first appear.  On the survivors of :func:`multiply_criterion`
+    this is the full criterion: a member whose target cofactors strictly
+    extend another's is already gone, so only equal target cofactors
+    remain to compare.
     """
     news = list(news)
     cofs = _target_cofactors(news, s, G)
@@ -171,14 +173,8 @@ def leading_word_criterion(news, s, G) -> CriteriaReport:
         held = best.get(cof)
         if held is None or key < held[0]:
             best[cof] = (key, o)
-    survivors, removed = [], []
-    for o, cof in zip(news, cofs):
-        just = best[cof][1]
-        if just == o:
-            survivors.append(o)
-        else:
-            removed.append((o, just))
-    return CriteriaReport(survivors, removed_f=len(removed), removed=removed)
+    survivors = [o for _, o in best.values()]
+    return CriteriaReport(survivors, removed_f=len(news) - len(survivors))
 
 
 def backward_criterion(B, news, s, G) -> CriteriaReport:
@@ -194,24 +190,22 @@ def backward_criterion(B, news, s, G) -> CriteriaReport:
     outside -len(lw_s) < d < len(lw_k)) or when ``news`` still holds the
     pair (k, d), of which it is then a two-sided multiple.  Any witnessing
     occurrence justifies removal; checking only the leftmost one prunes
-    slightly less.
+    slightly less.  Only the removed obstructions are reported.
     """
     lws = G.leading_words
     lw_s = lws[s]
     if not lw_s:
-        return CriteriaReport(list(B))
+        return CriteriaReport()
     low = -len(lw_s)
     kept = set(news)
 
     def disjoint_or_kept(k, d):
         return not low < d < len(lws[k]) or (k, d) in kept
 
-    survivors, removed = [], []
+    removed = []
     for o in B:
         pos = o.common.find(lw_s)
         if (pos != -1 and disjoint_or_kept(o.i, pos - len(o.wi))
                 and disjoint_or_kept(o.j, pos - len(o.wj))):
-            removed.append((o, None))
-        else:
-            survivors.append(o)
-    return CriteriaReport(survivors, removed_bk=len(removed), removed=removed)
+            removed.append(o)
+    return CriteriaReport(removed=removed, removed_bk=len(removed))

@@ -248,7 +248,7 @@ def buchberger(G0, cfg: EngineConfig):
             news = rep.survivors
             rep = backward_criterion(queue.live(), news, s, G)
             stats.bk += rep.removed_bk
-            for dead, _ in rep.removed:
+            for dead in rep.removed:
                 queue.discard(dead)
         built = build_obstructions(s, G, news)
         stats.built += len(built)
@@ -320,8 +320,11 @@ def verify_groebner(G: BasisState, ordering, truncation=None):
     failure reported is the smallest in that order.  With ``truncation``
     only obstructions whose common word fits the bound are checked; that
     shows a Groebner basis up to the bound only when every generator is
-    homogeneous, so a non-homogeneous basis raises ValueError.
+    homogeneous, so a non-homogeneous basis raises ValueError, as does a
+    bound below 1, which no obstruction fits.
     """
+    if truncation is not None and truncation < 1:
+        raise ValueError("truncation must be positive")
     if truncation is not None and not all(f.is_homogeneous() for f in G):
         raise ValueError("truncation requires homogeneous generators")
     for s in range(len(G)):

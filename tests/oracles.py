@@ -171,19 +171,17 @@ def multiply_criterion_reference(news):
     For each member (u, u2) the cuts (u[a:], u2[:c]) go a = 0, 1, ...
     outside and c = 0, 1, ... inside, skipping (u, u2) itself; a cut that
     is the cofactor pair of a batch member removes it.  Like the criterion,
-    it reports no justifier.
+    it reports the survivors, in batch order, and the number removed.
     """
     news = list(news)
     cofs = {(o.wj, o.wj2) for o in news}
-    survivors, removed = [], []
+    survivors = []
     for o in news:
         u, u2 = o.wj, o.wj2
-        if any((u[a:], u2[:c]) in cofs for a in range(len(u) + 1)
-               for c in range(len(u2) + 1) if a or c < len(u2)):
-            removed.append((o, None))
-        else:
+        if not any((u[a:], u2[:c]) in cofs for a in range(len(u) + 1)
+                   for c in range(len(u2) + 1) if a or c < len(u2)):
             survivors.append(o)
-    return CriteriaReport(survivors, removed_m=len(removed), removed=removed)
+    return CriteriaReport(survivors, removed_m=len(news) - len(survivors))
 
 
 def leading_word_criterion_reference(news):
@@ -191,18 +189,16 @@ def leading_word_criterion_reference(news):
 
     Each member is compared with every member of equal target cofactors;
     the one with the smallest source index, then the shortest source-side
-    left cofactor, stays and justifies the removal of all the others.
+    left cofactor, stays and all the others go.  Survivors are reported in
+    batch order, with the number removed.
     """
     news = list(news)
-    survivors, removed = [], []
+    survivors = []
     for o in news:
         group = [n for n in news if (n.wj, n.wj2) == (o.wj, o.wj2)]
-        best = sorted(group, key=lambda n: (n.i, len(n.wi)))[0]
-        if best == o:
+        if sorted(group, key=lambda n: (n.i, len(n.wi)))[0] == o:
             survivors.append(o)
-        else:
-            removed.append((o, best))
-    return CriteriaReport(survivors, removed_f=len(removed), removed=removed)
+    return CriteriaReport(survivors, removed_f=len(news) - len(survivors))
 
 
 def backward_criterion_reference(B, news, s, G):
@@ -210,23 +206,21 @@ def backward_criterion_reference(B, news, s, G):
 
     A pending obstruction goes when the leftmost occurrence of lw(g_s) in
     its common word induces two obstructions against g_s that are each
-    :func:`covered` by the members of ``news`` with the same indices.
+    :func:`covered` by the members of ``news`` with the same indices.  Like
+    the criterion, it reports the removed obstructions in the order of
+    ``B``, and their number.
     """
     lw_s = G.leading_words[s]
-    survivors, removed = [], []
+    removed = []
     for o in B:
         pos = o.common.find(lw_s) if lw_s else -1
-        hit = False
         if pos != -1:
             w, w2 = o.common[:pos], o.common[pos + len(lw_s):]
-            hit = all(covered(aligned(k, s, wk, wk2, w, w2, G), G,
-                              [n for n in news if n.i == k])
-                      for k, wk, wk2 in ((o.i, o.wi, o.wi2), (o.j, o.wj, o.wj2)))
-        if hit:
-            removed.append((o, None))
-        else:
-            survivors.append(o)
-    return CriteriaReport(survivors, removed_bk=len(removed), removed=removed)
+            if all(covered(aligned(k, s, wk, wk2, w, w2, G), G,
+                           [n for n in news if n.i == k])
+                   for k, wk, wk2 in ((o.i, o.wi, o.wi2), (o.j, o.wj, o.wj2))):
+                removed.append(o)
+    return CriteriaReport(removed=removed, removed_bk=len(removed))
 
 
 def s_polynomial_reference(o, G):
@@ -288,17 +282,18 @@ def validate_division(result, f, G, ordering):
                 raise AssertionError("remainder exceeds the dividend's leading word")
 
 
-def assert_removals_dominated(report, s, G, ordering):
+def assert_removals_dominated(news, report, s, G, ordering):
     """Check that each removal is dominated by some other member of its batch.
 
-    Applies to the multiply and leading-word criteria, whose reports hold
-    offset pairs of target s; the batch is the report's survivors and
-    removed members.  Reported justifiers are not read: for each removed
-    member, the batch is searched for another member whose target
-    cofactors (v, v2) it extends as (w*v, v2*w2), w and w2 possibly empty,
-    such that the removed member is larger than both that member and the
-    obstruction the two induce between their sources.  Backward removals
-    carry no such guarantee.  Raises AssertionError on violation.
+    Applies to the multiply and leading-word criteria run on the batch
+    ``news`` of offset pairs of target s.  The report's survivors must be
+    distinct members of the batch and its removal count the number of the
+    others, which are the removed members.  For each of them the batch is
+    searched for another member whose target cofactors (v, v2) it extends
+    as (w*v, v2*w2), w and w2 possibly empty, such that the removed member
+    is larger than both that member and the obstruction the two induce
+    between their sources.  Backward removals carry no such guarantee.
+    Raises AssertionError on violation.
     """
     def key(o):
         return obstruction_key(o, ordering)
@@ -312,12 +307,18 @@ def assert_removals_dominated(report, s, G, ordering):
             third = aligned(base.i, o.i, w + base.wi, base.wi2 + w2, o.wi, o.wi2, G)
         return key(o) > key(base) and key(o) > key(third)
 
-    removed = [o for o, _ in report.removed]
-    batch = built(list(report.survivors) + removed, s, G)
+    news = list(news)
+    kept = set(report.survivors)
+    if len(kept) != len(report.survivors) or not kept <= set(news):
+        raise AssertionError("survivors are not distinct members of the batch")
+    removed = [o for o in news if o not in kept]
+    if len(removed) != report.removed_m + report.removed_f:
+        raise AssertionError("the removal count differs from the removed members")
+    batch = built(news, s, G)
     by_cof = {}
     for o in batch:
         by_cof.setdefault((o.wj, o.wj2), []).append(o)
-    for o in batch[len(report.survivors):]:
+    for o in built(removed, s, G):
         u, u2 = o.wj, o.wj2
         bases = (base for a in range(len(u) + 1) for c in range(len(u2) + 1)
                  for base in by_cof.get((u[a:], u2[:c]), ()) if base != o)

@@ -111,6 +111,19 @@ class TestProblemFiles:
             parse_problem(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("first,second", [
+        ("name one", "name two"), ("mode basic", "mode improved"),
+        ("trunc 5", "trunc 6"), ("maxbasis 50", "maxbasis 2"),
+        ("maxdegree 9", "maxdegree 9")])
+    def test_duplicate_directive_rejected(self, tmp_path, first, second):
+        # the second line would otherwise silently win, even between gen lines
+        path = tmp_path / "bad.prob"
+        path.write_text(f"vars a b\n{first}\ngen a*b - 1\n{second}\ngen b - 1\n")
+        directive = first.split()[0]
+        with pytest.raises(ProblemError) as err:
+            parse_problem(path)
+        assert str(err.value) == f"{path}:4: duplicate {directive} line"
+
 
 # the statistics rows of perfbench/README.md
 CORPUS_ROWS = {
@@ -200,6 +213,16 @@ class TestRun:
         code, _, err = run_main(["run", str(path)], capsys)
         assert code == EXIT_ERROR
         assert "bad.prob:2:" in err and "zero denominator" in err
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_zero_generator_reports_its_line(self, tmp_path, capsys, command):
+        # in a problem file for run, in a basis file for verify
+        path = tmp_path / "bad.prob"
+        path.write_text("vars a b\ngen a*b - 1\ngen 2*a - 2*a\n")
+        argv = [command, str(path)] + ([str(problem_path("g09"))] if command == "verify" else [])
+        code, out, err = run_main(argv, capsys)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == f"error: {path}:3: generator is zero\n"
 
     @pytest.mark.parametrize("flag", ["--trunc", "--max-basis", "--max-degree"])
     @pytest.mark.parametrize("value", ["0", "-2"])
@@ -427,16 +450,15 @@ class TestVerify:
         code, out, _ = run_main(["verify", str(path), str(problem)], capsys)
         assert code == EXIT_VERIFY_FAILED
         assert out == "problem generator 2 does not reduce to zero: a - 1\n"
-        # generators above the truncation bound and zero ones are not
-        # checked; a bound needs a homogeneous basis, here braid4's up to 6
+        # generators above the truncation bound are not checked; a bound
+        # needs a homogeneous basis, here braid4's up to 6
         path = self.write_basis(tmp_path, capsys, name="braid4", argv=["--trunc", "6"])
-        problem.write_text("vars x1 x2 x3\ngen x1 - x1\ngen x2*x1*x2 - x3*x2*x3\n"
-                           "gen x3^5 - x2^5\n")
+        problem.write_text("vars x1 x2 x3\ngen x2*x1*x2 - x3*x2*x3\ngen x3^5 - x2^5\n")
         code, out, _ = run_main(["verify", str(path), str(problem), "--trunc", "4"], capsys)
         assert (code, out) == (EXIT_OK, "ok\n")
         code, out, _ = run_main(["verify", str(path), str(problem), "--trunc", "6"], capsys)
         assert code == EXIT_VERIFY_FAILED
-        assert out == "problem generator 3 does not reduce to zero: -x2^5 + x3^5\n"
+        assert out == "problem generator 2 does not reduce to zero: -x2^5 + x3^5\n"
 
     @pytest.mark.slow
     def test_problem_generators_against_g13(self, tmp_path, capsys):

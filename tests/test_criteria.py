@@ -28,7 +28,6 @@ from oracles import (
     built,
     leading_word_criterion_reference,
     multiply_criterion_reference,
-    obstruction_at,
     offset_pair,
     random_basis,
     random_word,
@@ -53,15 +52,13 @@ def pairs(*obstructions):
     return [offset_pair(o) for o in obstructions]
 
 
-def built_removal(removal, s, G):
-    """A (member, justifier) removal with both built; an absent justifier stays None."""
-    return tuple(None if o is None else obstruction_at(o[0], s, o[1], G) for o in removal)
-
-
 def assert_matches(got, want, s, G):
-    """A pair criterion's report equals a reference report on built obstructions."""
-    assert built(got.survivors, s, G) == want.survivors
-    assert [built_removal(r, s, G) for r in got.removed] == want.removed
+    """A pair criterion's report equals a reference report on built obstructions.
+
+    The survivors are compared as sets: the leading-word criterion lists
+    them by group, the references in batch order.
+    """
+    assert sorted(built(got.survivors, s, G)) == sorted(want.survivors)
     assert (got.removed_m, got.removed_f) == (want.removed_m, want.removed_f)
 
 
@@ -79,11 +76,11 @@ class TestMultiplyCriterion:
     def test_extension_removed(self, triple, xy):
         big = aligned(0, 2, xy.word("xyxx"), b"", b"", xy.word("yy"), triple)
         small = aligned(1, 2, xy.word("xy"), b"", b"", xy.word("y"), triple)
-        rep = multiply_criterion(pairs(big, small), 2, triple)
+        news = pairs(big, small)
+        rep = multiply_criterion(news, 2, triple)
         assert rep.survivors == pairs(small)
-        assert rep.removed == [(pairs(big)[0], None)]
         assert rep.removed_m == 1
-        assert_removals_dominated(rep, 2, triple, xy.llex)
+        assert_removals_dominated(news, rep, 2, triple, xy.llex)
 
     def test_singleton_unchanged(self, triple, xy):
         small = aligned(1, 2, xy.word("xy"), b"", b"", xy.word("y"), triple)
@@ -109,8 +106,7 @@ class TestMultiplyCriterion:
                      aligned(2, 3, b"", b"", b"", b"", G))
         rep = multiply_criterion(news, 3, G)
         assert rep.survivors == news[2:] and rep.removed_m == 2
-        assert rep.removed == [(news[0], None), (news[1], None)]
-        assert_removals_dominated(rep, 3, G, ab.llex)
+        assert_removals_dominated(news, rep, 3, G, ab.llex)
 
     def test_right_side_keeps_only_shortest_prefix(self, ab):
         # ("", aa) has the proper prefixes a and "" in the batch, and ("", a)
@@ -121,7 +117,7 @@ class TestMultiplyCriterion:
                      aligned(2, 3, b"", b"", b"", b"", G))
         rep = multiply_criterion(news, 3, G)
         assert rep.survivors == news[2:] and rep.removed_m == 2
-        assert_removals_dominated(rep, 3, G, ab.llex)
+        assert_removals_dominated(news, rep, 3, G, ab.llex)
 
     def test_copies_stay_and_go_together(self, ab):
         # sources 1 and 2 share a leading word, so their target cofactors
@@ -133,11 +129,11 @@ class TestMultiplyCriterion:
         longer, = pairs(aligned(0, 4, b"", b"", ab.word("aa"), b"", G))
         rep = multiply_criterion([longer] + copies, 4, G)
         assert rep.survivors == copies and rep.removed_m == 1
-        assert_removals_dominated(rep, 4, G, ab.llex)
+        assert_removals_dominated([longer] + copies, rep, 4, G, ab.llex)
         base, = pairs(aligned(3, 4, b"", b"", b"", b"", G))
         rep = multiply_criterion(copies + [base], 4, G)
         assert rep.survivors == [base] and rep.removed_m == 2
-        assert_removals_dominated(rep, 4, G, ab.llex)
+        assert_removals_dominated(copies + [base], rep, 4, G, ab.llex)
 
     def test_two_sided_member_probes_every_cut(self, ab):
         # (a, b) extends the one-sided (a, "") and ("", b), which both stay
@@ -148,7 +144,7 @@ class TestMultiplyCriterion:
         rep = multiply_criterion(pairs(*news), 3, G)
         assert rep.survivors == pairs(*news[1:]) and rep.removed_m == 1
         assert_matches(rep, multiply_criterion_reference(news), 3, G)
-        assert_removals_dominated(rep, 3, G, ab.llex)
+        assert_removals_dominated(pairs(*news), rep, 3, G, ab.llex)
 
     def test_containment_removes_both_sides(self, ab):
         # b lies inside a*b, so ("", "") is in the batch: it is a cut of the
@@ -188,8 +184,8 @@ def test_multiply_criterion_matches_reference_property():
     of earlier leading words so that batches hold equal cofactors, ("", "")
     and two-sided members; every target s, in construction order and
     shuffled.  M is checked against probing every cut, F against a group
-    minimum, on the full batch and on M's survivors.  Survivors, removals
-    (with F's justifiers; M reports none) and the counts must all agree.
+    minimum, on the full batch and on M's survivors.  Survivors and counts
+    must agree, and M keeps its survivors in batch order.
     """
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -218,7 +214,9 @@ def test_multiply_criterion_matches_reference_property():
             rng.shuffle(shuffled)
             for batch in (news, shuffled):
                 m = multiply_criterion(batch, s, G)
-                assert_matches(m, multiply_criterion_reference(built(batch, s, G)), s, G)
+                want = multiply_criterion_reference(built(batch, s, G))
+                assert_matches(m, want, s, G)
+                assert built(m.survivors, s, G) == want.survivors
                 for members in (batch, m.survivors):
                     f = leading_word_criterion(members, s, G)
                     assert_matches(f, leading_word_criterion_reference(built(members, s, G)),
@@ -262,24 +260,54 @@ def test_multiply_criterion_on_top_letters_property():
 
 
 @pytest.mark.slow
-def test_multiply_criterion_matches_reference_on_corpus(monkeypatch):
-    """Every batch completion hands to m, on g01-g13 and braid4 at trunc 6."""
-    batches = []
+def test_criteria_match_references_on_corpus(monkeypatch):
+    """Every call completion makes to m, f and bk, on g01-g13 and braid4 at trunc 6.
 
-    def record(news, s, G):
-        batches.append((list(news), s, G))
+    Each recorded call is replayed against its reference: m's and f's
+    survivors and counts, and bk's removals, in pending order, and count.
+    """
+    calls = {"m": [], "f": [], "bk": []}
+
+    def record_m(news, s, G):
+        calls["m"].append((list(news), s))
         return multiply_criterion(news, s, G)
 
-    monkeypatch.setattr(engine, "multiply_criterion", record)
+    def record_f(news, s, G):
+        calls["f"].append((list(news), s))
+        return leading_word_criterion(news, s, G)
+
+    def record_bk(B, news, s, G):
+        B = list(B)
+        calls["bk"].append((B, list(news), s))
+        return backward_criterion(B, news, s, G)
+
+    monkeypatch.setattr(engine, "multiply_criterion", record_m)
+    monkeypatch.setattr(engine, "leading_word_criterion", record_f)
+    monkeypatch.setattr(engine, "backward_criterion", record_bk)
     runs = [(f"g{k:02d}", None) for k in range(1, 14)] + [("braid4", 6)]
+    removed = {"f": 0, "bk": 0}
     for name, trunc in runs:
         problem = parse_problem(problem_path(name))
-        buchberger(problem.generators,
-                   EngineConfig(ordering=problem.ordering, truncation_degree=trunc))
-    assert len(batches) > len(runs)
-    for batch, s, G in batches:
-        want = multiply_criterion_reference(built(batch, s, G))
-        assert_matches(multiply_criterion(batch, s, G), want, s, G)
+        G, _ = buchberger(problem.generators,
+                          EngineConfig(ordering=problem.ordering, truncation_degree=trunc))
+        # the criteria read leading words up to s only, and those never
+        # change once appended, so every call replays on the final basis
+        for batch, s in calls["m"]:
+            want = multiply_criterion_reference(built(batch, s, G))
+            assert_matches(multiply_criterion(batch, s, G), want, s, G)
+        for batch, s in calls["f"]:
+            got = leading_word_criterion(batch, s, G)
+            assert_matches(got, leading_word_criterion_reference(built(batch, s, G)), s, G)
+            removed["f"] += got.removed_f
+        for pending, news, s in calls["bk"]:
+            got = backward_criterion(pending, news, s, G)
+            want = backward_criterion_reference(pending, built(news, s, G), s, G)
+            assert (got.removed, got.removed_bk) == (want.removed, want.removed_bk)
+            removed["bk"] += got.removed_bk
+        assert len(calls["m"]) == len(calls["f"]) == len(calls["bk"]) > 1
+        for recorded in calls.values():
+            recorded.clear()
+    assert all(removed.values()), removed
 
 
 class TestLeadingWordCriterion:
@@ -288,9 +316,8 @@ class TestLeadingWordCriterion:
         lo, hi = pairs(aligned(0, 2, b"", xy.word("x"), xy.word("x"), b"", G),
                        aligned(1, 2, b"", xy.word("x"), xy.word("x"), b"", G))
         rep = leading_word_criterion([hi, lo], 2, G)
-        assert rep.survivors == [lo]
-        assert rep.removed == [(hi, lo)]
-        assert_removals_dominated(rep, 2, G, xy.llex)
+        assert rep.survivors == [lo] and rep.removed_f == 1
+        assert_removals_dominated([hi, lo], rep, 2, G, xy.llex)
 
     def test_larger_left_cofactor_removed_on_tie(self, ab):
         # a*b occurs twice in a*b*a*b; same source, same target cofactors
@@ -299,8 +326,8 @@ class TestLeadingWordCriterion:
         centers = pairs(*(o for o in news if not o.wj and not o.wj2))
         assert centers == [(0, -2), (0, 0)]
         rep = leading_word_criterion(centers, 1, G)
-        assert rep.survivors == [(0, 0)]
-        assert rep.removed == [((0, -2), (0, 0))]
+        assert rep.survivors == [(0, 0)] and rep.removed_f == 1
+        assert_removals_dominated(centers, rep, 1, G, ab.llex)
 
     def test_singleton_unchanged(self, triple, xy):
         o = pairs(aligned(1, 2, xy.word("xy"), b"", b"", xy.word("y"), triple))
@@ -313,15 +340,14 @@ class TestBackwardCriterion:
         old = aligned(0, 1, b"", b"", xy.word("x"), xy.word("yx"), chain)
         news = nontrivial_obstructions(2, chain)
         rep = backward_criterion([old], news, 2, chain)
-        assert rep.survivors == []
-        assert rep.removed_bk == 1
+        assert rep.removed == [old] and rep.removed_bk == 1
 
     def test_new_leading_word_not_a_factor(self, xy):
         G = basis(["x^3*y*x + y", "x^2 + y", "y^2 + x"], xy)
         old = aligned(0, 1, b"", b"", xy.word("x"), xy.word("yx"), G)
         news = nontrivial_obstructions(2, G)
         rep = backward_criterion([old], news, 2, G)
-        assert rep.survivors == [old]
+        assert rep.removed == [] and rep.removed_bk == 0
 
     def test_removed_base_blocks_removal(self, chain, xy):
         # without the source-0 members of the new batch, the induced
@@ -329,7 +355,7 @@ class TestBackwardCriterion:
         old = aligned(0, 1, b"", b"", xy.word("x"), xy.word("yx"), chain)
         news = [(i, d) for i, d in nontrivial_obstructions(2, chain) if i != 0]
         rep = backward_criterion([old], news, 2, chain)
-        assert rep.survivors == [old]
+        assert rep.removed == [] and rep.removed_bk == 0
 
 
 def test_conservation_on_random_batches(xy):
@@ -340,13 +366,16 @@ def test_conservation_on_random_batches(xy):
         s = len(G) - 1
         news = nontrivial_obstructions(s, G)
         pending = pending_batch(G, s)
-        for rep, size in (
-            (multiply_criterion(news, s, G), len(news)),
-            (leading_word_criterion(news, s, G), len(news)),
-            (backward_criterion(pending, news, s, G), len(pending)),
-        ):
-            assert len(rep.survivors) + len(rep.removed) == size
-            assert not set(rep.survivors) & {o for o, _ in rep.removed}
+        for rep in (multiply_criterion(news, s, G), leading_word_criterion(news, s, G)):
+            assert len(set(rep.survivors)) == len(rep.survivors)
+            assert set(rep.survivors) <= set(news)
+            assert len(rep.survivors) + rep.removed_m + rep.removed_f == len(news)
+            assert rep.removed == [] and rep.removed_bk == 0
+        rep = backward_criterion(pending, news, s, G)
+        dead = set(rep.removed)
+        assert rep.removed == [o for o in pending if o in dead]
+        assert rep.removed_bk == len(rep.removed) == len(dead)
+        assert rep.survivors == [] and rep.removed_m == rep.removed_f == 0
 
 
 def test_backward_criterion_matches_reference_property():
@@ -374,7 +403,6 @@ def test_backward_criterion_matches_reference_property():
         pending = pending_batch(G, s)
         got = backward_criterion(pending, news, s, G)
         want = backward_criterion_reference(pending, built(news, s, G), s, G)
-        assert got.survivors == want.survivors
         assert got.removed == want.removed and got.removed_bk == want.removed_bk
 
     check()
@@ -387,8 +415,8 @@ def test_removals_dominated_on_random_batches(xy):
         G = random_basis(rng, ordering, 2, rng.randint(2, 4), max_degree=4)
         s = len(G) - 1
         news = nontrivial_obstructions(s, G)
-        assert_removals_dominated(multiply_criterion(news, s, G), s, G, ordering)
-        assert_removals_dominated(leading_word_criterion(news, s, G), s, G, ordering)
+        assert_removals_dominated(news, multiply_criterion(news, s, G), s, G, ordering)
+        assert_removals_dominated(news, leading_word_criterion(news, s, G), s, G, ordering)
 
 
 def test_head_batch_identity(xy):

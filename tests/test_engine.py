@@ -41,8 +41,9 @@ def check_invariants(mp, ordering):
     """Make the engine check every m and f removal and every division it runs."""
     def checked(criterion):
         def wrapper(news, s, G):
+            news = list(news)
             rep = criterion(news, s, G)
-            assert_removals_dominated(rep, s, G, ordering)
+            assert_removals_dominated(news, rep, s, G, ordering)
             return rep
         return wrapper
 
@@ -256,7 +257,7 @@ class TestBuchberger:
                 m = multiply_criterion(batch, s, G)
                 f = leading_word_criterion(m.survivors, s, G)
                 bk = backward_criterion(pending, f.survivors, s, G)
-                return (set(f.survivors), {o for o, _ in bk.removed},
+                return (set(f.survivors), set(bk.removed),
                         (m.removed_m, f.removed_f, bk.removed_bk))
 
             totals = [0, 0, 0]
@@ -387,6 +388,15 @@ class TestVerify:
             verify_groebner(G, xy.llex, truncation=2)
         ok, failures = verify_groebner(G, xy.llex)
         assert not ok and (failures[0].i, failures[0].j) == (1, 2)
+
+    @pytest.mark.parametrize("truncation", [0, -3])
+    def test_truncation_must_be_positive(self, ab, truncation):
+        # not a Groebner basis, yet no obstruction fits a bound below 1
+        G = BasisState.from_polynomials(polys(["a*a*b - b*b*b", "a*b*b - b*a*a"], ab),
+                                        ab.llex)
+        assert not verify_groebner(G, ab.llex)[0]
+        with pytest.raises(ValueError, match="truncation must be positive"):
+            verify_groebner(G, ab.llex, truncation=truncation)
 
 
 def test_obstruction_batch_is_every_pair_within_the_bound(xy):
