@@ -4,8 +4,9 @@ Each step rewrites the current largest word using the divisor with the
 smallest index whose leading word occurs in it (leftmost occurrence when
 there are several); words no divisor matches are peeled into the
 remainder.  Every step strictly decreases the largest live word, so the
-loop terminates.  One loop serves every caller: it always records the
-quotients, and :func:`normal_remainder` keeps only the remainder.
+loop terminates.  One loop, :func:`normal_remainder`, serves every caller,
+and it returns only the remainder: no caller reads how ``f`` was
+rewritten, so no step records it.
 
 The live terms are a word -> coefficient dict plus a max-heap of their
 words in the llex order (the simplest form of Yan's geobuckets), so
@@ -53,27 +54,18 @@ by hand gets ``ValueError`` from the step that would use it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .polynomial import NcPolynomial, normal_coefficient
 
 
-@dataclass
-class DivisionResult:
-    """Quotient tuples (divisor index, coefficient, left word, right word) and remainder."""
-
-    quotients: list
-    remainder: NcPolynomial
-
-
 class DivisorIndex:
     """Aho-Corasick automaton over a list of patterns (leading words).
 
-    Only the tables: :func:`divide` walks them.  ``size`` is the number of
-    patterns covered.  A state is a list of ``width + 1`` slots: the
-    successor state per column, then the smallest index of a pattern that
-    is a suffix of the text read so far (``size`` when there is none).
+    Only the tables: :func:`normal_remainder` walks them.  ``size`` is the
+    number of patterns covered.  A state is a list of ``width + 1`` slots:
+    the successor state per column, then the smallest index of a pattern
+    that is a suffix of the text read so far (``size`` when there is none).
     Columns are the letters the patterns use, in increasing order, then one
     for every other letter, which leads back to the root; ``cols``
     translates a word into columns.
@@ -121,8 +113,8 @@ class DivisorIndex:
                     queue.append((t, fail[c]))
 
 
-def divide(f: NcPolynomial, G, ordering) -> DivisionResult:
-    """Divide ``f`` by the basis ``G``, returning quotients and remainder.
+def normal_remainder(f: NcPolynomial, G, ordering) -> NcPolynomial:
+    """The remainder of ``f`` divided by the basis ``G``.
 
     Remainder words are recorded in ``G.normal_words``, and
     ``G.divisor_index`` is built or rebuilt when the leading words have
@@ -145,7 +137,6 @@ def divide(f: NcPolynomial, G, ordering) -> DivisionResult:
     heap = [(-len(w), w.translate(rev), w) for w in v]
     heapify(heap)
     remainder = {}
-    quotients = []
     while heap:
         word = heappop(heap)[2]
         # the step below cancels the word exactly, so it leaves the live set now
@@ -181,7 +172,6 @@ def divide(f: NcPolynomial, G, ordering) -> DivisionResult:
         terms = gens[i]._terms
         if not terms:
             raise ValueError("division by a zero polynomial")
-        quotients.append((i, c, left, right))  # basis elements are monic
         for u, cu in terms.items():
             if u == lw:
                 continue
@@ -198,9 +188,4 @@ def divide(f: NcPolynomial, G, ordering) -> DivisionResult:
                     del v[w]
     rem = NcPolynomial.__new__(NcPolynomial)
     rem._terms = remainder
-    return DivisionResult(quotients, rem)
-
-
-def normal_remainder(f: NcPolynomial, G, ordering) -> NcPolynomial:
-    """The remainder of :func:`divide`."""
-    return divide(f, G, ordering).remainder
+    return rem

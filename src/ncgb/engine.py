@@ -161,8 +161,7 @@ class ObstructionQueue:
         return len(self._live)
 
     def push(self, o):
-        if o in self._live:
-            return
+        """Queue ``o``; a repeated push still leaves one live entry, popped once."""
         self._live[o] = True
         heapq.heappush(self._heap, (obstruction_key(o, self.ordering), o))
 

@@ -62,9 +62,6 @@ class Alphabet:
         except KeyError:
             raise KeyError(f"unknown variable {name!r}") from None
 
-    def name(self, letter: int) -> str:
-        return self.symbols[letter]
-
     @property
     def llex(self) -> "LLexOrdering":
         """The length-lexicographic ordering with precedence = alphabet order."""

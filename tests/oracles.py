@@ -7,9 +7,12 @@ one loop over signed offsets, and raw polynomial arithmetic for
 reconstruction, cofactor words instead of offsets for obstruction
 coverage and order, and a letter canvas to build an obstruction from its
 offset.  Tests assert the library against these, never
-against itself.  The contract checks (``validate_division``,
-``assert_removals_dominated``) recheck a library result against its
-inputs.
+against itself.  The contract checks recheck a library result against its
+inputs: ``assert_removals_dominated`` a criterion's report, and
+``validate_division`` a remainder.  The library's division returns only
+the remainder, so ``validate_division`` takes the quotients from
+:func:`reference_divide`: the two remainders must agree, and the
+reference's quotients and remainder must rebuild the dividend.
 """
 
 from fractions import Fraction
@@ -251,35 +254,30 @@ def reference_find_divisor(word, leading_words):
     return None
 
 
-def validate_division(result, f, G, ordering):
-    """Recheck the full division contract of ``result = divide(f, G, ordering)``.
+def validate_division(f, remainder, G, ordering):
+    """Recheck ``remainder = normal_remainder(f, G, ordering)`` against its contract.
 
-    Raises AssertionError when any clause fails: reconstruction of ``f``,
-    remainder support free of leading-word factors, no quotient term or
-    remainder above the leading word of ``f``, and the minimal-index
-    property of each quotient.
+    Raises AssertionError when any clause fails: the remainder differs
+    from :func:`reference_divide`'s, the reference's quotients and
+    remainder do not rebuild ``f``, a remainder word contains a leading
+    word, or the remainder rises above the leading word of ``f``.
     """
-    lws = G.leading_words
-    acc = result.remainder
-    for i, c, left, right in result.quotients:
+    quotients, expected = reference_divide(f, G, ordering)
+    if remainder != expected:
+        raise AssertionError("the remainder differs from the reference division's")
+    acc = remainder
+    for i, c, left, right in quotients:
         acc = add_scaled(acc, c, sandwich(left, G.generators[i], right))
     if acc != f:
         raise AssertionError("quotients and remainder do not reconstruct the dividend")
-    for word in result.remainder.support():
-        if any(word.find(lw) >= 0 for lw in lws):
+    for word in remainder.support():
+        if any(word.find(lw) >= 0 for lw in G.leading_words):
             raise AssertionError("remainder contains a reducible word")
-    if f:
+    if remainder:
         _, top = leading(f, ordering)
-        for i, c, left, right in result.quotients:
-            placed = left + lws[i] + right
-            if ordering.compare(placed, top) > 0:
-                raise AssertionError("quotient term exceeds the dividend's leading word")
-            if any(placed.find(lws[k]) >= 0 for k in range(i)):
-                raise AssertionError("quotient does not use the smallest divisor index")
-        if result.remainder:
-            _, rtop = leading(result.remainder, ordering)
-            if ordering.compare(rtop, top) > 0:
-                raise AssertionError("remainder exceeds the dividend's leading word")
+        _, rtop = leading(remainder, ordering)
+        if ordering.compare(rtop, top) > 0:
+            raise AssertionError("remainder exceeds the dividend's leading word")
 
 
 def assert_removals_dominated(news, report, s, G, ordering):
@@ -329,8 +327,10 @@ def assert_removals_dominated(news, report, s, G, ordering):
 def reference_divide(f, G, ordering):
     """Division by rescanning every live term for the largest word at each step.
 
-    Same divisor rule as the library (smallest index, leftmost occurrence);
-    returns (quotients, remainder) in the library's quotient format.
+    Same divisor rule as the library (smallest index, leftmost occurrence).
+    Returns (quotients, remainder), one quotient tuple (divisor index,
+    coefficient, left word, right word) per step, in step order; the
+    generators are monic, so the coefficient is the rewritten word's.
     """
     lws = G.leading_words
     v = dict(f.items())

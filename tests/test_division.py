@@ -6,9 +6,9 @@ import pytest
 
 from ncgb.cli import parse_problem
 from ncgb.corpus import problem_path
-from ncgb.division import divide, normal_remainder
+from ncgb.division import normal_remainder
 from ncgb.engine import BasisState, EngineConfig, buchberger, verify_groebner
-from ncgb.polynomial import NcPolynomial, parse_polynomial
+from ncgb.polynomial import NcPolynomial, add_scaled, parse_polynomial, sandwich
 from ncgb.words import Alphabet, LLexOrdering
 from oracles import (
     random_basis,
@@ -33,10 +33,9 @@ def basis(texts, alphabet):
 def test_single_reduction_step(xy):
     G = basis(["x*y - 1"], xy)
     f = parse_polynomial("x*y + y", xy)
-    res = divide(f, G, xy.llex)
-    assert res.quotients == [(0, 1, b"", b"")]
-    assert res.remainder == parse_polynomial("y + 1", xy)
-    validate_division(res, f, G, xy.llex)
+    remainder = normal_remainder(f, G, xy.llex)
+    assert remainder == parse_polynomial("y + 1", xy)
+    validate_division(f, remainder, G, xy.llex)
 
 
 def test_member_reduces_to_zero(xy):
@@ -47,9 +46,7 @@ def test_member_reduces_to_zero(xy):
 def test_no_divisor_applies(xy):
     G = basis(["x*y - 1"], xy)
     f = parse_polynomial("y", xy)
-    res = divide(f, G, xy.llex)
-    assert res.quotients == []
-    assert res.remainder == f
+    assert normal_remainder(f, G, xy.llex) == f
 
 
 def test_zero_dividend(xy):
@@ -63,29 +60,34 @@ def test_zero_divisor_rejected(xy):
     G = basis(["x*y - 1"], xy)
     G.generators[0] = NcPolynomial.zero()
     with pytest.raises(ValueError, match="division by a zero polynomial"):
-        divide(parse_polynomial("x*y", xy), G, xy.llex)
+        normal_remainder(parse_polynomial("x*y", xy), G, xy.llex)
 
 
 def test_leftmost_occurrence_chosen(xy):
-    G = basis(["x"], xy)
-    res = divide(parse_polynomial("x*y*x", xy), G, xy.llex)
-    assert res.quotients[0] == (0, 1, b"", xy.word("yx"))
+    # x^2 occurs in x^3 at 0 and at 1: the leftmost leaves y*x, the other x*y
+    G = basis(["x^2 - y"], xy)
+    f = parse_polynomial("x^3", xy)
+    remainder = normal_remainder(f, G, xy.llex)
+    assert remainder == parse_polynomial("y*x", xy)
+    validate_division(f, remainder, G, xy.llex)
 
 
 def test_smallest_index_preferred(xy):
-    # both leading words divide x*y*x; index order must pick the first
-    G = basis(["y*x - 1", "x*y - 1"], xy)
-    res = divide(parse_polynomial("x*y*x", xy), G, xy.llex)
-    assert res.quotients[0][0] == 0
-    validate_division(res, parse_polynomial("x*y*x", xy), G, xy.llex)
+    # both leading words divide x*y*x; index order must pick the first,
+    # whose tail gives 2*x where the second's would give 3*x
+    G = basis(["y*x - 2", "x*y - 3"], xy)
+    f = parse_polynomial("x*y*x", xy)
+    remainder = normal_remainder(f, G, xy.llex)
+    assert remainder == parse_polynomial("2*x", xy)
+    validate_division(f, remainder, G, xy.llex)
 
 
 def test_integral_remainder_coefficient_is_int(xy):
     # monic x - 1/2*y times 2 leaves Fraction(1) on y, stored as int 1
     G = basis(["2*x - y"], xy)
-    res = divide(parse_polynomial("2*x", xy), G, xy.llex)
-    assert res.remainder == parse_polynomial("y", xy)
-    assert type(res.remainder.coefficient(xy.word("y"))) is int
+    remainder = normal_remainder(parse_polynomial("2*x", xy), G, xy.llex)
+    assert remainder == parse_polynomial("y", xy)
+    assert type(remainder.coefficient(xy.word("y"))) is int
 
 
 def test_constant_divisor_kills_everything(xy):
@@ -98,12 +100,12 @@ def test_constant_divisor_in_the_tail(xy):
     # 2 joins after the automaton is built over x*y, so only the find tail
     # (b"" occurs at position 0 of every word) can report it
     G = basis(["x*y - 1"], xy)
-    divide(NcPolynomial.zero(), G, xy.llex)
+    normal_remainder(NcPolynomial.zero(), G, xy.llex)
     G.append(parse_polynomial("2", xy), xy.llex)
     f = random_polynomial(random.Random(1), 2)
-    res = divide(f, G, xy.llex)
-    assert G.divisor_index.size == 1 and not res.remainder
-    assert (res.quotients, res.remainder) == reference_divide(f, G, xy.llex)
+    remainder = normal_remainder(f, G, xy.llex)
+    assert G.divisor_index.size == 1 and not remainder
+    validate_division(f, remainder, G, xy.llex)
 
 
 def test_full_contract_on_random_instances(xy):
@@ -112,8 +114,7 @@ def test_full_contract_on_random_instances(xy):
     for _ in range(1100):
         G = random_basis(rng, xy.llex, 2, rng.randint(1, 4), max_degree=4)
         f = random_polynomial(rng, 2, max_terms=5, max_degree=6)
-        res = divide(f, G, xy.llex)
-        validate_division(res, f, G, xy.llex)
+        validate_division(f, normal_remainder(f, G, xy.llex), G, xy.llex)
         checked += 1
     assert checked >= 1000
 
@@ -127,7 +128,6 @@ def test_idempotent_and_deterministic(xy):
         r2 = normal_remainder(f, G, xy.llex)
         assert r1 == r2
         assert normal_remainder(r1, G, xy.llex) == r1
-        assert divide(f, G, xy.llex).remainder == r1
 
 
 def test_cancelled_word_produced_again(xy):
@@ -136,18 +136,18 @@ def test_cancelled_word_produced_again(xy):
     # heap twice and must be peeled into the remainder exactly once
     G = basis(["x^2 - y^2", "x*y - y^2", "y*x - y^2"], xy)
     f = parse_polynomial("x^2 + x*y + y*x - 2*y^2", xy)
-    res = divide(f, G, xy.llex)
-    assert res.quotients == [(0, 1, b"", b""), (1, 1, b"", b""), (2, 1, b"", b"")]
-    assert res.remainder == parse_polynomial("y^2", xy)
-    assert (res.quotients, res.remainder) == reference_divide(f, G, xy.llex)
+    remainder = normal_remainder(f, G, xy.llex)
+    assert remainder == parse_polynomial("y^2", xy)
+    assert reference_divide(f, G, xy.llex) == (
+        [(0, 1, b"", b""), (1, 1, b"", b""), (2, 1, b"", b"")], remainder)
     # without the y*x term the cancelled y^2 never returns
     f = parse_polynomial("x^2 + x*y - 2*y^2", xy)
-    res = divide(f, G, xy.llex)
-    assert not res.remainder and len(res.quotients) == 2
+    assert not normal_remainder(f, G, xy.llex)
+    assert len(reference_divide(f, G, xy.llex)[0]) == 2
 
 
 def test_matches_reference_divide(xy):
-    """Same quotient list, in the same order, and the same remainder as a rescan."""
+    """The same remainder as a rescan, with integer coefficients kept as int."""
     abc = Alphabet(["a", "b", "c"])
     orderings = [(xy.llex, 2), (LLexOrdering(xy, ["y", "x"]), 2),
                  (abc.llex, 3), (LLexOrdering(abc, ["b", "c", "a"]), 3)]
@@ -158,25 +158,20 @@ def test_matches_reference_divide(xy):
         G = random_basis(rng, ordering, n, rng.randint(1, 5), max_degree=4,
                          integral=integral)
         f = random_polynomial(rng, n, max_terms=6, max_degree=6, integral=integral)
-        res = divide(f, G, ordering)
-        assert (res.quotients, res.remainder) == reference_divide(f, G, ordering)
-        placed = [left + G.leading_words[i] + right for i, _, left, right in res.quotients]
-        assert all(ordering.compare(a, b) > 0 for a, b in zip(placed, placed[1:]))
+        remainder = normal_remainder(f, G, ordering)
+        assert remainder == reference_divide(f, G, ordering)[1]
         if integral:
-            coeffs = [c for _, c, _, _ in res.quotients] + [c for _, c in res.remainder.items()]
-            assert all(type(c) is int for c in coeffs)
+            assert all(type(c) is int for _, c in remainder.items())
 
 
 def test_normal_word_remembered(xy):
     G = basis(["x*y - 1"], xy)
     yx = xy.word("yx")
-    res = divide(parse_polynomial("y*x", xy), G, xy.llex)
-    assert res.quotients == [] and G.normal_words == {yx: 1}
+    f = parse_polynomial("y*x", xy)
+    assert normal_remainder(f, G, xy.llex) == f and G.normal_words == {yx: 1}
     # the entry stays true when the basis grows; the scan resumes at index 1
     G.append(parse_polynomial("y*x - 1", xy), xy.llex)
-    res = divide(parse_polynomial("y*x", xy), G, xy.llex)
-    assert res.quotients == [(1, 1, b"", b"")]
-    assert res.remainder == parse_polynomial("1", xy)
+    assert normal_remainder(f, G, xy.llex) == parse_polynomial("1", xy)
     # divisor hits are not remembered, remainder words are
     assert G.normal_words == {yx: 1, b"": 2}
 
@@ -185,20 +180,20 @@ def test_remembered_count_skips_the_scan(xy):
     # the index covers x*y only; y*x sits in the tail.  The memo is
     # trusted: a planted count of 1 (at least the indexed prefix) for x*y*x
     # skips the automaton even though x*y occurs in the word, so only the
-    # tail search from index 1 can explain the answer
-    G = basis(["x*y - 1"], xy)
-    divide(parse_polynomial("y", xy), G, xy.llex)
-    G.append(parse_polynomial("y*x - 1", xy), xy.llex)
+    # tail search from index 1 can explain the answer: y*x's tail 3, not 2
+    G = basis(["x*y - 2"], xy)
+    normal_remainder(parse_polynomial("y", xy), G, xy.llex)
+    G.append(parse_polynomial("y*x - 3", xy), xy.llex)
     G.normal_words[xy.word("xyx")] = 1
-    res = divide(parse_polynomial("x*y*x", xy), G, xy.llex)
+    remainder = normal_remainder(parse_polynomial("x*y*x", xy), G, xy.llex)
     assert G.divisor_index.size == 1
-    assert res.quotients[0] == (1, 1, xy.word("x"), b"")
+    assert remainder == parse_polynomial("3*x", xy)
     # a count below the indexed prefix leaves the answer to the automaton
-    G = basis(["x*y - 1", "y*x - 1"], xy)
+    G = basis(["x*y - 2", "y*x - 3"], xy)
     G.normal_words[xy.word("xyx")] = 1
-    res = divide(parse_polynomial("x*y*x", xy), G, xy.llex)
+    remainder = normal_remainder(parse_polynomial("x*y*x", xy), G, xy.llex)
     assert G.divisor_index.size == 2
-    assert res.quotients[0] == (0, 1, b"", xy.word("x"))
+    assert remainder == parse_polynomial("2*x", xy)
 
 
 def test_memo_carried_across_appends(xy):
@@ -217,8 +212,7 @@ def test_memo_carried_across_appends(xy):
             G.append(g, ordering)
             resumed += sum(0 < c < len(G) for c in G.normal_words.values())
             for f in fs:
-                res = divide(f, G, ordering)
-                assert (res.quotients, res.remainder) == reference_divide(f, G, ordering)
+                assert normal_remainder(f, G, ordering) == reference_divide(f, G, ordering)[1]
             lws = G.leading_words
             for word, count in G.normal_words.items():
                 assert count <= len(lws)
@@ -235,29 +229,49 @@ def test_verify_leaves_memo_empty():
     assert ok and G.normal_words == {}
 
 
-def divisor_found(patterns, word, indexed):
-    """The divisor ``divide`` applies to the monomial ``word``: (index, left, right) or None.
+MARK = b"\xff"  # in no pattern: an alphabet has at most 255 letters, 0 to 254
 
-    The basis holds the monomials ``patterns``.  The automaton covers the
-    first ``indexed`` of them, and the rest form the ``find`` tail (at
-    most 16, so no rebuild).  Monomial divisors leave no tail terms, so
-    the first quotient is the only one.
+
+def marked_generator(k, pattern):
+    """``pattern`` minus a tail that tells index ``k`` apart from every other.
+
+    The tail is (k + 2) * MARK, or the constant k + 2 for a one-letter
+    pattern, which MARK would outrank; the empty pattern gets none.
+    """
+    terms = {pattern: 1}
+    if pattern:
+        terms[MARK if len(pattern) > 1 else b""] = -(k + 2)
+    return NcPolynomial(terms)
+
+
+def check_divisor_rule(patterns, word, indexed):
+    """Divide the monomial ``word`` by the marked patterns and check the remainder.
+
+    The basis holds :func:`marked_generator` of each pattern.  The
+    automaton covers the first ``indexed`` of them, and the rest form the
+    ``find`` tail (at most 16, so no rebuild).  The remainder must equal
+    the reference division's, and, when the divisor of the plain rule
+    leaves only normal words, that one step: the coefficient names the
+    index and MARK the occurrence.
     """
     ordering = LETTERS.llex
-    G = BasisState.from_polynomials([NcPolynomial.from_term(p) for p in patterns[:indexed]],
-                                    ordering)
-    divide(NcPolynomial.zero(), G, ordering)  # builds the automaton
-    for p in patterns[indexed:]:
-        G.append(NcPolynomial.from_term(p), ordering)
-    res = divide(NcPolynomial.from_term(word), G, ordering)
+    gens = [marked_generator(k, p) for k, p in enumerate(patterns)]
+    G = BasisState.from_polynomials(gens[:indexed], ordering)
+    normal_remainder(NcPolynomial.zero(), G, ordering)  # builds the automaton
+    for g in gens[indexed:]:
+        G.append(g, ordering)
+    f = NcPolynomial.from_term(word)
+    remainder = normal_remainder(f, G, ordering)
     assert G.divisor_index.size == indexed
-    if not res.quotients:
-        assert res.remainder == NcPolynomial.from_term(word)
-        return None
-    assert not res.remainder
-    (i, c, left, right), = res.quotients
-    assert c == 1
-    return i, left, right
+    assert remainder == reference_divide(f, G, ordering)[1]
+    found = reference_find_divisor(word, patterns)
+    if found is None:
+        assert remainder == f
+        return
+    i, left, right = found
+    step = add_scaled(f, -1, sandwich(left, gens[i], right))
+    if all(reference_find_divisor(w, patterns) is None for w in step.support()):
+        assert remainder == step
 
 
 @pytest.mark.parametrize("patterns, word, expected", [
@@ -280,11 +294,14 @@ def divisor_found(patterns, word, indexed):
     ([], b"\0", None),
     # every letter of a 255-letter alphabet in use leaves no column spare
     ([bytes([k]) for k in reversed(range(255))], b"\3\xfe", (0, b"\3", b"")),
+    # leftmost of two overlapping occurrences
+    ([b"\0\0"], b"\0\0\0", (0, b"", b"\0")),
+    ([b"\0\1\0"], b"\0\1\0\1\0", (0, b"", b"\1\0")),
 ])
 def test_index_cases(patterns, word, expected):
     assert reference_find_divisor(word, patterns) == expected
     for indexed in range(max(len(patterns) - 16, 0), len(patterns) + 1):
-        assert divisor_found(patterns, word, indexed) == expected
+        check_divisor_rule(patterns, word, indexed)
 
 
 def test_index_matches_plain_scan_property():
@@ -298,14 +315,13 @@ def test_index_matches_plain_scan_property():
     def check(patterns, text, data):
         text = bytes(c % 4 for c in text)  # letter 3 is in no pattern
         indexed = data.draw(st.integers(0, len(patterns)))
-        expected = reference_find_divisor(text, patterns)
-        assert divisor_found(patterns, text, indexed) == expected
+        check_divisor_rule(patterns, text, indexed)
 
     check()
 
 
 def test_divide_matches_reference_property():
-    """Quotients and remainder equal a rescan, on integer and rational bases.
+    """The remainder equals a rescan's, on integer and rational bases.
 
     The automaton covers a random prefix of the basis; the rest is appended
     one generator at a time and ``f`` is divided after every append, so
@@ -327,12 +343,11 @@ def test_divide_matches_reference_property():
         f = random_polynomial(rng, nletters, max_terms=6, max_degree=6, integral=integral)
         indexed = min(indexed, size)
         G = BasisState.from_polynomials(gens[:indexed], ordering)
-        divide(NcPolynomial.zero(), G, ordering)
+        normal_remainder(NcPolynomial.zero(), G, ordering)
         built = G.divisor_index
         appended = gens[indexed:]
         while True:
-            res = divide(f, G, ordering)
-            assert (res.quotients, res.remainder) == reference_divide(f, G, ordering)
+            assert normal_remainder(f, G, ordering) == reference_divide(f, G, ordering)[1]
             seen["tail"] += G.divisor_index.size < len(G)
             if not appended:
                 break
@@ -356,8 +371,7 @@ def test_index_across_rebuilds():
             G.append(NcPolynomial({lw: 1, random_word(rng, 3, 0, len(lw) - 1): -1}),
                      abc.llex)
             for f in fs[:1 + len(G) % len(fs)]:
-                res = divide(f, G, abc.llex)
-                assert (res.quotients, res.remainder) == reference_divide(f, G, abc.llex)
+                assert normal_remainder(f, G, abc.llex) == reference_divide(f, G, abc.llex)[1]
             sizes.add(G.divisor_index.size)
             tails += G.divisor_index.size < len(G)
             for word, count in G.normal_words.items():

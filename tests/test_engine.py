@@ -11,7 +11,7 @@ from ncgb.criteria import (
     leading_word_criterion,
     multiply_criterion,
 )
-from ncgb.division import divide
+from ncgb.division import normal_remainder
 from ncgb.engine import (
     BasisState,
     EngineConfig,
@@ -26,7 +26,14 @@ from ncgb.polynomial import NcPolynomial, add_scaled, leading, parse_polynomial,
 from ncgb.words import Alphabet
 from ncgb.corpus import problem_path
 from ncgb.cli import parse_problem
-from oracles import aligned, assert_removals_dominated, batch_brute, built, validate_division
+from oracles import (
+    aligned,
+    assert_removals_dominated,
+    batch_brute,
+    built,
+    reference_divide,
+    validate_division,
+)
 
 
 def polys(texts, alphabet):
@@ -48,9 +55,9 @@ def check_invariants(mp, ordering):
         return wrapper
 
     def validated_remainder(f, G, ordering):
-        result = divide(f, G, ordering)
-        validate_division(result, f, G, ordering)
-        return result.remainder
+        remainder = normal_remainder(f, G, ordering)
+        validate_division(f, remainder, G, ordering)
+        return remainder
 
     for name in ("multiply_criterion", "leading_word_criterion"):
         mp.setattr(engine, name, checked(getattr(engine, name)))
@@ -117,6 +124,17 @@ class TestSelection:
         queue.discard(lower)
         assert queue.pop_smallest() == upper
 
+    def test_repeated_push_pops_once(self, xy):
+        lower = self.make_queue(xy)[2][0]
+        queue = ObstructionQueue(xy.llex)
+        queue.push(lower)
+        queue.push(lower)
+        assert len(queue) == 1 and list(queue.live()) == [lower]
+        assert queue.pop_smallest() == lower
+        assert len(queue) == 0
+        with pytest.raises(LookupError):
+            queue.pop_smallest()
+
 
 class TestBuchberger:
     def test_single_generator_short_circuit(self, xy):
@@ -180,22 +198,24 @@ class TestBuchberger:
         divisions = []
 
         def recording(f, G, ordering):
-            result = divide(f, G, ordering)
-            divisions.append((f, result))
-            return result.remainder
+            quotients, expected = reference_divide(f, G, ordering)
+            remainder = normal_remainder(f, G, ordering)
+            assert remainder == expected
+            divisions.append((f, quotients, remainder))
+            return remainder
 
         monkeypatch.setattr(engine, "normal_remainder", recording)
         G, st = buchberger(g09.generators, EngineConfig(ordering=g09.ordering))
-        assert any(result.quotients for _, result in divisions)
+        assert any(quotients for _, quotients, _ in divisions)
         s = 3  # each non-zero remainder, made monic, is the next generator
-        for S, result in divisions:
-            acc = result.remainder
-            for i, c, left, right in result.quotients:
+        for S, quotients, remainder in divisions:
+            acc = remainder
+            for i, c, left, right in quotients:
                 acc = add_scaled(acc, c, sandwich(left, G[i], right))
             assert acc == S
-            if result.remainder:
-                lc, _ = leading(result.remainder, g09.ordering)
-                assert add_scaled(NcPolynomial.zero(), lc, G[s]) == result.remainder
+            if remainder:
+                lc, _ = leading(remainder, g09.ordering)
+                assert add_scaled(NcPolynomial.zero(), lc, G[s]) == remainder
                 s += 1
         assert s == len(G)
 
@@ -204,10 +224,11 @@ class TestBuchberger:
             return all(type(c) is int for _, c in f.items())
 
         def checked_divide(f, G, ordering):
-            res = divide(f, G, ordering)
-            assert int_only(f) and int_only(res.remainder)
-            assert all(type(c) is int for _, c, _, _ in res.quotients)
-            return res.remainder
+            remainder = normal_remainder(f, G, ordering)
+            assert int_only(f) and int_only(remainder)
+            quotients, _ = reference_divide(f, G, ordering)
+            assert all(type(c) is int for _, c, _, _ in quotients)
+            return remainder
 
         braid4 = parse_problem(problem_path("braid4"))
         monkeypatch.setattr(engine, "normal_remainder", checked_divide)
