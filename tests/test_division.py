@@ -8,7 +8,7 @@ from ncgb.cli import parse_problem
 from ncgb.corpus import problem_path
 from ncgb.division import normal_remainder
 from ncgb.engine import BasisState, EngineConfig, buchberger, verify_groebner
-from ncgb.polynomial import NcPolynomial, add_scaled, parse_polynomial, sandwich
+from ncgb.polynomial import NcPolynomial, add_scaled, leading, parse_polynomial, sandwich
 from ncgb.words import Alphabet, LLexOrdering
 from oracles import (
     random_basis,
@@ -109,12 +109,28 @@ def test_constant_divisor_in_the_tail(xy):
 
 
 def test_full_contract_on_random_instances(xy):
+    """The remainder equals the rescan's, and the rescan keeps the contract.
+
+    The reference's quotients and remainder rebuild ``f``, no remainder
+    word holds a leading word, and the remainder does not rise above the
+    leading word of ``f``.
+    """
     rng = random.Random(41)
     checked = 0
     for _ in range(1100):
         G = random_basis(rng, xy.llex, 2, rng.randint(1, 4), max_degree=4)
         f = random_polynomial(rng, 2, max_terms=5, max_degree=6)
         validate_division(f, normal_remainder(f, G, xy.llex), G, xy.llex)
+        quotients, remainder = reference_divide(f, G, xy.llex)
+        acc = remainder
+        for i, c, left, right in quotients:
+            acc = add_scaled(acc, c, sandwich(left, G.generators[i], right))
+        assert acc == f
+        for word in remainder.support():
+            assert reference_find_divisor(word, G.leading_words) is None
+        if remainder:
+            top = leading(f, xy.llex)[1]
+            assert xy.llex.compare(leading(remainder, xy.llex)[1], top) <= 0
         checked += 1
     assert checked >= 1000
 
@@ -244,15 +260,32 @@ def marked_generator(k, pattern):
     return NcPolynomial(terms)
 
 
+class IndexLog(list):
+    """A generator list that logs every index read from it.
+
+    Division reads ``G.generators[i]`` once per step, to apply divisor i,
+    so the log is the sequence of divisors it applied.
+    """
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = []
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return super().__getitem__(i)
+
+
 def check_divisor_rule(patterns, word, indexed):
-    """Divide the monomial ``word`` by the marked patterns and check the remainder.
+    """Divide the monomial ``word`` by the marked patterns and check each step.
 
     The basis holds :func:`marked_generator` of each pattern.  The
     automaton covers the first ``indexed`` of them, and the rest form the
-    ``find`` tail (at most 16, so no rebuild).  The remainder must equal
-    the reference division's, and, when the divisor of the plain rule
-    leaves only normal words, that one step: the coefficient names the
-    index and MARK the occurrence.
+    ``find`` tail (at most 16, so no rebuild).  The divisors applied must
+    be the reference division's, step by step, and so must the remainder;
+    when the divisor of the plain rule leaves only normal words, the
+    remainder must be that one step: the coefficient names the index and
+    MARK the occurrence.
     """
     ordering = LETTERS.llex
     gens = [marked_generator(k, p) for k, p in enumerate(patterns)]
@@ -261,9 +294,12 @@ def check_divisor_rule(patterns, word, indexed):
     for g in gens[indexed:]:
         G.append(g, ordering)
     f = NcPolynomial.from_term(word)
+    quotients, expected = reference_divide(f, G, ordering)
+    G.generators = log = IndexLog(G.generators)
     remainder = normal_remainder(f, G, ordering)
     assert G.divisor_index.size == indexed
-    assert remainder == reference_divide(f, G, ordering)[1]
+    assert log.read == [i for i, _, _, _ in quotients]
+    assert remainder == expected
     found = reference_find_divisor(word, patterns)
     if found is None:
         assert remainder == f
@@ -285,7 +321,8 @@ def check_divisor_rule(patterns, word, indexed):
     ([b"\1\2", b"\0\1\2\3"], b"\0\1\2\4", (0, b"\0", b"\4")),
     # a smaller index ending later beats a larger one ending earlier
     ([b"\2\2", b"\0"], b"\0\2\2\1", (0, b"\0", b"\1")),
-    # leftmost of two occurrences
+    # leftmost of two occurrences (both are rewritten, so the remainder does
+    # not show which went first: test_leftmost_of_disjoint_occurrences does)
     ([b"\0\1"], b"\1\0\1\0\1", (0, b"\1", b"\0\1")),
     # letters no pattern uses send the walk back to the root
     ([b"\0\1"], b"\0\7\1\0\1", (0, b"\0\7\1", b"")),
@@ -302,6 +339,24 @@ def test_index_cases(patterns, word, expected):
     assert reference_find_divisor(word, patterns) == expected
     for indexed in range(max(len(patterns) - 16, 0), len(patterns) + 1):
         check_divisor_rule(patterns, word, indexed)
+
+
+@pytest.mark.parametrize("indexed", [0, 1, 2])
+def test_leftmost_of_disjoint_occurrences(indexed):
+    # a*b occurs twice in a*b*d*a*b, apart.  Rewriting the left one gives
+    # c*d*a*b, where c*d*a (index 0) now occurs, leaving e*b; rewriting the
+    # right one first would give a*b*d*c and end in c*d*c
+    abcde = Alphabet(["a", "b", "c", "d", "e"])
+    gens = [parse_polynomial(t, abcde) for t in ("c*d*a - e", "a*b - c")]
+    G = BasisState.from_polynomials(gens[:indexed], abcde.llex)
+    normal_remainder(NcPolynomial.zero(), G, abcde.llex)  # builds the automaton
+    for g in gens[indexed:]:
+        G.append(g, abcde.llex)
+    f = parse_polynomial("a*b*d*a*b", abcde)
+    remainder = normal_remainder(f, G, abcde.llex)
+    assert G.divisor_index.size == indexed
+    assert remainder == parse_polynomial("e*b", abcde)
+    validate_division(f, remainder, G, abcde.llex)
 
 
 def test_index_matches_plain_scan_property():

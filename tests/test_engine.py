@@ -226,8 +226,6 @@ class TestBuchberger:
         def checked_divide(f, G, ordering):
             remainder = normal_remainder(f, G, ordering)
             assert int_only(f) and int_only(remainder)
-            quotients, _ = reference_divide(f, G, ordering)
-            assert all(type(c) is int for _, c, _, _ in quotients)
             return remainder
 
         braid4 = parse_problem(problem_path("braid4"))
