@@ -8,33 +8,45 @@ loop terminates.  One loop, :func:`normal_remainder`, serves every caller,
 and it returns only the remainder: no caller reads how ``f`` was
 rewritten, so no step records it.
 
+Division reads only facts the basis already holds: the leading words,
+the divisor index, and each generator's tail (``G.tails``, its terms
+but the leading one).  Every word is over the ordering's alphabet, as
+every basis and dividend built from one problem is.
+
 The live terms are a word -> coefficient dict plus a max-heap of their
 words in the llex order (the simplest form of Yan's geobuckets), so
 finding the largest word costs a pop instead of a scan of every live
-term.  Deletion is lazy: a word is pushed whenever it enters the dict,
-and a popped word that is no longer in the dict was cancelled and is
-skipped.  A popped word leaves the dict at once: the divisor is monic,
-so its placed leading term cancels the word exactly, and a step places
-only the divisor's other terms.  A processed word never comes back,
-because every word a step adds is smaller than the one it rewrites.
+term.  A heap entry is ``(-len(w), key, w)`` with ``key`` the word
+translated by the ordering's reversed-precedence table; when that table
+is the identity (``ordering.rev_identity``: the precedence is the
+alphabet order, as in every corpus problem) the entry is ``(-len(w),
+w)`` and no word is translated.  Deletion is lazy: a word is pushed
+whenever it enters the dict, and a popped word that is no longer in the
+dict was cancelled and is skipped.  A popped word leaves the dict at
+once: the divisor is monic, so its placed leading term cancels the word
+exactly, and a step places only the divisor's stored tail.  A processed
+word never comes back, because every word a step adds is smaller than
+the one it rewrites.
 
 The divisor of a word is found with an Aho-Corasick automaton (Aho and
 Corasick, 1975) kept on the basis (``G.divisor_index``, a
 :class:`DivisorIndex`) over the first k leading words, where each state
 holds the smallest index of a leading word ending there, merged along
-the failure links.  The division loop walks it itself, the only walk
-there is: one pass over the word, starting from the root's own index
-(an empty leading word ends at position 0), gives the smallest occurring
-index, and ``bytes.find`` then gives that leading word's leftmost
-occurrence: exactly the divisor rule.  The leading words appended since,
-``leading_words[k:]``, form a short tail that is searched one by one
-with ``bytes.find``, only when the automaton misses; every tail index is
-at least k, so an automaton hit always wins.  A new leading word can
-change the failure links of existing states, so the automaton is not
-grown in place: following the logarithmic method (Bentley and Saxe,
-1980) it is rebuilt over all leading words once the tail holds more
-than ``max(16, k // 4)`` of them, which keeps the total rebuild cost a
-constant multiple of the last build.
+the failure links.  It has one column per letter of the alphabet, so a
+letter is its own column.  The division loop walks it itself, the only
+walk there is: one pass over the word's bytes, starting from the root's
+own index (an empty leading word ends at position 0) and stopping early
+at index 0, gives the smallest occurring index, and ``bytes.find`` then
+gives that leading word's leftmost occurrence: exactly the divisor
+rule.  The leading words appended since, ``leading_words[k:]``, form a
+short tail that is searched one by one with ``bytes.find``, only when
+the automaton misses; every tail index is at least k, so an automaton
+hit always wins.  A new leading word can change the failure links of
+existing states, so the automaton is not grown in place: following the
+logarithmic method (Bentley and Saxe, 1980) it is rebuilt over all
+leading words once the tail holds more than ``max(16, k // 4)`` of
+them, which keeps the total rebuild cost a constant multiple of the
+last build.
 
 Words found normal are remembered in the basis (``G.normal_words``): a
 word maps to a count c such that none of the first c leading words
@@ -48,7 +60,8 @@ Groebner basis (every remainder zero) leaves the memo empty.
 
 A generator is checked for zero only when it is about to be applied:
 ``BasisState.append`` never admits zero, and a caller that puts one in
-by hand gets ``ValueError`` from the step that would use it.
+by hand (``BasisState.replace``, which stores None as its tail) gets
+``ValueError`` from the step that would use it.
 """
 
 from __future__ import annotations
@@ -63,30 +76,23 @@ class DivisorIndex:
     """Aho-Corasick automaton over a list of patterns (leading words).
 
     Only the tables: :func:`normal_remainder` walks them.  ``size`` is the
-    number of patterns covered.  A state is a list of ``width + 1`` slots:
-    the successor state per column, then the smallest index of a pattern
-    that is a suffix of the text read so far (``size`` when there is none).
-    Columns are the letters the patterns use, in increasing order, then one
-    for every other letter, which leads back to the root; ``cols``
-    translates a word into columns.
+    number of patterns covered and ``width`` the number of letters in the
+    alphabet, so a letter is its own column and a word over the alphabet
+    is walked byte by byte.  A state is a list of ``width + 1`` slots: the
+    successor state per letter, then the smallest index of a pattern that
+    is a suffix of the text read so far (``size`` when there is none).
     """
 
-    __slots__ = ("size", "width", "cols", "root")
+    __slots__ = ("size", "width", "root")
 
-    def __init__(self, patterns):
+    def __init__(self, patterns, width):
         n = self.size = len(patterns)
-        letters = sorted(set(b"".join(patterns)))
-        other = len(letters)
-        w = self.width = other + 1
-        table = bytearray([other]) * 256
-        for col, letter in enumerate(letters):
-            table[letter] = col
-        self.cols = cols = bytes(table)
+        w = self.width = width
         # trie; None marks a missing edge until the pass below fills it
         root = self.root = [None] * w + [n]
         for k, p in enumerate(patterns):
             s = root
-            for c in p.translate(cols):
+            for c in p:
                 t = s[c]
                 if t is None:
                     t = s[c] = [None] * w + [n]
@@ -121,24 +127,28 @@ def normal_remainder(f: NcPolynomial, G, ordering) -> NcPolynomial:
     outgrown it (see the module docstring).  Raises ValueError when a
     divisor the rule selects is zero.
     """
-    gens = G.generators
+    tails = G.tails
     lws = G.leading_words
     n = len(lws)
     index = G.divisor_index
     # the logarithmic method: rebuild once the tail outgrows a quarter of the index
     if index is None or n - index.size > max(16, index.size // 4):
-        index = G.divisor_index = DivisorIndex(lws)
+        index = G.divisor_index = DivisorIndex(lws, len(ordering.alphabet))
     k = index.size
-    root, width, cols = index.root, index.width, index.cols
+    root, width = index.root, index.width
     normal_words = G.normal_words
-    rev = ordering.rev_tbl
+    # ascending (-len, reversed-precedence bytes) pops the largest word
+    # first; when that table is the identity the word is its own key
+    rev = None if ordering.rev_identity else ordering.rev_tbl
     v = dict(f.items())
-    # ascending (-len, reversed-precedence bytes) pops the largest word first
-    heap = [(-len(w), w.translate(rev), w) for w in v]
+    if rev is None:
+        heap = [(-len(w), w) for w in v]
+    else:
+        heap = [(-len(w), w.translate(rev), w) for w in v]
     heapify(heap)
     remainder = {}
     while heap:
-        word = heappop(heap)[2]
+        word = heappop(heap)[-1]
         # the step below cancels the word exactly, so it leaves the live set now
         c = v.pop(word, None)
         if c is None:
@@ -146,13 +156,16 @@ def normal_remainder(f: NcPolynomial, G, ordering) -> NcPolynomial:
         i = normal_words.get(word, 0)
         if i < k:
             # the automaton walk: the smallest index ending anywhere in the
-            # word, starting from the root's (an empty leading word ends at 0)
+            # word, starting from the root's (an empty leading word ends at 0);
+            # index 0 cannot be beaten, so the walk stops there
             s = root
             i = s[width]
-            for col in word.translate(cols):
-                s = s[col]
+            for letter in word:
+                s = s[letter]
                 if s[width] < i:
                     i = s[width]
+                    if not i:
+                        break
         if i < k:
             lw = lws[i]
             pos = word.find(lw)
@@ -169,17 +182,15 @@ def normal_remainder(f: NcPolynomial, G, ordering) -> NcPolynomial:
                 continue
         left = word[:pos]
         right = word[pos + len(lw):]
-        terms = gens[i]._terms
-        if not terms:
+        tail = tails[i]
+        if tail is None:
             raise ValueError("division by a zero polynomial")
-        for u, cu in terms.items():
-            if u == lw:
-                continue
+        for u, cu in tail:
             w = left + u + right
             old = v.get(w)
             if old is None:
                 v[w] = -c * cu
-                heappush(heap, (-len(w), w.translate(rev), w))
+                heappush(heap, (-len(w), w) if rev is None else (-len(w), w.translate(rev), w))
             else:
                 acc = old - c * cu
                 if acc:

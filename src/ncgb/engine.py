@@ -34,13 +34,22 @@ from .polynomial import NcPolynomial, add_scaled, leading, make_monic
 
 
 class BasisState:
-    """An append-only list of monic generators with cached leading words.
+    """An append-only list of monic generators with cached leading words and tails.
+
+    ``tails[k]`` holds the terms of generator k other than its leading
+    term, as a tuple of (word, coefficient) pairs, or None when the
+    generator is zero.  Division, ``s_polynomial`` and ``interreduce`` place
+    only the tail, because a monic generator's leading term cancels the
+    word it rewrites, so no caller skips the leading word itself.  A
+    generator and its tail are set in one statement, by ``append`` and by
+    ``replace``.
 
     Three caches are kept.  Two serve division (see :mod:`ncgb.division`).
     ``divisor_index`` is an Aho-Corasick automaton over a prefix
-    ``leading_words[:k]``; division builds it on first use and rebuilds it
-    over all leading words once more than ``max(16, k // 4)`` have been
-    appended after that prefix, searching the few in between one by one.
+    ``leading_words[:k]``, one column per letter of the ordering's
+    alphabet; division builds it on first use and rebuilds it over all
+    leading words once more than ``max(16, k // 4)`` have been appended
+    after that prefix, searching the few in between one by one.
     ``normal_words`` is the memo of remainder words: it maps a word to a
     count c such that none of ``leading_words[:c]`` occurs in it; a count
     of at least k lets division skip the automaton and search only
@@ -59,12 +68,13 @@ class BasisState:
     division checks a generator for zero only at the step that applies it.
     """
 
-    __slots__ = ("generators", "leading_words", "normal_words", "divisor_index",
-                 "by_prefix", "by_suffix")
+    __slots__ = ("generators", "leading_words", "tails", "normal_words",
+                 "divisor_index", "by_prefix", "by_suffix")
 
     def __init__(self):
         self.generators = []
         self.leading_words = []
+        self.tails = []
         self.normal_words = {}
         self.divisor_index = None
         self.by_prefix = {}
@@ -82,9 +92,10 @@ class BasisState:
             raise ValueError("zero polynomial cannot join a basis")
         f = make_monic(f, ordering)
         _, lw = leading(f, ordering)
-        # leading word first: an interrupt between the two appends leaves
-        # every generator with its leading word, which interreduce needs
+        # leading word and tail first: an interrupt before the generator's
+        # append leaves every generator with both, which interreduce needs
         self.leading_words.append(lw)
+        self.tails.append(_tail(f, lw))
         self.generators.append(f)
         k = len(self.generators) - 1
         for n in range(1, len(lw)):
@@ -94,6 +105,10 @@ class BasisState:
                     ks.append(k)
         return k
 
+    def replace(self, k, f: NcPolynomial):
+        """Put the monic ``f``, whose leading word is generator k's, in its place."""
+        self.generators[k], self.tails[k] = f, _tail(f, self.leading_words[k])
+
     def __len__(self):
         return len(self.generators)
 
@@ -102,6 +117,11 @@ class BasisState:
 
     def __iter__(self):
         return iter(self.generators)
+
+
+def _tail(f, lw):
+    """The terms of ``f`` but its leading word ``lw``; None when ``f`` is zero."""
+    return tuple((u, c) for u, c in f._terms.items() if u != lw) if f else None
 
 
 @dataclass
@@ -303,10 +323,8 @@ def interreduce(G: BasisState, ordering) -> BasisState:
         kept_lws.append(lw)
     reduced = BasisState.from_polynomials([G.generators[k] for k in kept], ordering)
     for k, lw in enumerate(reduced.leading_words):
-        head = NcPolynomial.from_term(lw)
-        tail = add_scaled(reduced.generators[k], -1, head)
-        reduced.generators[k] = add_scaled(normal_remainder(tail, reduced, ordering),
-                                           1, head)
+        tail = normal_remainder(NcPolynomial(reduced.tails[k]), reduced, ordering)
+        reduced.replace(k, add_scaled(tail, 1, NcPolynomial.from_term(lw)))
     return reduced
 
 
@@ -315,8 +333,9 @@ def verify_groebner(G: BasisState, ordering, truncation=None):
 
     Returns (True, []) on success and (False, [obstruction]) with the first
     failure otherwise.  The batches of s = 0, 1, ... are checked in turn,
-    each by source index i and then by :func:`obstruction_key`, so the
-    failure reported is the smallest in that order.  With ``truncation``
+    each in its (i, d) order; on a failure only that source's obstructions
+    are sorted by :func:`obstruction_key`, so the failure reported is the
+    smallest by source index i and then by that key.  With ``truncation``
     only obstructions whose common word fits the bound are checked; that
     shows a Groebner basis up to the bound only when every generator is
     homogeneous, so a non-homogeneous basis raises ValueError, as does a
@@ -328,7 +347,22 @@ def verify_groebner(G: BasisState, ordering, truncation=None):
         raise ValueError("truncation requires homogeneous generators")
     for s in range(len(G)):
         batch = build_obstructions(s, G, obstruction_batch(s, G, truncation)[0])
-        for o in sorted(batch, key=lambda o: (o.i, obstruction_key(o, ordering))):
+        for o in batch:
             if normal_remainder(s_polynomial(o, G, ordering), G, ordering):
-                return False, [o]
+                return False, [_first_failure(o, batch, G, ordering)]
     return True, []
+
+
+def _first_failure(failed, batch, G, ordering):
+    """The smallest failing obstruction, by :func:`obstruction_key`, of
+    ``failed``'s source in ``batch``.
+
+    ``batch`` is in (i, d) order and every source before ``failed.i``
+    passed, so only this source's obstructions are sorted and re-reduced,
+    up to ``failed`` at the latest.
+    """
+    same = sorted((o for o in batch if o.i == failed.i),
+                  key=lambda o: obstruction_key(o, ordering))
+    for o in same:
+        if o is failed or normal_remainder(s_polynomial(o, G, ordering), G, ordering):
+            return o

@@ -62,20 +62,18 @@ def s_polynomial(o: Obstruction, G, ordering):
     """wi g_i wi2 - wj g_j wj2 over a monic basis, built in one pass.
 
     Both placed leading terms are the common word with coefficient 1 and
-    cancel, so only the two tails are placed: g_i's into a fresh dict, then
-    g_j's subtracted from it.  Raises ValueError when the obstruction is not
-    aligned over ``G``.
+    cancel, so only the two stored tails (``G.tails``) are placed: g_i's
+    into a fresh dict, then g_j's subtracted from it.  Raises ValueError
+    when the obstruction is not aligned over ``G``.
     """
     i, j = o.i, o.j
     lws = G.leading_words
-    lwi, lwj = lws[i], lws[j]
     wi, wi2, wj, wj2 = o.wi, o.wi2, o.wj, o.wj2
-    if wi + lwi + wi2 != wj + lwj + wj2:
+    if wi + lws[i] + wi2 != wj + lws[j] + wj2:
         raise ValueError("obstruction is not aligned over this basis")
-    out = {wi + u + wi2: c for u, c in G.generators[i]._terms.items() if u != lwi}
-    for u, c in G.generators[j]._terms.items():
-        if u == lwj:
-            continue
+    tails = G.tails
+    out = {wi + u + wi2: c for u, c in tails[i]}
+    for u, c in tails[j]:
         w = wj + u + wj2
         old = out.get(w)
         if old is None:

@@ -296,15 +296,28 @@ class _Parser:
         return bytes(word[:-1]) + self.power(bytes(word[-1:]))
 
     def group_word(self):
-        """The body of a parenthesized subword: variables and groups only."""
-        word = b""
+        """The body of a parenthesized subword: variables and groups only.
+
+        Groups nest without recursion, so any depth the input spells
+        parses: the letters go into one buffer, ``starts`` holds where each
+        open inner group began in it, and a power replaces its group's
+        letters when the group closes.
+        """
+        word = bytearray()
+        starts = []
         expect_factor = True
         while True:
             kind, text, col = self.next()
             if kind == "op" and text == ")":
                 if expect_factor:
                     self.fail("empty group", (kind, text, col))
-                return word
+                if not starts:
+                    return bytes(word)
+                start = starts.pop()
+                kind, text, _ = self.peek()
+                if kind == "op" and text == "^":
+                    word[start:] = self.power(bytes(word[start:]))
+                continue
             if not expect_factor:
                 if kind == "op" and text == "*":
                     expect_factor = True
@@ -313,7 +326,8 @@ class _Parser:
             if kind == "run":
                 word += self.run(text, col)
             elif kind == "op" and text == "(":
-                word += self.power(self.group_word())
+                starts.append(len(word))
+                continue
             elif kind is None:
                 self.fail("unterminated group", (kind, text, col))
             else:

@@ -116,10 +116,12 @@ class LLexOrdering:
     """Length first, ties broken left to right by variable precedence.
 
     ``precedence`` lists variable names from largest to smallest; it defaults
-    to the alphabet order.
+    to the alphabet order.  ``rev_identity`` is true when ``rev_tbl`` maps
+    every byte to itself, as it does when the precedence is the alphabet
+    order: then a word is its own reversed-precedence key.
     """
 
-    __slots__ = ("alphabet", "precedence", "_tbl", "rev_tbl")
+    __slots__ = ("alphabet", "precedence", "_tbl", "rev_tbl", "rev_identity")
 
     def __init__(self, alphabet: Alphabet, precedence=None):
         self.alphabet = alphabet
@@ -142,6 +144,7 @@ class LLexOrdering:
         for letter in range(n):
             tbl[letter] = rank[letter]
         self.rev_tbl = bytes(tbl)
+        self.rev_identity = self.rev_tbl == bytes(range(256))
 
     def key(self, w: bytes):
         return (len(w), w.translate(self._tbl))

@@ -5,9 +5,10 @@ instead of ``find`` and slice comparison, explicit enumeration of the
 placements in which one leading word starts the common word instead of
 one loop over signed offsets, and raw polynomial arithmetic for
 reconstruction, cofactor words instead of offsets for obstruction
-coverage and order, and a letter canvas to build an obstruction from its
-offset.  Tests assert the library against these, never
-against itself.  The contract checks recheck a library result against its
+coverage and order, a letter canvas to build an obstruction from its
+offset, and a sort of every batch to find the first failing obstruction
+(:func:`reference_verify`).  Tests assert the library against these,
+never against itself.  The contract checks recheck a library result against its
 inputs: ``assert_removals_dominated`` a criterion's report, and
 ``validate_division`` a remainder, which must equal
 :func:`reference_divide`'s.  The library's division returns only the
@@ -340,6 +341,30 @@ def reference_divide(f, G, ordering):
             else:
                 v.pop(w, None)
     return quotients, NcPolynomial(remainder)
+
+
+def reference_verify(G, ordering, truncation=None):
+    """``verify_groebner`` with every batch sorted: (True, []) or (False, [failure]).
+
+    The batches of s = 0, 1, ... are taken in turn, each sorted by source
+    index i and then by the obstruction ordering, and the first obstruction
+    whose S-polynomial has a non-zero remainder is the failure.  The
+    obstructions come from the exhaustive alignment search, those whose
+    common word exceeds ``truncation`` are skipped, and each S-polynomial
+    is built from two full sandwiches and divided by the rescan.
+    """
+    if truncation is not None and truncation < 1:
+        raise ValueError("truncation must be positive")
+    if truncation is not None and not all(f.is_homogeneous() for f in G):
+        raise ValueError("truncation requires homogeneous generators")
+    for s in range(len(G)):
+        batch = [aligned(i, s, *cofactors, G) for i, *cofactors in batch_brute(s, G)]
+        for o in sorted(batch, key=lambda o: (o.i, translated_obstruction_key(o, ordering))):
+            if truncation is not None and len(o.common) > truncation:
+                continue
+            if reference_divide(s_polynomial_reference(o, G), G, ordering)[1]:
+                return False, [o]
+    return True, []
 
 
 def random_word(rng, nletters, lo, hi):

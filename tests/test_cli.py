@@ -281,6 +281,21 @@ class TestRun:
         assert code == EXIT_ERROR and out == ""
         assert "bad.prob:2:" in err and "power longer than" in err
 
+    @pytest.mark.parametrize("depth", [1_000, 100_000])
+    def test_deeply_nested_generator(self, tmp_path, capsys, depth):
+        path = tmp_path / "deep.prob"
+        path.write_text(f"vars a b\ngen {'(' * depth}a*b{')' * depth}^2 - 1\n"
+                        "gen b^2 - 1\n")
+        code, out, err = run_main(["run", str(path)], capsys)
+        assert code == EXIT_OK and err == ""
+        assert out.splitlines()[-1].split("\t")[1:] == "3 2 7 5 1 1 0 0 0.7143".split()
+        # an unclosed group still ends in a positioned diagnostic
+        path.write_text(f"vars a b\ngen {'(' * depth}a*b\n")
+        code, out, err = run_main(["run", str(path)], capsys)
+        assert code == EXIT_ERROR and out == ""
+        assert err == (f"error: {path}:2:{depth + 4}: expected '*' or ')' inside group "
+                       "(at end of input)\n")
+
     def test_syntax_error_position(self, tmp_path, capsys):
         path = tmp_path / "t.prob"
         path.write_text("vars a b\ngen a^99999999999\n")
@@ -356,6 +371,33 @@ class TestRun:
         assert code == EXIT_OK
         assert_row(out, name, row)
         assert_stdout_pinned(out, name, argv)
+
+    @pytest.mark.parametrize("name, argv", [("g02", []), ("g09", []),
+                                            ("braid4", ["--trunc", "8"])])
+    def test_letter_encoding_does_not_show(self, tmp_path, capsys, name, argv):
+        """Reversing the vars line, with the order line kept, changes nothing.
+
+        The corpus file's precedence is its alphabet order, so division keys
+        a word by itself; the reversed file's letters rank the other way
+        round, so division keys a word by its translation.  The two runs
+        print the same bytes, and each written basis verifies.
+        """
+        text = problem_path(name).read_text()
+        vars_line = next(line for line in text.splitlines() if line.startswith("vars "))
+        flipped = tmp_path / f"{name}.prob"
+        flipped.write_text(text.replace(
+            vars_line, " ".join(["vars"] + vars_line.split()[:0:-1]), 1))
+        outs = []
+        for path, identity in ((problem_path(name), True), (flipped, False)):
+            assert parse_problem(path).ordering.rev_identity is identity
+            rgb = tmp_path / "rgb.prob"
+            code, out, _ = run_main(["run", str(path), *argv, "--basis-out", str(rgb)],
+                                    capsys)
+            assert code == EXIT_OK
+            outs.append(out)
+            code, verdict, _ = run_main(["verify", str(rgb), str(path), *argv], capsys)
+            assert code == EXIT_OK and verdict == "ok\n"
+        assert outs[0] == outs[1]
 
     def test_trunc_flag_requires_homogeneous(self, capsys):
         code, _, err = run_main(

@@ -20,11 +20,6 @@ from oracles import (
 )
 
 
-# the divisor rule does not depend on the ordering, and bytes outside this
-# alphabet rank as themselves, so it serves words over any letters
-LETTERS = Alphabet(["x", "y"])
-
-
 def basis(texts, alphabet):
     polys = [parse_polynomial(t, alphabet) for t in texts]
     return BasisState.from_polynomials(polys, alphabet.llex)
@@ -58,7 +53,7 @@ def test_zero_divisor_rejected(xy):
     # the zero generator still carries the leading word x*y, so dividing
     # x*y selects it and the step that would apply it refuses
     G = basis(["x*y - 1"], xy)
-    G.generators[0] = NcPolynomial.zero()
+    G.replace(0, NcPolynomial.zero())
     with pytest.raises(ValueError, match="division by a zero polynomial"):
         normal_remainder(parse_polynomial("x*y", xy), G, xy.llex)
 
@@ -245,26 +240,24 @@ def test_verify_leaves_memo_empty():
     assert ok and G.normal_words == {}
 
 
-MARK = b"\xff"  # in no pattern: an alphabet has at most 255 letters, 0 to 254
-
-
-def marked_generator(k, pattern):
+def marked_generator(k, pattern, mark):
     """``pattern`` minus a tail that tells index ``k`` apart from every other.
 
-    The tail is (k + 2) * MARK, or the constant k + 2 for a one-letter
-    pattern, which MARK would outrank; the empty pattern gets none.
+    The tail is (k + 2) * ``mark``, a one-letter word in no pattern, or the
+    constant k + 2 for a one-letter pattern, which the mark would outrank;
+    the empty pattern gets none.
     """
     terms = {pattern: 1}
     if pattern:
-        terms[MARK if len(pattern) > 1 else b""] = -(k + 2)
+        terms[mark if len(pattern) > 1 else b""] = -(k + 2)
     return NcPolynomial(terms)
 
 
 class IndexLog(list):
-    """A generator list that logs every index read from it.
+    """A list that logs every index read from it.
 
-    Division reads ``G.generators[i]`` once per step, to apply divisor i,
-    so the log is the sequence of divisors it applied.
+    Division reads ``G.tails[i]`` once per step, to apply divisor i, so
+    the log is the sequence of divisors it applied.
     """
 
     def __init__(self, items):
@@ -285,17 +278,25 @@ def check_divisor_rule(patterns, word, indexed):
     be the reference division's, step by step, and so must the remainder;
     when the divisor of the plain rule leaves only normal words, the
     remainder must be that one step: the coefficient names the index and
-    MARK the occurrence.
+    the mark the occurrence.
+
+    The alphabet holds every letter the patterns and the word use, and the
+    mark, the letter after them.  Only patterns that use all 255 letters
+    leave no letter for the mark; they are one letter long, so no tail
+    needs it.
     """
-    ordering = LETTERS.llex
-    gens = [marked_generator(k, p) for k, p in enumerate(patterns)]
+    nletters = min(max(b"".join(patterns) + word, default=0) + 2, 255)
+    mark = bytes([nletters - 1])
+    assert not any(len(p) > 1 and mark in p for p in patterns)
+    ordering = Alphabet([f"v{k}" for k in range(nletters)]).llex
+    gens = [marked_generator(k, p, mark) for k, p in enumerate(patterns)]
     G = BasisState.from_polynomials(gens[:indexed], ordering)
     normal_remainder(NcPolynomial.zero(), G, ordering)  # builds the automaton
     for g in gens[indexed:]:
         G.append(g, ordering)
     f = NcPolynomial.from_term(word)
     quotients, expected = reference_divide(f, G, ordering)
-    G.generators = log = IndexLog(G.generators)
+    G.tails = log = IndexLog(G.tails)
     remainder = normal_remainder(f, G, ordering)
     assert G.divisor_index.size == indexed
     assert log.read == [i for i, _, _, _ in quotients]
@@ -329,7 +330,7 @@ def check_divisor_rule(patterns, word, indexed):
     ([b"\0\1"], b"\0\7\1", None),
     ([b"\0\1"], b"\x09\x09", None),
     ([], b"\0", None),
-    # every letter of a 255-letter alphabet in use leaves no column spare
+    # the largest alphabet: 255 letters, every one a column and a pattern
     ([bytes([k]) for k in reversed(range(255))], b"\3\xfe", (0, b"\3", b"")),
     # leftmost of two overlapping occurrences
     ([b"\0\0"], b"\0\0\0", (0, b"", b"\0")),
@@ -385,7 +386,7 @@ def test_divide_matches_reference_property():
     """
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    orderings = {2: LETTERS.llex, 3: LLexOrdering(Alphabet(["a", "b", "c"]), ["b", "c", "a"])}
+    orderings = {2: Alphabet(["x", "y"]).llex, 3: LLexOrdering(Alphabet(["a", "b", "c"]), ["b", "c", "a"])}
     seen = {"rebuilt": 0, "tail": 0}
 
     @hypothesis.settings(max_examples=200, deadline=None, database=None)

@@ -23,7 +23,7 @@ from ncgb.engine import (
 )
 from ncgb.obstructions import build_obstructions, nontrivial_obstructions, s_polynomial
 from ncgb.polynomial import NcPolynomial, add_scaled, leading, parse_polynomial, sandwich
-from ncgb.words import Alphabet
+from ncgb.words import Alphabet, LLexOrdering
 from ncgb.corpus import problem_path
 from ncgb.cli import parse_problem
 from oracles import (
@@ -31,7 +31,10 @@ from oracles import (
     assert_removals_dominated,
     batch_brute,
     built,
+    random_basis,
+    random_word,
     reference_divide,
+    reference_verify,
     validate_division,
 )
 
@@ -408,6 +411,18 @@ class TestVerify:
         ok, failures = verify_groebner(G, xy.llex)
         assert not ok and (failures[0].i, failures[0].j) == (1, 2)
 
+    def test_first_failure_by_key_not_by_offset(self, ab):
+        # lw(g_1) = a*b*a meets lw(g_0) = a*a*b at offset -2 (common word
+        # a*b*a*a*b) and at +1 (a*a*b*a).  Both S-polynomials fail, and the
+        # batch's offset order meets the longer common word first
+        G = BasisState.from_polynomials(polys(["a*a*b - b", "a*b*a - a"], ab), ab.llex)
+        first, second = build_obstructions(1, G, obstruction_batch(1, G)[0])[:2]
+        assert (first.i, first.common, second.i, second.common) == \
+            (0, ab.word("abaab"), 0, ab.word("aaba"))
+        for o in (first, second):
+            assert normal_remainder(s_polynomial(o, G, ab.llex), G, ab.llex)
+        assert verify_groebner(G, ab.llex) == reference_verify(G, ab.llex) == (False, [second])
+
     @pytest.mark.parametrize("truncation", [0, -3])
     def test_truncation_must_be_positive(self, ab, truncation):
         # not a Groebner basis, yet no obstruction fits a bound below 1
@@ -591,3 +606,61 @@ def test_corpus_mode_equivalence(name, trunc, monkeypatch):
         assert not st.capped and partition_holds(st)
         reduced.append(set(interreduce(G, problem.ordering).generators))
     assert reduced[0] == reduced[1]
+
+
+def test_verify_matches_reference_property():
+    """``verify_groebner`` reports what sorting every batch reports.
+
+    The bases are random, random binomials, homogeneous binomials checked
+    up to a bound, or the reduced basis of g04 or g09 with a generator
+    dropped: most are not Groebner bases.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    orderings = {2: Alphabet(["a", "b"]).llex,
+                 3: LLexOrdering(Alphabet(["a", "b", "c"]), ["b", "c", "a"])}
+    corpus = {}
+    for name in ("g04", "g09"):
+        problem = parse_problem(problem_path(name))
+        done, _ = buchberger(problem.generators, EngineConfig(ordering=problem.ordering))
+        corpus[name] = (interreduce(done, problem.ordering).generators, problem.ordering)
+    seen = {"ok": 0, "failed": 0, "reordered": 0}
+
+    def binomial(rng, nletters, homogeneous):
+        while True:
+            u = random_word(rng, nletters, 1, 4)
+            v = random_word(rng, nletters, len(u) if homogeneous else 0, len(u))
+            if u != v:
+                return NcPolynomial({u: 1, v: -1})
+
+    @hypothesis.settings(max_examples=250, deadline=None, database=None)
+    @hypothesis.given(st.randoms(use_true_random=False),
+                      st.sampled_from(["random", "binomial", "homogeneous", "g04", "g09"]),
+                      st.sampled_from([2, 3]), st.integers(1, 6), st.integers(1, 8))
+    def check(rng, kind, nletters, size, bound):
+        truncation = bound if kind == "homogeneous" else None
+        if kind in corpus:
+            gens, ordering = corpus[kind]
+            drop = rng.randrange(len(gens))
+            gens = gens[:drop] + gens[drop + 1:]
+        else:
+            ordering = orderings[nletters]
+            if kind == "random":
+                gens = random_basis(rng, ordering, nletters, size, max_degree=4).generators
+            else:
+                gens = [binomial(rng, nletters, kind == "homogeneous") for _ in range(size)]
+        G = BasisState.from_polynomials(gens, ordering)
+        expected = reference_verify(G, ordering, truncation)
+        assert verify_groebner(G, ordering, truncation) == expected
+        ok, failures = expected
+        seen["ok" if ok else "failed"] += 1
+        if not ok:
+            # the first failure in the batch's own (i, d) order
+            s = failures[0].j
+            batch = build_obstructions(s, G, obstruction_batch(s, G, truncation)[0])
+            first = next(o for o in batch
+                         if normal_remainder(s_polynomial(o, G, ordering), G, ordering))
+            seen["reordered"] += first != failures[0]
+
+    check()
+    assert min(seen.values()) > 0, seen

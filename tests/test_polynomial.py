@@ -165,6 +165,18 @@ class TestParsing:
         assert poly("((a*b)^2*b)^2", ab) == \
             NcPolynomial({ab.word("ababbababb"): 1})
 
+    @pytest.mark.parametrize("depth", [500, 1_000, 100_000])
+    def test_deep_nesting(self, ab, depth):
+        """Groups nest without recursion: no depth reaches the interpreter's limit."""
+        text = "(" * depth + "a*(b)^2" + ")" * depth + "^2 - b"
+        assert poly(text, ab) == poly("(a*b^2)^2 - b", ab)
+        assert poly("(a*" * depth + "b" + ")" * depth, ab) == \
+            NcPolynomial.from_term(ab.word("a") * depth + ab.word("b"))
+        with pytest.raises(PolynomialSyntaxError) as err:
+            parse_polynomial("(" * depth + "a", ab)
+        assert err.value.column == depth + 2
+        assert err.value.message == "expected '*' or ')' inside group (at end of input)"
+
     def test_like_terms_collected(self, ab):
         assert poly("a + a - 2*a + b", ab) == poly("b", ab)
 
