@@ -1,13 +1,18 @@
 """Batch front end: problem files in, bases and a statistics row out.
 
 A problem file is line oriented: ``vars a b`` declares the variables,
-``order llex a b`` optionally permutes their precedence, ``gen <poly>``
-lines list the generators, and ``name``, ``mode``, ``trunc``,
-``maxbasis``, ``maxdegree`` tune the run.  ``#`` starts a comment.
-Every directive but ``gen`` may appear once, and no generator may be zero.
+``order llex b a`` optionally lists them all again, largest first,
+``gen <poly>`` lines list the generators, and ``name``, ``mode``,
+``trunc``, ``maxbasis``, ``maxdegree`` tune the run.  ``#`` starts a
+comment.  Every directive but ``gen`` may appear once, and no generator
+may be zero.  The problem's alphabet is in precedence order: the order
+line's, else the vars line's.
+
 ``ncgb run --basis-out PATH`` writes the reduced basis in this form, as
-vars, order and gen lines that ``ncgb verify`` reads back; a basis file's
-vars and order lines, when it has them, must match the problem's.
+vars, order and gen lines that ``ncgb verify`` reads back, with both
+lines in precedence order.  A basis file must declare the problem's
+variables in the problem's precedence, by its order line, else its vars
+line; a file with neither takes the problem's alphabet.
 """
 
 from __future__ import annotations
@@ -45,14 +50,19 @@ class ProblemError(ValueError):
 @dataclass
 class Problem:
     name: str
-    alphabet: Alphabet
-    ordering: LLexOrdering
+    alphabet: Alphabet  # in precedence order, largest variable first
     generators: list = field(default_factory=list)
     mode: str | None = None
     truncation: int | None = None
     max_basis: int | None = None
     max_degree: int | None = None
-    order_line: int = 0  # the line of the order directive; 0 without one
+    # the line that fixes the precedence: the order line, else the vars
+    # line; 0 when the alphabet is the base alphabet as given
+    order_line: int = 0
+
+    @property
+    def ordering(self) -> LLexOrdering:
+        return self.alphabet.llex
 
 
 def parse_problem(path, base_alphabet=None) -> Problem:
@@ -67,7 +77,7 @@ def parse_problem(path, base_alphabet=None) -> Problem:
     name = path.stem
     alphabet = None
     precedence = None
-    order_line = 0
+    vars_line = order_line = 0
     mode = None
     caps = {}  # the positive integer directives: trunc, maxbasis, maxdegree
     raw_gens = []
@@ -87,11 +97,12 @@ def parse_problem(path, base_alphabet=None) -> Problem:
                 alphabet = Alphabet(rest.split())
             except ValueError as exc:
                 raise ProblemError(path, lineno, str(exc)) from None
+            vars_line = lineno
         elif directive == "order":
             parts = rest.split()
             if not parts or parts[0] != "llex":
                 raise ProblemError(path, lineno, "only 'order llex <vars...>' is supported")
-            precedence = parts[1:] or None
+            precedence = parts[1:]
             order_line = lineno
         elif directive == "name":
             if not rest:
@@ -118,10 +129,13 @@ def parse_problem(path, base_alphabet=None) -> Problem:
         if base_alphabet is None:
             raise ProblemError(path, 0, "missing vars line")
         alphabet = base_alphabet
-    try:
-        ordering = LLexOrdering(alphabet, precedence) if precedence else alphabet.llex
-    except ValueError as exc:
-        raise ProblemError(path, order_line, str(exc)) from None
+    if precedence:
+        if sorted(precedence) != sorted(alphabet.symbols):
+            raise ProblemError(path, order_line,
+                               "precedence must list every variable exactly once")
+        alphabet = Alphabet(precedence)
+    else:
+        order_line = vars_line
     generators = []
     for lineno, body in raw_gens:
         try:
@@ -133,7 +147,7 @@ def parse_problem(path, base_alphabet=None) -> Problem:
         generators.append(g)
     if not generators:
         raise ProblemError(path, 0, "no generators")
-    return Problem(name, alphabet, ordering, generators, mode, caps.get("trunc"),
+    return Problem(name, alphabet, generators, mode, caps.get("trunc"),
                    caps.get("maxbasis"), caps.get("maxdegree"), order_line)
 
 
@@ -182,8 +196,8 @@ def cmd_run(args, out) -> int:
         except OSError as exc:
             raise ValueError(f"cannot write {args.stats_csv}: {exc.strerror}") from None
     if args.basis_out:
-        lines = [f"vars {' '.join(problem.alphabet.symbols)}",
-                 f"order llex {' '.join(problem.ordering.precedence)}", *rgb_lines]
+        symbols = " ".join(problem.alphabet.symbols)
+        lines = [f"vars {symbols}", f"order llex {symbols}", *rgb_lines]
         try:
             Path(args.basis_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
         except OSError as exc:
@@ -194,10 +208,9 @@ def cmd_run(args, out) -> int:
 def cmd_verify(args, out) -> int:
     problem = parse_problem(args.problem)
     basis_file = parse_problem(args.basis, base_alphabet=problem.alphabet)
-    if basis_file.alphabet != problem.alphabet:
+    if set(basis_file.alphabet.symbols) != set(problem.alphabet.symbols):
         raise ProblemError(args.basis, 0, "basis and problem declare different variables")
-    if (basis_file.order_line
-            and basis_file.ordering.precedence != problem.ordering.precedence):
+    if basis_file.alphabet != problem.alphabet:
         raise ProblemError(args.basis, basis_file.order_line,
                            "basis and problem declare different orders")
     G = BasisState.from_polynomials(basis_file.generators, problem.ordering)
@@ -249,8 +262,9 @@ def main(argv=None) -> int:
                     "zero modulo it, both up to the truncation degree.  The reverse "
                     "inclusion, that the basis lies in the problem's ideal, is not "
                     "checked.")
-    pver.add_argument("basis", help="file with gen lines for the basis; its vars and "
-                                    "order lines, if present, must match the problem's")
+    pver.add_argument("basis", help="file with gen lines for the basis; its order "
+                                    "line, else its vars line, if present, must list "
+                                    "the problem's variables in the problem's precedence")
     pver.add_argument("problem", help="problem file supplying variables and ordering")
     pver.add_argument("--trunc", type=int, metavar="D",
                       help="only check obstructions and generators up to this degree")

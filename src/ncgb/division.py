@@ -16,17 +16,15 @@ every basis and dividend built from one problem is.
 The live terms are a word -> coefficient dict plus a max-heap of their
 words in the llex order (the simplest form of Yan's geobuckets), so
 finding the largest word costs a pop instead of a scan of every live
-term.  A heap entry is ``(-len(w), key, w)`` with ``key`` the word
-translated by the ordering's reversed-precedence table; when that table
-is the identity (``ordering.rev_identity``: the precedence is the
-alphabet order, as in every corpus problem) the entry is ``(-len(w),
-w)`` and no word is translated.  Deletion is lazy: a word is pushed
-whenever it enters the dict, and a popped word that is no longer in the
-dict was cancelled and is skipped.  A popped word leaves the dict at
-once: the divisor is monic, so its placed leading term cancels the word
-exactly, and a step places only the divisor's stored tail.  A processed
-word never comes back, because every word a step adds is smaller than
-the one it rewrites.
+term.  A heap entry is ``(-len(w), w)``: the alphabet order is the
+precedence, so among words of one length the largest has the smallest
+bytes, and the smallest entry is the largest word.  Deletion is lazy: a
+word is pushed whenever it enters the dict, and a popped word that is no
+longer in the dict was cancelled and is skipped.  A popped word leaves
+the dict at once: the divisor is monic, so its placed leading term
+cancels the word exactly, and a step places only the divisor's stored
+tail.  A processed word never comes back, because every word a step adds
+is smaller than the one it rewrites.
 
 The divisor of a word is found with an Aho-Corasick automaton (Aho and
 Corasick, 1975) kept on the basis (``G.divisor_index``, a
@@ -137,18 +135,13 @@ def normal_remainder(f: NcPolynomial, G, ordering) -> NcPolynomial:
     k = index.size
     root, width = index.root, index.width
     normal_words = G.normal_words
-    # ascending (-len, reversed-precedence bytes) pops the largest word
-    # first; when that table is the identity the word is its own key
-    rev = None if ordering.rev_identity else ordering.rev_tbl
+    # ascending (-len, bytes) pops the largest word first
     v = dict(f.items())
-    if rev is None:
-        heap = [(-len(w), w) for w in v]
-    else:
-        heap = [(-len(w), w.translate(rev), w) for w in v]
+    heap = [(-len(w), w) for w in v]
     heapify(heap)
     remainder = {}
     while heap:
-        word = heappop(heap)[-1]
+        word = heappop(heap)[1]
         # the step below cancels the word exactly, so it leaves the live set now
         c = v.pop(word, None)
         if c is None:
@@ -190,7 +183,7 @@ def normal_remainder(f: NcPolynomial, G, ordering) -> NcPolynomial:
             old = v.get(w)
             if old is None:
                 v[w] = -c * cu
-                heappush(heap, (-len(w), w) if rev is None else (-len(w), w.translate(rev), w))
+                heappush(heap, (-len(w), w))
             else:
                 acc = old - c * cu
                 if acc:

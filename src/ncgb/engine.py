@@ -230,9 +230,12 @@ def buchberger(G0, cfg: EngineConfig):
     the enumerated one, not yet interreduced.  With a truncation degree
     (homogeneous input only) obstructions whose common word exceeds the
     bound are discarded and counted, which yields a basis valid up to that
-    degree.  Size and degree caps stop the run early with ``stats.capped``
-    set instead of raising, and so does an interrupt (Ctrl-C): it returns
-    the generators appended so far with ``cap_reason`` "interrupted".
+    degree.  Every remainder then fits the bound without a check: the
+    S-polynomial of a kept obstruction is homogeneous of degree
+    ``len(common)``, and division keeps both properties.  Size and degree
+    caps stop the run early with ``stats.capped`` set instead of raising,
+    and so does an interrupt (Ctrl-C): it returns the generators appended
+    so far with ``cap_reason`` "interrupted".
     """
     cfg.validate()
     ordering = cfg.ordering
@@ -288,8 +291,6 @@ def buchberger(G0, cfg: EngineConfig):
             remainder = normal_remainder(s_polynomial(o, G, ordering), G, ordering)
             if not remainder:
                 stats.zero_reductions += 1
-                continue
-            if trunc is not None and remainder.degree() > trunc:
                 continue
             if cfg.max_basis is not None and len(G) + 1 > cfg.max_basis:
                 stats.capped = True

@@ -18,10 +18,11 @@ EMPTY = b""
 
 
 class Alphabet:
-    """An ordered list of distinct variable names.
+    """An ordered list of distinct variable names, largest variable first.
 
-    The position in the list doubles as the default precedence: an earlier
-    name denotes a larger variable.
+    The list is the precedence: letter k, the byte k in a word, is the
+    k-th largest variable.  So every word has one encoding, and among
+    words of one length the largest has the smallest bytes.
     """
 
     __slots__ = ("symbols", "_index", "_llex")
@@ -64,7 +65,7 @@ class Alphabet:
 
     @property
     def llex(self) -> "LLexOrdering":
-        """The length-lexicographic ordering with precedence = alphabet order."""
+        """The length-lexicographic ordering of this alphabet."""
         if self._llex is None:
             self._llex = LLexOrdering(self)
         return self._llex
@@ -115,36 +116,20 @@ class Alphabet:
 class LLexOrdering:
     """Length first, ties broken left to right by variable precedence.
 
-    ``precedence`` lists variable names from largest to smallest; it defaults
-    to the alphabet order.  ``rev_identity`` is true when ``rev_tbl`` maps
-    every byte to itself, as it does when the precedence is the alphabet
-    order: then a word is its own reversed-precedence key.
+    The precedence is the alphabet order, letter 0 largest, so among words
+    of one length the largest has the smallest bytes.  ``key`` and
+    ``compare`` flip every letter through one table, so that a larger word
+    gets a larger key.
     """
 
-    __slots__ = ("alphabet", "precedence", "_tbl", "rev_tbl", "rev_identity")
+    __slots__ = ("alphabet", "_tbl")
 
-    def __init__(self, alphabet: Alphabet, precedence=None):
+    def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
-        if precedence is None:
-            order = list(alphabet.symbols)
-        else:
-            order = list(precedence)
-            if sorted(order) != sorted(alphabet.symbols):
-                raise ValueError("precedence must list every variable exactly once")
-        self.precedence = tuple(order)
         n = len(alphabet)
-        # translate letter -> byte so that a larger variable gets a larger byte
-        rank = {alphabet.index(name): pos for pos, name in enumerate(order)}
         tbl = bytearray(range(256))
-        for letter in range(n):
-            tbl[letter] = n - 1 - rank[letter]
+        tbl[:n] = range(n - 1, -1, -1)
         self._tbl = bytes(tbl)
-        # the reverse: a larger variable gets a smaller byte, so ascending
-        # (-len(w), w.translate(rev_tbl)) lists words largest first
-        for letter in range(n):
-            tbl[letter] = rank[letter]
-        self.rev_tbl = bytes(tbl)
-        self.rev_identity = self.rev_tbl == bytes(range(256))
 
     def key(self, w: bytes):
         return (len(w), w.translate(self._tbl))

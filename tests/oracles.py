@@ -7,9 +7,10 @@ one loop over signed offsets, and raw polynomial arithmetic for
 reconstruction, cofactor words instead of offsets for obstruction
 coverage and order, a letter canvas to build an obstruction from its
 offset, and a sort of every batch to find the first failing obstruction
-(:func:`reference_verify`).  Tests assert the library against these,
-never against itself.  The contract checks recheck a library result against its
-inputs: ``assert_removals_dominated`` a criterion's report, and
+(:func:`reference_verify`), and string rewriting by a printed binomial
+basis to list its normal words (:func:`regular_representation`).  Tests
+assert the library against these, never against itself.  The contract
+checks recheck a library result against its inputs: ``assert_removals_dominated`` a criterion's report, and
 ``validate_division`` a remainder, which must equal
 :func:`reference_divide`'s.  The library's division returns only the
 remainder; the reference's quotients are checked once, in the division
@@ -401,3 +402,50 @@ def random_basis(rng, ordering, nletters, size, max_degree=5, integral=False):
             f = add_scaled(f, 1 - lc, NcPolynomial.from_term(lw))
         G.append(f, ordering)
     return G
+
+
+def regular_representation(gen_lines, alphabet, cap=100_000):
+    """The normal words of a binomial basis and each letter's action on them.
+
+    Every line is ``gen u - v`` with u the leading word, as ``ncgb run``
+    prints a basis of monic binomials, read with ``alphabet``.  Each line is
+    a string rewriting rule u -> v, and a word's normal form replaces any
+    occurrence of any u until none is left: no divisor rule, index or memo
+    takes part.  A breadth-first search from the empty word, appending one
+    letter at a time, lists the normal words (every prefix of a normal word
+    is normal), and stops with ValueError past ``cap`` of them.
+
+    Returns ``(words, action)``: ``action[x][k]`` is the position in
+    ``words`` of the normal form of ``words[k]`` followed by letter x.
+    """
+    rules = []
+    for line in gen_lines:
+        directive, _, body = line.partition(" ")
+        u, sep, v = body.partition(" - ")
+        if directive != "gen" or not sep:
+            raise ValueError(f"not a binomial basis line: {line!r}")
+        rules.append((alphabet.word(u), alphabet.word(v)))
+
+    def normal_form(w):
+        changed = True
+        while changed:
+            changed = False
+            for u, v in rules:
+                pos = w.find(u)
+                if pos >= 0:
+                    w = w[:pos] + v + w[pos + len(u):]
+                    changed = True
+        return w
+
+    words, position = [b""], {b"": 0}
+    action = [[] for _ in range(len(alphabet))]
+    for w in words:  # grows while it is walked
+        for x, row in enumerate(action):
+            t = normal_form(w + bytes([x]))
+            if t not in position:
+                if len(words) == cap:
+                    raise ValueError(f"more than {cap} normal words")
+                position[t] = len(words)
+                words.append(t)
+            row.append(position[t])
+    return words, action

@@ -22,6 +22,7 @@ from ncgb.cli import (
     parse_problem,
 )
 from ncgb.corpus import names, problem_path
+from oracles import regular_representation
 
 
 def interrupt_on_call(monkeypatch, k):
@@ -92,7 +93,7 @@ class TestProblemFiles:
         path = tmp_path / "p.prob"
         path.write_text("vars a b\norder llex b a\ngen a*b - 1\n")
         problem = parse_problem(path)
-        assert problem.ordering.precedence == ("b", "a")
+        assert problem.alphabet.symbols == ("b", "a")
         assert problem.order_line == 2
 
     @pytest.mark.parametrize("order", ["order llex a a", "order llex a c", "order llex a"])
@@ -123,6 +124,59 @@ class TestProblemFiles:
         with pytest.raises(ProblemError) as err:
             parse_problem(path)
         assert str(err.value) == f"{path}:4: duplicate {directive} line"
+
+    def test_parse_fuzz_property(self, tmp_path):
+        """Any file ends in a Problem or a ProblemError, never another exception.
+
+        The inputs are arbitrary text and bytes, corpus files with a random
+        slice replaced by random text, and vars and order lines in either
+        order followed by lines of directive-shaped tokens.  An accepted
+        problem's alphabet lists the names of the line that fixes its
+        precedence: the order line when it names variables, else the vars
+        line.
+        """
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        corpus = [problem_path(n).read_text() for n in names()]
+        tokens = ["vars", "order", "llex", "gen", "trunc", "name", "mode", "basic",
+                  "a", "b", "c", "x1", "1", "0", "-", "+", "*", "^", "2", "(", ")",
+                  "3/4", "1/0", "#"]
+        spliced = st.builds(
+            lambda text, i, j, piece: text[:i % len(text)] + piece + text[i % len(text) + j:],
+            st.sampled_from(corpus), st.integers(0, 10**4), st.integers(0, 40), st.text())
+        names_ = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=4)
+        head = st.builds(
+            lambda v, o, first: [f"vars {' '.join(v)}", f"order llex {' '.join(o)}"][::first],
+            names_ | st.permutations(["a", "b", "c"]),
+            names_ | st.permutations(["a", "b", "c"]), st.sampled_from([1, -1]))
+        line = st.lists(st.sampled_from(tokens), max_size=8).map(" ".join)
+        shaped = st.builds(lambda h, body: "\n".join(h + ["gen a*b - c"] + body),
+                           head, st.lists(line, max_size=3))
+        path = tmp_path / "fuzz.prob"
+        seen = {"accepted": 0, "ordered": 0, "rejected": 0}
+
+        @hypothesis.settings(max_examples=600, deadline=None, database=None)
+        @hypothesis.given(st.one_of(st.text(), st.binary(), spliced, shaped))
+        def check(data):
+            if isinstance(data, bytes):
+                path.write_bytes(data)
+            else:
+                path.write_text(data, encoding="utf-8")
+            try:
+                problem = parse_problem(path)
+            except ProblemError:
+                seen["rejected"] += 1
+                return
+            seen["accepted"] += 1
+            parts = path.read_text(encoding="utf-8").splitlines()[problem.order_line - 1].split()
+            if parts[0] == "order" and parts[2:]:
+                seen["ordered"] += 1
+                assert problem.alphabet.symbols == tuple(parts[2:])
+            else:
+                assert problem.alphabet.symbols == tuple(parts[1:])
+
+        check()
+        assert min(seen.values()) > 0, seen
 
 
 # the statistics rows of perfbench/README.md
@@ -377,10 +431,8 @@ class TestRun:
     def test_letter_encoding_does_not_show(self, tmp_path, capsys, name, argv):
         """Reversing the vars line, with the order line kept, changes nothing.
 
-        The corpus file's precedence is its alphabet order, so division keys
-        a word by itself; the reversed file's letters rank the other way
-        round, so division keys a word by its translation.  The two runs
-        print the same bytes, and each written basis verifies.
+        Both files build their alphabet in the order line's precedence, so
+        the two runs print the same bytes, and each written basis verifies.
         """
         text = problem_path(name).read_text()
         vars_line = next(line for line in text.splitlines() if line.startswith("vars "))
@@ -388,8 +440,7 @@ class TestRun:
         flipped.write_text(text.replace(
             vars_line, " ".join(["vars"] + vars_line.split()[:0:-1]), 1))
         outs = []
-        for path, identity in ((problem_path(name), True), (flipped, False)):
-            assert parse_problem(path).ordering.rev_identity is identity
+        for path in (problem_path(name), flipped):
             rgb = tmp_path / "rgb.prob"
             code, out, _ = run_main(["run", str(path), *argv, "--basis-out", str(rgb)],
                                     capsys)
@@ -442,7 +493,7 @@ class TestVerify:
         problem = parse_problem(problem_path(name))
         assert path.read_text().splitlines() == [
             f"vars {' '.join(problem.alphabet.symbols)}",
-            f"order llex {' '.join(problem.ordering.precedence)}", *rgb]
+            f"order llex {' '.join(problem.alphabet.symbols)}", *rgb]
         code, out, err = run_main(["verify", str(path), str(problem_path(name)), *argv],
                                   capsys)
         assert (code, out, err) == (EXIT_OK, "ok\n", "")
@@ -548,6 +599,40 @@ class TestVerify:
         else:
             assert err == f"error: {path}:2: basis and problem declare different orders\n"
 
+    @pytest.mark.parametrize("basis_head, problem_head, line", [
+        ("vars b a\norder llex b a", "vars a b\norder llex b a", None),
+        # the --basis-out layout that listed the vars line in vars order
+        ("vars a b\norder llex b a", "vars a b\norder llex b a", None),
+        ("order llex b a", "vars a b\norder llex b a", None),
+        ("", "vars a b\norder llex b a", None),
+        # without an order line the vars line is the basis's precedence
+        ("vars a b", "vars a b\norder llex b a", 1),
+        ("vars b a", "vars a b", 1),
+        ("vars b a\norder llex a b", "vars b a", 2),
+        ("order llex a b", "vars b a", 1),
+    ], ids=["both-lines", "vars-order-layout", "order-only", "no-header",
+            "vars-only", "vars-reversed", "order-line-wins", "order-only-mismatch"])
+    def test_basis_precedence_must_match(self, tmp_path, capsys, basis_head,
+                                         problem_head, line):
+        """A basis declares the problem's precedence by its order line, else its vars line."""
+        gens = "gen a^2 - 1\ngen b^3 - 1\ngen (a*b)^5 - 1\n"
+        problem = tmp_path / "p.prob"
+        problem.write_text("vars a b\norder llex b a\n" + gens)
+        rgb = tmp_path / "rgb.prob"
+        assert main(["run", str(problem), "--basis-out", str(rgb)]) == EXIT_OK
+        lines = rgb.read_text().splitlines()
+        assert lines[:2] == ["vars b a", "order llex b a"]
+        basis = tmp_path / "b.prob"
+        basis.write_text("\n".join(([basis_head] if basis_head else []) + lines[2:]) + "\n")
+        problem.write_text(problem_head + "\n" + gens)
+        capsys.readouterr()
+        code, out, err = run_main(["verify", str(basis), str(problem)], capsys)
+        if line is None:
+            assert (code, out, err) == (EXIT_OK, "ok\n", "")
+        else:
+            assert (code, out) == (EXIT_ERROR, "")
+            assert err == f"error: {basis}:{line}: basis and problem declare different orders\n"
+
     def test_truncated_verify(self, tmp_path, capsys):
         _, out, _ = run_main(
             ["run", str(problem_path("braid3")), "--trunc", "5"], capsys)
@@ -585,6 +670,52 @@ class TestVerify:
                                   capsys)
         assert code == EXIT_ERROR and out == ""
         assert "--trunc must be positive" in err
+
+
+def triangle_cases():
+    """The 13 triangle ideals, and three of them with the precedence b > a."""
+    cases = [pytest.param(name, "a b", id=name) for name in names() if name.startswith("g")]
+    return cases + [pytest.param(name, "b a", id=f"{name}-ba") for name in ("g02", "g09", "g13")]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name, order", triangle_cases())
+def test_regular_representation(tmp_path, capsys, name, order):
+    """The printed reduced basis presents the triangle group, by its regular representation.
+
+    The normal words of the basis, found by string rewriting, are permuted
+    by every letter; the permutations must generate a group with exactly
+    one element per normal word, and every problem relator u - v must act
+    as the identity, so u and v act alike.
+    """
+    pytest.importorskip("sympy")
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    path = tmp_path / f"{name}.prob"
+    path.write_text(problem_path(name).read_text().replace(
+        "order llex a b", f"order llex {order}", 1))
+    code, out, _ = run_main(["run", str(path)], capsys)
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith("# rgb")) + 1
+    problem = parse_problem(path)
+    words, action = regular_representation(lines[start:-2], problem.alphabet)
+    n = len(words)
+    for row in action:
+        assert sorted(row) == list(range(n))
+    assert PermutationGroup([Permutation(row) for row in action]).order() == n
+
+    def act(word):
+        image = list(range(n))
+        for letter in word:
+            row = action[letter]
+            image = [row[k] for k in image]
+        return image
+
+    for g in problem.generators:
+        (u, cu), (v, cv) = g.items()
+        assert cu == -cv
+        assert act(u) == act(v)
 
 
 def cli_env():
