@@ -129,7 +129,7 @@ def parse_problem(path, base_alphabet=None) -> Problem:
         if base_alphabet is None:
             raise ProblemError(path, 0, "missing vars line")
         alphabet = base_alphabet
-    if precedence:
+    if precedence is not None:
         if sorted(precedence) != sorted(alphabet.symbols):
             raise ProblemError(path, order_line,
                                "precedence must list every variable exactly once")
@@ -257,11 +257,13 @@ def main(argv=None) -> int:
     pver = sub.add_parser(
         "verify", help="check that a basis file is a Groebner basis of an ideal "
                        "containing the problem's generators",
-        description="Check that the basis is a Groebner basis (every S-polynomial "
-                    "reduces to zero) and that every problem generator reduces to "
-                    "zero modulo it, both up to the truncation degree.  The reverse "
-                    "inclusion, that the basis lies in the problem's ideal, is not "
-                    "checked.")
+        description="Check that the basis is a Groebner basis and that every "
+                    "problem generator reduces to zero modulo it, both up to the "
+                    "truncation degree.  The basis passes when the S-polynomial of "
+                    "every obstruction that survives the m, f and bk criteria "
+                    "reduces to zero; on a failure every obstruction is checked, to "
+                    "name the first one that does not.  The reverse inclusion, that "
+                    "the basis lies in the problem's ideal, is not checked.")
     pver.add_argument("basis", help="file with gen lines for the basis; its order "
                                     "line, else its vars line, if present, must list "
                                     "the problem's variables in the problem's precedence")

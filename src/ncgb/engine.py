@@ -9,7 +9,9 @@ criterion thin the pairs, then the backward criterion prunes the pending
 set.  Only the surviving pairs are built into obstructions and merged.
 The basic one builds and reduces every non-trivial obstruction within the
 bound.  Both enumerate the same basis and differ only in how many
-S-polynomials they reduce.
+S-polynomials they reduce.  Verification pushes a fixed basis through the
+same find, prune and build step (:func:`absorb`) and reduces only the
+survivors.
 
 Selection uses the normal strategy: the pending obstruction with the
 smallest common word (degree first) comes next, ties broken by the
@@ -221,10 +223,41 @@ def obstruction_batch(s: int, G: BasisState, trunc=None):
     return kept, len(pairs) - len(kept)
 
 
+def absorb(s, G: BasisState, queue: ObstructionQueue, stats: RunStats, trunc=None,
+           criteria=True):
+    """Prune generator s's batch of pairs and the pending set; build and queue the rest.
+
+    The one find, prune and build step of completion and verification:
+    the batch within the bound, then (with ``criteria``) the multiply and
+    the leading-word criterion on the batch and the backward criterion on
+    ``queue``, then the surviving pairs built into obstructions and pushed.
+    Every count lands in ``stats``.  Construction and each criterion are
+    called once per batch through this module's globals, so a wrapper set
+    on ``ncgb.engine`` sees every batch of both callers.
+    """
+    news, cut = obstruction_batch(s, G, trunc)
+    stats.tot += len(news) + cut
+    stats.truncated_discards += cut
+    if criteria:
+        rep = multiply_criterion(news, s, G)
+        stats.m += rep.removed_m
+        rep = leading_word_criterion(rep.survivors, s, G)
+        stats.f += rep.removed_f
+        news = rep.survivors
+        rep = backward_criterion(queue.live(), news, s, G)
+        stats.bk += rep.removed_bk
+        for dead in rep.removed:
+            queue.discard(dead)
+    built = build_obstructions(s, G, news)
+    stats.built += len(built)
+    for n in built:
+        queue.push(n)
+
+
 def buchberger(G0, cfg: EngineConfig):
     """Run completion on the given generators; returns (basis, stats).
 
-    Input generators are absorbed one at a time through the same
+    Input generators are absorbed one at a time by :func:`absorb`, the
     find, prune and build step the loop uses for new basis elements, so the
     criteria already thin the initial obstructions.  The returned basis is
     the enumerated one, not yet interreduced.  With a truncation degree
@@ -256,30 +289,9 @@ def buchberger(G0, cfg: EngineConfig):
     stats = RunStats()
     queue = ObstructionQueue(ordering)
 
-    def absorb(f):
-        """Append one generator; prune its batch of pairs, build and merge the rest."""
-        s = G.append(f, ordering)
-        news, cut = obstruction_batch(s, G, trunc)
-        stats.tot += len(news) + cut
-        stats.truncated_discards += cut
-        if cfg.criteria:
-            rep = multiply_criterion(news, s, G)
-            stats.m += rep.removed_m
-            rep = leading_word_criterion(rep.survivors, s, G)
-            stats.f += rep.removed_f
-            news = rep.survivors
-            rep = backward_criterion(queue.live(), news, s, G)
-            stats.bk += rep.removed_bk
-            for dead in rep.removed:
-                queue.discard(dead)
-        built = build_obstructions(s, G, news)
-        stats.built += len(built)
-        for n in built:
-            queue.push(n)
-
     try:
         for f in polys:
-            absorb(f)
+            absorb(G.append(f, ordering), G, queue, stats, trunc, cfg.criteria)
 
         while len(queue):
             o = queue.pop_smallest()
@@ -296,7 +308,7 @@ def buchberger(G0, cfg: EngineConfig):
                 stats.capped = True
                 stats.cap_reason = "max_basis"
                 break
-            absorb(remainder)
+            absorb(G.append(remainder, ordering), G, queue, stats, trunc, cfg.criteria)
     except KeyboardInterrupt:
         stats.capped = True
         stats.cap_reason = "interrupted"
@@ -333,37 +345,59 @@ def verify_groebner(G: BasisState, ordering, truncation=None):
     """Check that every non-trivial obstruction's S-polynomial reduces to zero.
 
     Returns (True, []) on success and (False, [obstruction]) with the first
-    failure otherwise.  The batches of s = 0, 1, ... are checked in turn,
-    each in its (i, d) order; on a failure only that source's obstructions
-    are sorted by :func:`obstruction_key`, so the failure reported is the
-    smallest by source index i and then by that key.  With ``truncation``
-    only obstructions whose common word fits the bound are checked; that
-    shows a Groebner basis up to the bound only when every generator is
-    homogeneous, so a non-homogeneous basis raises ValueError, as does a
-    bound below 1, which no obstruction fits.
+    failure otherwise.  With ``truncation`` only obstructions whose common
+    word fits the bound count; that shows a Groebner basis up to the bound
+    only when every generator is homogeneous, so a non-homogeneous basis
+    raises ValueError, as does a bound below 1, which no obstruction fits.
+
+    Only the obstructions that survive the criteria are reduced.  The
+    generators are absorbed in index order by :func:`absorb`, exactly as
+    :func:`buchberger` absorbs its input, and each pending survivor is
+    reduced.  That is sound: if every survivor reduces to zero, completion
+    would append nothing and return ``G``, and the criteria remove only
+    obstructions that others cover, so ``G`` is a Groebner basis (up to
+    the bound).  The bound does not weaken this.  An obstruction that M or
+    B removes is covered by others whose common words are factors of its
+    own, and F keeps one member of each group that shares a common word,
+    so the covering obstructions fit the bound whenever the removed one
+    does.
+
+    A failure is named by the exhaustive check, run only once a survivor
+    fails: the batches of s = 0, 1, ... are checked in turn, each in its
+    (i, d) order, and at the first failure only that source's obstructions
+    are sorted by :func:`obstruction_key`.  So the failure reported is the
+    smallest by target s, then by source index i, then by that key, and it
+    does not depend on which survivor failed first.
     """
     if truncation is not None and truncation < 1:
         raise ValueError("truncation must be positive")
     if truncation is not None and not all(f.is_homogeneous() for f in G):
         raise ValueError("truncation requires homogeneous generators")
+    queue = ObstructionQueue(ordering)
+    stats = RunStats()
     for s in range(len(G)):
-        batch = build_obstructions(s, G, obstruction_batch(s, G, truncation)[0])
-        for o in batch:
-            if normal_remainder(s_polynomial(o, G, ordering), G, ordering):
-                return False, [_first_failure(o, batch, G, ordering)]
+        absorb(s, G, queue, stats, truncation)
+    for o in queue.live():
+        if normal_remainder(s_polynomial(o, G, ordering), G, ordering):
+            return False, [_first_failure(G, ordering, truncation)]
     return True, []
 
 
-def _first_failure(failed, batch, G, ordering):
-    """The smallest failing obstruction, by :func:`obstruction_key`, of
-    ``failed``'s source in ``batch``.
+def _first_failure(G, ordering, truncation):
+    """The failure the exhaustive check names; ``G`` must have one.
 
-    ``batch`` is in (i, d) order and every source before ``failed.i``
-    passed, so only this source's obstructions are sorted and re-reduced,
-    up to ``failed`` at the latest.
+    Every obstruction within the bound is reduced, batch by batch in (i, d)
+    order, up to the first failure.  Every source before its ``i`` passed,
+    so only that source's obstructions are then sorted by
+    :func:`obstruction_key` and re-reduced, up to the failure at the latest.
     """
-    same = sorted((o for o in batch if o.i == failed.i),
-                  key=lambda o: obstruction_key(o, ordering))
-    for o in same:
-        if o is failed or normal_remainder(s_polynomial(o, G, ordering), G, ordering):
-            return o
+    def fails(o):
+        return normal_remainder(s_polynomial(o, G, ordering), G, ordering)
+
+    for s in range(len(G)):
+        batch = build_obstructions(s, G, obstruction_batch(s, G, truncation)[0])
+        failed = next((o for o in batch if fails(o)), None)
+        if failed is not None:
+            same = sorted((o for o in batch if o.i == failed.i),
+                          key=lambda o: obstruction_key(o, ordering))
+            return next(o for o in same if o is failed or fails(o))

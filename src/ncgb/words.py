@@ -117,9 +117,8 @@ class LLexOrdering:
     """Length first, ties broken left to right by variable precedence.
 
     The precedence is the alphabet order, letter 0 largest, so among words
-    of one length the largest has the smallest bytes.  ``key`` and
-    ``compare`` flip every letter through one table, so that a larger word
-    gets a larger key.
+    of one length the largest has the smallest bytes.  ``key`` flips every
+    letter through one table, so that a larger word gets a larger key.
     """
 
     __slots__ = ("alphabet", "_tbl")
@@ -133,13 +132,6 @@ class LLexOrdering:
 
     def key(self, w: bytes):
         return (len(w), w.translate(self._tbl))
-
-    def compare(self, a: bytes, b: bytes) -> int:
-        if len(a) != len(b):
-            return -1 if len(a) < len(b) else 1
-        if a == b:
-            return 0
-        return -1 if a.translate(self._tbl) < b.translate(self._tbl) else 1
 
 
 def overlaps(w1: bytes, w2: bytes) -> list[int]:

@@ -96,7 +96,8 @@ class TestProblemFiles:
         assert problem.alphabet.symbols == ("b", "a")
         assert problem.order_line == 2
 
-    @pytest.mark.parametrize("order", ["order llex a a", "order llex a c", "order llex a"])
+    @pytest.mark.parametrize("order", ["order llex a a", "order llex a c", "order llex a",
+                                       "order llex"])
     def test_bad_order_line_reports_its_line(self, tmp_path, order):
         path = tmp_path / "bad.prob"
         path.write_text(f"vars a b\n{order}\ngen a - 1\n")
@@ -132,8 +133,7 @@ class TestProblemFiles:
         slice replaced by random text, and vars and order lines in either
         order followed by lines of directive-shaped tokens.  An accepted
         problem's alphabet lists the names of the line that fixes its
-        precedence: the order line when it names variables, else the vars
-        line.
+        precedence: the order line when there is one, else the vars line.
         """
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
@@ -169,7 +169,7 @@ class TestProblemFiles:
                 return
             seen["accepted"] += 1
             parts = path.read_text(encoding="utf-8").splitlines()[problem.order_line - 1].split()
-            if parts[0] == "order" and parts[2:]:
+            if parts[0] == "order":
                 seen["ordered"] += 1
                 assert problem.alphabet.symbols == tuple(parts[2:])
             else:

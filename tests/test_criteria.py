@@ -449,7 +449,7 @@ def test_head_batch_identity(xy):
                                  sign, s_polynomial(third, G, ordering))
                 assert lhs == rhs
                 strict = (i > j or (w or w2) or
-                          (i == j and ordering.compare(o1.wi, o2.wi) > 0))
+                          (i == j and ordering.key(o1.wi) > ordering.key(o2.wi)))
                 if strict:
                     key = obstruction_key(o1, ordering)
                     assert key > obstruction_key(o2, ordering)

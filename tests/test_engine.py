@@ -16,6 +16,8 @@ from ncgb.engine import (
     BasisState,
     EngineConfig,
     ObstructionQueue,
+    RunStats,
+    absorb,
     buchberger,
     interreduce,
     obstruction_batch,
@@ -611,19 +613,24 @@ def test_corpus_mode_equivalence(name, trunc, monkeypatch):
 def test_verify_matches_reference_property():
     """``verify_groebner`` reports what sorting every batch reports.
 
-    The bases are random, random binomials, homogeneous binomials checked
-    up to a bound, or the reduced basis of g04 or g09 with a generator
-    dropped: most are not Groebner bases.
+    The bases are random, random with one generator repeated at a random
+    position, random binomials, homogeneous binomials checked up to a
+    bound, the reduced basis of g04 or g09 with a generator dropped, or
+    braid4's reduced basis truncated at degree 7 (its reference basis cut
+    to degree <= 7) with a generator dropped and checked up to 7: most are
+    not Groebner bases.
     """
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     orderings = {2: Alphabet(["a", "b"]).llex,
                  3: Alphabet(["b", "c", "a"]).llex}
     corpus = {}
-    for name in ("g04", "g09"):
+    for name, trunc in (("g04", None), ("g09", None), ("braid4", 7)):
         problem = parse_problem(problem_path(name))
-        done, _ = buchberger(problem.generators, EngineConfig(ordering=problem.ordering))
-        corpus[name] = (interreduce(done, problem.ordering).generators, problem.ordering)
+        done, _ = buchberger(problem.generators,
+                             EngineConfig(ordering=problem.ordering, truncation_degree=trunc))
+        corpus[name] = (interreduce(done, problem.ordering).generators, problem.ordering,
+                        trunc)
     seen = {"ok": 0, "failed": 0, "reordered": 0}
 
     def binomial(rng, nletters, homogeneous):
@@ -633,20 +640,23 @@ def test_verify_matches_reference_property():
             if u != v:
                 return NcPolynomial({u: 1, v: -1})
 
-    @hypothesis.settings(max_examples=250, deadline=None, database=None)
+    @hypothesis.settings(max_examples=350, deadline=None, database=None)
     @hypothesis.given(st.randoms(use_true_random=False),
-                      st.sampled_from(["random", "binomial", "homogeneous", "g04", "g09"]),
+                      st.sampled_from(["random", "duplicate", "binomial", "homogeneous",
+                                       "g04", "g09", "braid4"]),
                       st.sampled_from([2, 3]), st.integers(1, 6), st.integers(1, 8))
     def check(rng, kind, nletters, size, bound):
         truncation = bound if kind == "homogeneous" else None
         if kind in corpus:
-            gens, ordering = corpus[kind]
+            gens, ordering, truncation = corpus[kind]
             drop = rng.randrange(len(gens))
             gens = gens[:drop] + gens[drop + 1:]
         else:
             ordering = orderings[nletters]
-            if kind == "random":
+            if kind in ("random", "duplicate"):
                 gens = random_basis(rng, ordering, nletters, size, max_degree=4).generators
+                if kind == "duplicate":
+                    gens.insert(rng.randint(0, len(gens)), rng.choice(gens))
             else:
                 gens = [binomial(rng, nletters, kind == "homogeneous") for _ in range(size)]
         G = BasisState.from_polynomials(gens, ordering)
@@ -664,3 +674,31 @@ def test_verify_matches_reference_property():
 
     check()
     assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("name,survivors", [("g06", 776), ("g13", 920)])
+def test_verify_reduces_only_the_survivors(name, survivors, monkeypatch):
+    """A Groebner basis is verified by reducing only the pending survivors.
+
+    These are the obstructions left in the queue once every generator has
+    been absorbed with the criteria: 776 of g06's 35,569 non-trivial
+    obstructions and 920 of g13's 67,425.  A fallback to the exhaustive
+    check would reduce all of them.
+    """
+    problem = parse_problem(problem_path(name))
+    ordering = problem.ordering
+    done, _ = buchberger(problem.generators, EngineConfig(ordering=ordering))
+    G = interreduce(done, ordering)
+    queue, stats = ObstructionQueue(ordering), RunStats()
+    for s in range(len(G)):
+        absorb(s, G, queue, stats)
+    assert len(queue) == survivors
+    reduced = []
+
+    def counted(f, G, ordering):
+        reduced.append(f)
+        return normal_remainder(f, G, ordering)
+
+    monkeypatch.setattr(engine, "normal_remainder", counted)
+    assert verify_groebner(G, ordering) == (True, [])
+    assert len(reduced) == survivors

@@ -166,7 +166,7 @@ class TestSPolynomial:
                     S = s_polynomial(o, G, ordering)
                     if S:
                         _, w = leading(S, ordering)
-                        assert ordering.compare(w, o.common) == -1
+                        assert ordering.key(w) < ordering.key(o.common)
 
 
 class TestNontrivialObstructions:
@@ -382,7 +382,7 @@ class TestOrderings:
                 a, b = rng.choice(pool), rng.choice(pool)
                 ka, kb = obstruction_key(a, ordering), obstruction_key(b, ordering)
                 assert (ka == kb) == (a == b)
-                if ordering.compare(a.common, b.common) < 0:
+                if ordering.key(a.common) < ordering.key(b.common):
                     assert ka < kb
                 checked += 1
 
