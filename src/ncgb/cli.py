@@ -156,8 +156,8 @@ def render_obstruction(o, alphabet) -> str:
     return f"o[{o.i},{o.j}]({w(o.wi)},{w(o.wi2)};{w(o.wj)},{w(o.wj2)})"
 
 
-def stats_values(problem, stats):
-    return (problem.name, stats.gb_size, stats.rgb_size, stats.tot, stats.sel,
+def stats_values(problem, stats, gb, rgb):
+    return (problem.name, gb, rgb, stats.tot, stats.sel,
             stats.m, stats.f, stats.tail, stats.bk, f"{float(stats.rho):.4f}")
 
 
@@ -172,7 +172,6 @@ def cmd_run(args, out) -> int:
     )
     basis, stats = buchberger(problem.generators, cfg)
     reduced = interreduce(basis, problem.ordering)
-    stats.rgb_size = len(reduced)
 
     print(f"# gb {len(basis)}", file=out)
     for f in basis:
@@ -184,7 +183,7 @@ def cmd_run(args, out) -> int:
         print(line, file=out)
     if stats.capped:
         print(f"# capped {stats.cap_reason}", file=out)
-    row = stats_values(problem, stats)
+    row = stats_values(problem, stats, len(basis), len(reduced))
     print("\t".join(STATS_COLUMNS), file=out)
     print("\t".join(str(v) for v in row), file=out)
     if args.stats_csv:

@@ -181,7 +181,7 @@ def backward_criterion(B, news, s, G) -> CriteriaReport:
     """Prune pending obstructions that the newest generator re-derives.
 
     ``B`` holds built obstructions (any iterable, read once; the engine
-    passes the queue's live keys), ``news`` the offset pairs (i, d) of
+    passes its pending dict), ``news`` the offset pairs (i, d) of
     target s that survived the batch criteria.  A pending obstruction goes
     when the newest leading word occurs in its common word (leftmost
     occurrence) placed so that both induced obstructions against the new

@@ -55,11 +55,6 @@ it and searches only ``leading_words[c:]``, so a word that is still
 normal costs no search at all until the basis gains a generator.  Only
 remainder words are remembered, never divisor hits, so dividing by a
 Groebner basis (every remainder zero) leaves the memo empty.
-
-A generator is checked for zero only when it is about to be applied:
-``BasisState.append`` never admits zero, and a caller that puts one in
-by hand (``BasisState.replace``, which stores None as its tail) gets
-``ValueError`` from the step that would use it.
 """
 
 from __future__ import annotations
@@ -122,8 +117,7 @@ def normal_remainder(f: NcPolynomial, G, ordering) -> NcPolynomial:
 
     Remainder words are recorded in ``G.normal_words``, and
     ``G.divisor_index`` is built or rebuilt when the leading words have
-    outgrown it (see the module docstring).  Raises ValueError when a
-    divisor the rule selects is zero.
+    outgrown it (see the module docstring).
     """
     tails = G.tails
     lws = G.leading_words
@@ -175,10 +169,7 @@ def normal_remainder(f: NcPolynomial, G, ordering) -> NcPolynomial:
                 continue
         left = word[:pos]
         right = word[pos + len(lw):]
-        tail = tails[i]
-        if tail is None:
-            raise ValueError("division by a zero polynomial")
-        for u, cu in tail:
+        for u, cu in tails[i]:
             w = left + u + right
             old = v.get(w)
             if old is None:

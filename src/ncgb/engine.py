@@ -10,8 +10,9 @@ set.  Only the surviving pairs are built into obstructions and merged.
 The basic one builds and reduces every non-trivial obstruction within the
 bound.  Both enumerate the same basis and differ only in how many
 S-polynomials they reduce.  Verification pushes a fixed basis through the
-same find, prune and build step (:func:`absorb`) and reduces only the
-survivors.
+same find, prune and build step (:func:`absorb`) into a plain pending
+dict and reduces only the survivors; it never selects, so it keeps no
+heap.
 
 Selection uses the normal strategy: the pending obstruction with the
 smallest common word (degree first) comes next, ties broken by the
@@ -32,19 +33,22 @@ from .obstructions import (
     obstruction_key,
     s_polynomial,
 )
-from .polynomial import NcPolynomial, add_scaled, leading, make_monic
+from .polynomial import NcPolynomial, leading, make_monic
 
 
 class BasisState:
-    """An append-only list of monic generators with cached leading words and tails.
+    """An append-only list of monic generators, each held once: a leading word and a tail.
 
-    ``tails[k]`` holds the terms of generator k other than its leading
-    term, as a tuple of (word, coefficient) pairs, or None when the
-    generator is zero.  Division, ``s_polynomial`` and ``interreduce`` place
-    only the tail, because a monic generator's leading term cancels the
-    word it rewrites, so no caller skips the leading word itself.  A
-    generator and its tail are set in one statement, by ``append`` and by
-    ``replace``.
+    Generator k is ``leading_words[k]`` with coefficient 1 plus
+    ``tails[k]``, its other terms as a tuple of (word, coefficient) pairs.
+    Division, ``s_polynomial`` and ``interreduce`` place only the tail,
+    because a monic generator's leading term cancels the word it rewrites.
+    ``G[k]`` and ``iter(G)`` build the polynomial on demand, for printing,
+    ``interreduce`` and tests; no hot path reads them.  ``append`` stores
+    the tail before the leading word, so an interrupt never leaves a
+    leading word without its tail, and ``len(G)`` counts leading words.
+    Leading words are only appended, and tails are rewritten only by
+    ``interreduce``, in the state it builds.
 
     Three caches are kept.  Two serve division (see :mod:`ncgb.division`).
     ``divisor_index`` is an Aho-Corasick automaton over a prefix
@@ -62,19 +66,17 @@ class BasisState:
     than by the affix itself because the affixes of one word of length n
     hold about n**2 letters (16 MB for n = 4,000) while their hashes take
     O(n); construction checks every candidate, so a collision only adds a
-    candidate that fails the check.  Leading words are only appended
-    (``interreduce`` builds a new state and replaces generators, never
-    leading words), so no cache ever becomes wrong; ``append`` indexes the
-    affixes last, and an interrupt can leave only the newest word partly
-    indexed, after which nothing constructs.  ``append`` rejects zero;
-    division checks a generator for zero only at the step that applies it.
+    candidate that fails the check.  No cache depends on a tail, so none
+    ever becomes wrong; ``append`` indexes the affixes last, and an
+    interrupt can leave only the newest word partly indexed, after which
+    nothing constructs.  ``append`` rejects zero, so every generator has a
+    leading word.
     """
 
-    __slots__ = ("generators", "leading_words", "tails", "normal_words",
+    __slots__ = ("leading_words", "tails", "normal_words",
                  "divisor_index", "by_prefix", "by_suffix")
 
     def __init__(self):
-        self.generators = []
         self.leading_words = []
         self.tails = []
         self.normal_words = {}
@@ -94,12 +96,9 @@ class BasisState:
             raise ValueError("zero polynomial cannot join a basis")
         f = make_monic(f, ordering)
         _, lw = leading(f, ordering)
-        # leading word and tail first: an interrupt before the generator's
-        # append leaves every generator with both, which interreduce needs
+        self.tails.append(tuple((u, c) for u, c in f.items() if u != lw))
         self.leading_words.append(lw)
-        self.tails.append(_tail(f, lw))
-        self.generators.append(f)
-        k = len(self.generators) - 1
+        k = len(self.leading_words) - 1
         for n in range(1, len(lw)):
             for index, affix in ((self.by_prefix, lw[:n]), (self.by_suffix, lw[-n:])):
                 ks = index.setdefault(hash(affix), [])
@@ -107,23 +106,21 @@ class BasisState:
                     ks.append(k)
         return k
 
-    def replace(self, k, f: NcPolynomial):
-        """Put the monic ``f``, whose leading word is generator k's, in its place."""
-        self.generators[k], self.tails[k] = f, _tail(f, self.leading_words[k])
-
     def __len__(self):
-        return len(self.generators)
+        return len(self.leading_words)
 
     def __getitem__(self, k):
-        return self.generators[k]
+        return _monic(self.leading_words[k], self.tails[k])
 
     def __iter__(self):
-        return iter(self.generators)
+        return map(_monic, self.leading_words, self.tails)
 
 
-def _tail(f, lw):
-    """The terms of ``f`` but its leading word ``lw``; None when ``f`` is zero."""
-    return tuple((u, c) for u, c in f._terms.items() if u != lw) if f else None
+def _monic(lw, tail):
+    """The monic polynomial with leading word ``lw`` and the terms ``tail``."""
+    f = NcPolynomial.__new__(NcPolynomial)
+    f._terms = dict(((lw, 1), *tail))
+    return f
 
 
 @dataclass
@@ -161,8 +158,6 @@ class RunStats:
     bk: int = 0
     zero_reductions: int = 0
     truncated_discards: int = 0
-    gb_size: int = 0
-    rgb_size: int = 0
     capped: bool = False
     cap_reason: str = ""
 
@@ -172,35 +167,29 @@ class RunStats:
 
 
 class ObstructionQueue:
-    """Pending obstructions keyed by the normal strategy, with lazy deletion."""
+    """The normal strategy's selection over a pending set shared with :func:`absorb`.
+
+    ``live`` is the pending set, a dict that maps each pending obstruction
+    to True in insertion order: :func:`absorb` adds the built survivors to
+    it and deletes the backward criterion's removals from it.  ``push``
+    only files an obstruction in the heap under its
+    :func:`obstruction_key`; ``pop_smallest`` pops until it meets one still
+    in ``live`` and takes it out, so an entry deleted from ``live`` is
+    skipped and one pushed twice is popped once.
+    """
 
     def __init__(self, ordering):
         self.ordering = ordering
+        self.live = {}
         self._heap = []
-        self._live = {}
-
-    def __len__(self):
-        return len(self._live)
 
     def push(self, o):
-        """Queue ``o``; a repeated push still leaves one live entry, popped once."""
-        self._live[o] = True
         heapq.heappush(self._heap, (obstruction_key(o, self.ordering), o))
-
-    def discard(self, o):
-        self._live.pop(o, None)
-
-    def live(self):
-        """Pending obstructions, oldest insertion first.
-
-        A view, not a copy: finish reading it before discarding.
-        """
-        return self._live.keys()
 
     def pop_smallest(self):
         while self._heap:
             _, o = heapq.heappop(self._heap)
-            if self._live.pop(o, None) is not None:
+            if self.live.pop(o, False):
                 return o
         raise LookupError("no pending obstructions")
 
@@ -223,17 +212,18 @@ def obstruction_batch(s: int, G: BasisState, trunc=None):
     return kept, len(pairs) - len(kept)
 
 
-def absorb(s, G: BasisState, queue: ObstructionQueue, stats: RunStats, trunc=None,
-           criteria=True):
-    """Prune generator s's batch of pairs and the pending set; build and queue the rest.
+def absorb(s, G: BasisState, pending: dict, stats: RunStats, trunc=None, criteria=True):
+    """Prune generator s's batch of pairs and ``pending``; build and add the rest.
 
-    The one find, prune and build step of completion and verification:
-    the batch within the bound, then (with ``criteria``) the multiply and
-    the leading-word criterion on the batch and the backward criterion on
-    ``queue``, then the surviving pairs built into obstructions and pushed.
-    Every count lands in ``stats``.  Construction and each criterion are
-    called once per batch through this module's globals, so a wrapper set
-    on ``ncgb.engine`` sees every batch of both callers.
+    The one find, prune and build step of completion and verification.
+    ``pending`` is the set of pending obstructions, a dict that maps each
+    to True in insertion order.  The batch within the bound goes through
+    (with ``criteria``) the multiply and the leading-word criterion, the
+    backward criterion's removals are deleted from ``pending``, and the
+    surviving pairs are built into obstructions, added to ``pending`` and
+    returned.  Every count lands in ``stats``.  Construction and each
+    criterion are called once per batch through this module's globals, so
+    a wrapper set on ``ncgb.engine`` sees every batch of both callers.
     """
     news, cut = obstruction_batch(s, G, trunc)
     stats.tot += len(news) + cut
@@ -244,14 +234,14 @@ def absorb(s, G: BasisState, queue: ObstructionQueue, stats: RunStats, trunc=Non
         rep = leading_word_criterion(rep.survivors, s, G)
         stats.f += rep.removed_f
         news = rep.survivors
-        rep = backward_criterion(queue.live(), news, s, G)
+        rep = backward_criterion(pending, news, s, G)
         stats.bk += rep.removed_bk
         for dead in rep.removed:
-            queue.discard(dead)
+            del pending[dead]
     built = build_obstructions(s, G, news)
     stats.built += len(built)
-    for n in built:
-        queue.push(n)
+    pending.update(dict.fromkeys(built, True))
+    return built
 
 
 def buchberger(G0, cfg: EngineConfig):
@@ -291,9 +281,10 @@ def buchberger(G0, cfg: EngineConfig):
 
     try:
         for f in polys:
-            absorb(G.append(f, ordering), G, queue, stats, trunc, cfg.criteria)
+            for o in absorb(G.append(f, ordering), G, queue.live, stats, trunc, cfg.criteria):
+                queue.push(o)
 
-        while len(queue):
+        while queue.live:
             o = queue.pop_smallest()
             if cfg.max_degree is not None and len(o.common) > cfg.max_degree:
                 stats.capped = True
@@ -308,12 +299,13 @@ def buchberger(G0, cfg: EngineConfig):
                 stats.capped = True
                 stats.cap_reason = "max_basis"
                 break
-            absorb(G.append(remainder, ordering), G, queue, stats, trunc, cfg.criteria)
+            for o in absorb(G.append(remainder, ordering), G, queue.live, stats, trunc,
+                            cfg.criteria):
+                queue.push(o)
     except KeyboardInterrupt:
         stats.capped = True
         stats.cap_reason = "interrupted"
 
-    stats.gb_size = len(G)
     return G, stats
 
 
@@ -334,10 +326,10 @@ def interreduce(G: BasisState, ordering) -> BasisState:
             continue
         kept.append(k)
         kept_lws.append(lw)
-    reduced = BasisState.from_polynomials([G.generators[k] for k in kept], ordering)
-    for k, lw in enumerate(reduced.leading_words):
-        tail = normal_remainder(NcPolynomial(reduced.tails[k]), reduced, ordering)
-        reduced.replace(k, add_scaled(tail, 1, NcPolynomial.from_term(lw)))
+    reduced = BasisState.from_polynomials([G[k] for k in kept], ordering)
+    tails = reduced.tails
+    for k, tail in enumerate(tails):
+        tails[k] = tuple(normal_remainder(NcPolynomial(tail), reduced, ordering).items())
     return reduced
 
 
@@ -373,11 +365,10 @@ def verify_groebner(G: BasisState, ordering, truncation=None):
         raise ValueError("truncation must be positive")
     if truncation is not None and not all(f.is_homogeneous() for f in G):
         raise ValueError("truncation requires homogeneous generators")
-    queue = ObstructionQueue(ordering)
-    stats = RunStats()
+    pending, stats = {}, RunStats()
     for s in range(len(G)):
-        absorb(s, G, queue, stats, truncation)
-    for o in queue.live():
+        absorb(s, G, pending, stats, truncation)
+    for o in pending:
         if normal_remainder(s_polynomial(o, G, ordering), G, ordering):
             return False, [_first_failure(G, ordering, truncation)]
     return True, []

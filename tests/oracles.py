@@ -233,8 +233,8 @@ def s_polynomial_reference(o, G):
 
     The leading terms are placed too and cancel in the sum.
     """
-    return add_scaled(sandwich(o.wi, G.generators[o.i], o.wi2), -1,
-                      sandwich(o.wj, G.generators[o.j], o.wj2))
+    return add_scaled(sandwich(o.wi, G[o.i], o.wi2), -1,
+                      sandwich(o.wj, G[o.j], o.wj2))
 
 
 def translated_obstruction_key(o, ordering):
@@ -334,7 +334,7 @@ def reference_divide(f, G, ordering):
         left, right = word[:pos], word[pos + len(lw):]
         c = v[word]
         quotients.append((i, c, left, right))
-        for u, cu in G.generators[i].items():
+        for u, cu in G[i].items():
             w = left + u + right
             acc = v.get(w, 0) - c * cu
             if acc:

@@ -22,7 +22,9 @@ from ncgb.cli import (
     parse_problem,
 )
 from ncgb.corpus import names, problem_path
-from oracles import regular_representation
+from ncgb.polynomial import format_polynomial
+from ncgb.words import Alphabet
+from oracles import random_polynomial, regular_representation
 
 
 def interrupt_on_call(monkeypatch, k):
@@ -295,6 +297,43 @@ class TestRun:
             ["run", str(problem_path("g09")), "--max-basis", "5"], capsys)
         assert code == EXIT_CAPPED
         assert "# capped max_basis" in out
+
+    def test_capped_run_fuzz_property(self, tmp_path, capsys):
+        """A small random ideal ends complete and verified, or capped.
+
+        Ideals of one to three random generators over two or three letters,
+        with rational coefficients, run under ``--max-basis 12 --max-degree
+        7``.  The run exits 0 and the basis it writes verifies, or it exits
+        with EXIT_CAPPED and says ``# capped``; it never errs.
+        """
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        alphabets = {2: Alphabet(["a", "b"]), 3: Alphabet(["a", "b", "c"])}
+        prob, rgb = tmp_path / "fuzz.prob", tmp_path / "fuzz.rgb"
+        seen = {"complete": 0, "capped": 0}
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(st.randoms(use_true_random=False), st.sampled_from([2, 3]),
+                          st.integers(1, 3))
+        def check(rng, nletters, size):
+            alphabet = alphabets[nletters]
+            gens = [random_polynomial(rng, nletters, max_degree=4) for _ in range(size)]
+            prob.write_text("".join(
+                [f"vars {' '.join(alphabet.symbols)}\n"]
+                + [f"gen {format_polynomial(f, alphabet, alphabet.llex)}\n" for f in gens]))
+            code, out, err = run_main(["run", str(prob), "--max-basis", "12",
+                                       "--max-degree", "7", "--basis-out", str(rgb)], capsys)
+            assert err == ""
+            if code == EXIT_CAPPED:
+                seen["capped"] += 1
+                assert "\n# capped " in out
+            else:
+                seen["complete"] += 1
+                assert code == EXIT_OK and "# capped" not in out
+                assert run_main(["verify", str(rgb), str(prob)], capsys) == (EXIT_OK, "ok\n", "")
+
+        check()
+        assert min(seen.values()) > 0, seen
 
     def test_interrupt_prints_partial_basis(self, capsys, monkeypatch):
         interrupt_on_call(monkeypatch, 5)

@@ -35,7 +35,7 @@ def test_single_reduction_step(xy):
 
 def test_member_reduces_to_zero(xy):
     G = basis(["x*y - 1", "y^2 - y"], xy)
-    assert not normal_remainder(G.generators[1], G, xy.llex)
+    assert not normal_remainder(G[1], G, xy.llex)
 
 
 def test_no_divisor_applies(xy):
@@ -47,15 +47,6 @@ def test_no_divisor_applies(xy):
 def test_zero_dividend(xy):
     G = basis(["x*y - 1"], xy)
     assert not normal_remainder(NcPolynomial.zero(), G, xy.llex)
-
-
-def test_zero_divisor_rejected(xy):
-    # the zero generator still carries the leading word x*y, so dividing
-    # x*y selects it and the step that would apply it refuses
-    G = basis(["x*y - 1"], xy)
-    G.replace(0, NcPolynomial.zero())
-    with pytest.raises(ValueError, match="division by a zero polynomial"):
-        normal_remainder(parse_polynomial("x*y", xy), G, xy.llex)
 
 
 def test_leftmost_occurrence_chosen(xy):
@@ -119,7 +110,7 @@ def test_full_contract_on_random_instances(xy):
         quotients, remainder = reference_divide(f, G, xy.llex)
         acc = remainder
         for i, c, left, right in quotients:
-            acc = add_scaled(acc, c, sandwich(left, G.generators[i], right))
+            acc = add_scaled(acc, c, sandwich(left, G[i], right))
         assert acc == f
         for word in remainder.support():
             assert reference_find_divisor(word, G.leading_words) is None
@@ -235,7 +226,7 @@ def test_verify_leaves_memo_empty():
     problem = parse_problem(problem_path("g09"))
     done, _ = buchberger(problem.generators, EngineConfig(ordering=problem.ordering))
     assert done.normal_words  # completion remembers its remainder words
-    G = BasisState.from_polynomials(done.generators, problem.ordering)
+    G = BasisState.from_polynomials(list(done), problem.ordering)
     ok, _ = verify_groebner(G, problem.ordering)
     assert ok and G.normal_words == {}
 
@@ -394,8 +385,8 @@ def test_divide_matches_reference_property():
                       st.booleans(), st.integers(1, 22), st.integers(0, 22))
     def check(rng, nletters, integral, size, indexed):
         ordering = orderings[nletters]
-        gens = random_basis(rng, ordering, nletters, size, max_degree=4,
-                            integral=integral).generators
+        gens = list(random_basis(rng, ordering, nletters, size, max_degree=4,
+                                 integral=integral))
         f = random_polynomial(rng, nletters, max_terms=6, max_degree=6, integral=integral)
         indexed = min(indexed, size)
         G = BasisState.from_polynomials(gens[:indexed], ordering)

@@ -24,7 +24,14 @@ from ncgb.engine import (
     verify_groebner,
 )
 from ncgb.obstructions import build_obstructions, nontrivial_obstructions, s_polynomial
-from ncgb.polynomial import NcPolynomial, add_scaled, leading, parse_polynomial, sandwich
+from ncgb.polynomial import (
+    NcPolynomial,
+    add_scaled,
+    leading,
+    make_monic,
+    parse_polynomial,
+    sandwich,
+)
 from ncgb.words import Alphabet
 from ncgb.corpus import problem_path
 from ncgb.cli import parse_problem
@@ -34,6 +41,7 @@ from oracles import (
     batch_brute,
     built,
     random_basis,
+    random_polynomial,
     random_word,
     reference_divide,
     reference_verify,
@@ -78,7 +86,7 @@ class TestBasisState:
     def test_append_normalizes(self, xy):
         G = BasisState()
         G.append(parse_polynomial("2*x*y - 2", xy), xy.llex)
-        assert G.generators[0] == parse_polynomial("x*y - 1", xy)
+        assert G[0] == parse_polynomial("x*y - 1", xy)
         assert G.leading_words[0] == xy.word("xy")
 
     def test_zero_rejected(self, xy):
@@ -99,6 +107,28 @@ class TestBasisState:
         assert len(G.by_prefix) == len(G.by_suffix) == 3999
         assert kept < 4_000_000
 
+    def test_generators_are_leading_word_and_tail_property(self):
+        """``G[k]`` and ``iter(G)`` rebuild each monic generator, also after interreduce."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        orderings = {2: Alphabet(["a", "b"]).llex, 3: Alphabet(["b", "c", "a"]).llex}
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(st.randoms(use_true_random=False), st.sampled_from([2, 3]),
+                          st.integers(1, 8))
+        def check(rng, nletters, size):
+            ordering = orderings[nletters]
+            inputs = [random_polynomial(rng, nletters) for _ in range(size)]
+            G = BasisState.from_polynomials(inputs, ordering)
+            assert list(G) == [make_monic(f, ordering) for f in inputs]
+            for B in (G, interreduce(G, ordering)):
+                assert len(B) == len(B.tails)
+                assert [B[k] for k in range(len(B))] == list(B)
+                assert [leading(f, ordering) for f in B] == \
+                    [(1, lw) for lw in B.leading_words]
+
+        check()
+
 
 class TestSelection:
     def make_queue(self, xy):
@@ -108,35 +138,35 @@ class TestSelection:
         quartic = aligned(0, 1, b"", xy.word("xyy"), xy.word("xx"), xy.word("y"), G)
         queue = ObstructionQueue(xy.llex)
         for o in (quartic, upper, lower):
+            queue.live[o] = True
             queue.push(o)
-        return G, queue, (lower, upper, quartic)
+        return queue, (lower, upper, quartic)
 
     def test_degree_then_word(self, xy):
-        G, queue, (lower, upper, quartic) = self.make_queue(xy)
-        assert queue.pop_smallest() == lower
-        assert queue.pop_smallest() == upper
-        assert queue.pop_smallest() == quartic
+        queue, (lower, upper, quartic) = self.make_queue(xy)
+        assert [queue.pop_smallest() for _ in range(3)] == [lower, upper, quartic]
+        assert not queue.live
 
     def test_empty_queue_raises(self, xy):
-        G, queue, _ = self.make_queue(xy)
-        while len(queue):
+        queue, _ = self.make_queue(xy)
+        for _ in range(3):
             queue.pop_smallest()
         with pytest.raises(LookupError):
             queue.pop_smallest()
 
-    def test_discard_skips_entries(self, xy):
-        G, queue, (lower, upper, quartic) = self.make_queue(xy)
-        queue.discard(lower)
+    def test_entry_deleted_from_live_is_skipped(self, xy):
+        queue, (lower, upper, quartic) = self.make_queue(xy)
+        del queue.live[lower]
         assert queue.pop_smallest() == upper
+        assert list(queue.live) == [quartic]
 
     def test_repeated_push_pops_once(self, xy):
-        lower = self.make_queue(xy)[2][0]
+        lower = self.make_queue(xy)[1][0]
         queue = ObstructionQueue(xy.llex)
+        queue.live[lower] = True
         queue.push(lower)
         queue.push(lower)
-        assert len(queue) == 1 and list(queue.live()) == [lower]
         assert queue.pop_smallest() == lower
-        assert len(queue) == 0
         with pytest.raises(LookupError):
             queue.pop_smallest()
 
@@ -154,7 +184,7 @@ class TestBuchberger:
             cfg = EngineConfig(ordering=xy.llex, criteria=criteria)
             G, st = buchberger(gens, cfg)
             assert partition_holds(st)
-            out.append(set(interreduce(G, xy.llex).generators))
+            out.append(set(interreduce(G, xy.llex)))
             ok, _ = verify_groebner(G, xy.llex)
             assert ok
         assert out[0] == out[1]
@@ -163,7 +193,7 @@ class TestBuchberger:
         cfg = EngineConfig(ordering=xy.llex)
         G, st = buchberger(polys(["3", "x*y - 1"], xy), cfg)
         reduced = interreduce(G, xy.llex)
-        assert list(reduced.generators) == [parse_polynomial("1", xy)]
+        assert list(reduced) == [parse_polynomial("1", xy)]
 
     def test_duplicate_generators_dropped(self, xy):
         cfg = EngineConfig(ordering=xy.llex)
@@ -189,7 +219,7 @@ class TestBuchberger:
     def test_reference_statistics(self, g09):
         cfg = EngineConfig(ordering=g09.ordering)
         G, st = buchberger(g09.generators, cfg)
-        assert (st.gb_size, st.tot, st.sel, st.m, st.f, st.tail, st.bk) == \
+        assert (len(G), st.tot, st.sel, st.m, st.f, st.tail, st.bk) == \
             (11, 150, 31, 98, 8, 0, 13)
         assert partition_holds(st)
         assert float(st.rho) == pytest.approx(0.2067, abs=5e-5)
@@ -197,7 +227,7 @@ class TestBuchberger:
     def test_invariant_checked_run(self, g09, monkeypatch):
         check_invariants(monkeypatch, g09.ordering)
         G, st = buchberger(g09.generators, EngineConfig(ordering=g09.ordering))
-        assert st.gb_size == 11
+        assert len(G) == 11
 
     def test_derivations_reconstruct_new_generators(self, g09, monkeypatch):
         divisions = []
@@ -329,7 +359,7 @@ class TestBuchberger:
         for criteria in (False, True):
             G, st = buchberger(gens, EngineConfig(ordering=ab.llex, criteria=criteria))
             assert st.tail == 0 and partition_holds(st)
-            out.append(set(interreduce(G, ab.llex).generators))
+            out.append(set(interreduce(G, ab.llex)))
         assert out[0] == out[1]
 
     def test_selected_degrees_non_decreasing_when_homogeneous(self, monkeypatch):
@@ -352,12 +382,12 @@ class TestInterreduce:
     def test_redundant_leading_word_dropped(self, xy):
         G = BasisState.from_polynomials(polys(["x - 1", "x^2 - x"], xy), xy.llex)
         reduced = interreduce(G, xy.llex)
-        assert list(reduced.generators) == polys(["x - 1"], xy)
+        assert list(reduced) == polys(["x - 1"], xy)
 
     def test_tails_reduced(self, xy):
         G = BasisState.from_polynomials(polys(["x - 1", "y^2 - x"], xy), xy.llex)
         reduced = interreduce(G, xy.llex)
-        assert parse_polynomial("y^2 - 1", xy) in reduced.generators
+        assert parse_polynomial("y^2 - 1", xy) in list(reduced)
 
     def test_fixpoint(self, g09):
         braid4 = parse_problem(problem_path("braid4"))
@@ -367,9 +397,10 @@ class TestInterreduce:
             G, _ = buchberger(problem.generators, cfg)
             reduced = interreduce(G, problem.ordering)
             assert len(reduced) == size
-            assert sum(f not in G.generators for f in reduced) == rewritten
+            completed = list(G)
+            assert sum(f not in completed for f in reduced) == rewritten
             again = interreduce(reduced, problem.ordering)
-            assert list(again.generators) == list(reduced.generators)
+            assert list(again) == list(reduced)
             lws = reduced.leading_words
             for f, lw in zip(reduced, lws):
                 tail = [w for w in f.support() if w != lw]
@@ -518,7 +549,7 @@ def test_construction_called_once_per_batch(name, trunc, monkeypatch):
         monkeypatch.setattr(engine, name, counted(name))
     G, st = buchberger(problem.generators,
                        EngineConfig(ordering=problem.ordering, truncation_degree=trunc))
-    assert all(len(results) == st.gb_size == len(G) for results in calls.values())
+    assert all(len(results) == len(G) for results in calls.values())
     assert sum(map(len, calls["nontrivial_obstructions"])) == st.tot
     for name, kind in zip(names[1:], ("m", "f", "bk")):
         assert sum(getattr(rep, f"removed_{kind}") for rep in calls[name]) == \
@@ -579,8 +610,7 @@ def test_random_small_ideals_mode_equivalence(xy):
         if stb.capped or sti.capped:
             continue
         assert partition_holds(stb) and partition_holds(sti)
-        assert set(interreduce(Gb, xy.llex).generators) == \
-            set(interreduce(Gi, xy.llex).generators)
+        assert set(interreduce(Gb, xy.llex)) == set(interreduce(Gi, xy.llex))
         ok, _ = verify_groebner(Gi, xy.llex)
         assert ok
         cases += 1
@@ -606,7 +636,7 @@ def test_corpus_mode_equivalence(name, trunc, monkeypatch):
                 check_invariants(mp, problem.ordering)
             G, st = buchberger(problem.generators, cfg)
         assert not st.capped and partition_holds(st)
-        reduced.append(set(interreduce(G, problem.ordering).generators))
+        reduced.append(set(interreduce(G, problem.ordering)))
     assert reduced[0] == reduced[1]
 
 
@@ -629,8 +659,7 @@ def test_verify_matches_reference_property():
         problem = parse_problem(problem_path(name))
         done, _ = buchberger(problem.generators,
                              EngineConfig(ordering=problem.ordering, truncation_degree=trunc))
-        corpus[name] = (interreduce(done, problem.ordering).generators, problem.ordering,
-                        trunc)
+        corpus[name] = (list(interreduce(done, problem.ordering)), problem.ordering, trunc)
     seen = {"ok": 0, "failed": 0, "reordered": 0}
 
     def binomial(rng, nletters, homogeneous):
@@ -654,7 +683,7 @@ def test_verify_matches_reference_property():
         else:
             ordering = orderings[nletters]
             if kind in ("random", "duplicate"):
-                gens = random_basis(rng, ordering, nletters, size, max_degree=4).generators
+                gens = list(random_basis(rng, ordering, nletters, size, max_degree=4))
                 if kind == "duplicate":
                     gens.insert(rng.randint(0, len(gens)), rng.choice(gens))
             else:
@@ -676,11 +705,25 @@ def test_verify_matches_reference_property():
     assert min(seen.values()) > 0, seen
 
 
+def test_verify_keys_no_obstruction(monkeypatch):
+    """Verification reads its pending set in place: no heap, so no obstruction key."""
+    problem = parse_problem(problem_path("g06"))
+    ordering = problem.ordering
+    done, _ = buchberger(problem.generators, EngineConfig(ordering=ordering))
+    G = interreduce(done, ordering)
+
+    def unkeyed(o, ordering):
+        raise AssertionError("verification keyed an obstruction")
+
+    monkeypatch.setattr(engine, "obstruction_key", unkeyed)
+    assert verify_groebner(G, ordering) == (True, [])
+
+
 @pytest.mark.parametrize("name,survivors", [("g06", 776), ("g13", 920)])
 def test_verify_reduces_only_the_survivors(name, survivors, monkeypatch):
     """A Groebner basis is verified by reducing only the pending survivors.
 
-    These are the obstructions left in the queue once every generator has
+    These are the obstructions left pending once every generator has
     been absorbed with the criteria: 776 of g06's 35,569 non-trivial
     obstructions and 920 of g13's 67,425.  A fallback to the exhaustive
     check would reduce all of them.
@@ -689,10 +732,10 @@ def test_verify_reduces_only_the_survivors(name, survivors, monkeypatch):
     ordering = problem.ordering
     done, _ = buchberger(problem.generators, EngineConfig(ordering=ordering))
     G = interreduce(done, ordering)
-    queue, stats = ObstructionQueue(ordering), RunStats()
+    pending, stats = {}, RunStats()
     for s in range(len(G)):
-        absorb(s, G, queue, stats)
-    assert len(queue) == survivors
+        absorb(s, G, pending, stats)
+    assert len(pending) == survivors
     reduced = []
 
     def counted(f, G, ordering):
