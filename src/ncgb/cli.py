@@ -137,9 +137,10 @@ def parse_problem(path, base_alphabet=None) -> Problem:
     else:
         order_line = vars_line
     generators = []
+    factors = {}  # the factor memo, shared by this file's gen lines
     for lineno, body in raw_gens:
         try:
-            g = parse_polynomial(body, alphabet, line=lineno)
+            g = parse_polynomial(body, alphabet, line=lineno, factors=factors)
         except PolynomialSyntaxError as exc:
             raise ProblemError(path, lineno, exc.message, exc.column) from None
         if not g:
@@ -261,8 +262,11 @@ def main(argv=None) -> int:
                     "truncation degree.  The basis passes when the S-polynomial of "
                     "every obstruction that survives the m, f and bk criteria "
                     "reduces to zero; on a failure every obstruction is checked, to "
-                    "name the first one that does not.  The reverse inclusion, that "
-                    "the basis lies in the problem's ideal, is not checked.")
+                    "name the first one that does not.  Under a truncation degree, "
+                    "generators whose leading word is longer take no part: none of "
+                    "their obstructions fits the bound, and they divide no word "
+                    "within it.  The reverse inclusion, that the basis lies in the "
+                    "problem's ideal, is not checked.")
     pver.add_argument("basis", help="file with gen lines for the basis; its order "
                                     "line, else its vars line, if present, must list "
                                     "the problem's variables in the problem's precedence")

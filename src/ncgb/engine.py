@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .criteria import backward_criterion, leading_word_criterion, multiply_criterion
-from .division import normal_remainder
+from .division import DivisorIndex, normal_remainder
 from .obstructions import (
     build_obstructions,
     nontrivial_obstructions,
@@ -312,25 +312,58 @@ def buchberger(G0, cfg: EngineConfig):
 def interreduce(G: BasisState, ordering) -> BasisState:
     """The reduced basis: minimal leading words, fully reduced tails, monic.
 
-    Generators whose leading word contains another surviving leading word
-    are dropped (the earlier generator wins a tie), then every tail is
-    rewritten once to its normal remainder against the survivors.  Leading
-    words never change here, so a rewritten tail stays normal and one pass
-    suffices.  For a Groebner basis the result is the unique reduced one.
+    A generator is dropped when another leading word is a proper factor of
+    its own, or equals it at a smaller index; then every tail is rewritten
+    once to its normal remainder against the survivors.  One
+    :class:`DivisorIndex` over all leading words decides the first: walks
+    over ``lw[:-1]`` and ``lw[1:]`` meet every proper factor (the empty
+    word, held at the root, is a proper factor of every word but itself),
+    and ``lw``'s own state holds the smallest index of a word equal to it
+    or to a suffix of it.  Leading words never change here, so one pass suffices.  For a
+    Groebner basis the result is the unique reduced one.
     """
-    order = sorted(range(len(G)), key=lambda k: (ordering.key(G.leading_words[k]), k))
-    kept, kept_lws = [], []
-    for k in order:
-        lw = G.leading_words[k]
-        if any(lw.find(prev) >= 0 for prev in kept_lws):
-            continue
-        kept.append(k)
-        kept_lws.append(lw)
+    lws = G.leading_words
+    index = DivisorIndex(lws, len(ordering.alphabet))
+    root, width, n = index.root, index.width, index.size
+
+    def walk(word):
+        """The smallest index of a leading word in ``word``, and the state reached."""
+        s = root
+        i = s[width]
+        for letter in word:
+            s = s[letter]
+            if s[width] < i:
+                i = s[width]
+        return i, s
+
+    def minimal(k):
+        lw = lws[k]
+        if not lw:
+            return root[width] == k
+        i, s = walk(lw[:-1])
+        return i == n and s[lw[-1]][width] == k and walk(lw[1:])[0] == n
+
+    kept = sorted(filter(minimal, range(n)), key=lambda k: (ordering.key(lws[k]), k))
+    # missing edges point back to shallower states, so only a full garbage
+    # collection would free the automaton: empty its states now
+    stack = [root]
+    while stack:
+        s = stack.pop()
+        if s:
+            stack += s[:width]
+            s.clear()
     reduced = BasisState.from_polynomials([G[k] for k in kept], ordering)
     tails = reduced.tails
     for k, tail in enumerate(tails):
         tails[k] = tuple(normal_remainder(NcPolynomial(tail), reduced, ordering).items())
     return reduced
+
+
+def _within(G, truncation):
+    """The indices of the generators whose leading word fits the bound, ascending."""
+    if truncation is None:
+        return range(len(G))
+    return [s for s, lw in enumerate(G.leading_words) if len(lw) <= truncation]
 
 
 def verify_groebner(G: BasisState, ordering, truncation=None):
@@ -354,6 +387,13 @@ def verify_groebner(G: BasisState, ordering, truncation=None):
     so the covering obstructions fit the bound whenever the removed one
     does.
 
+    Under a bound, only the generators whose leading word fits it are
+    absorbed and searched for a failure.  A longer one takes no part:
+    every common word of its obstructions contains it, so none fits; it
+    occurs in no pending common word, so B removes nothing for it; and it
+    divides no word within the bound.  So the survivors, the verdict and
+    the failure named stay the same.
+
     A failure is named by the exhaustive check, run only once a survivor
     fails: the batches of s = 0, 1, ... are checked in turn, each in its
     (i, d) order, and at the first failure only that source's obstructions
@@ -366,7 +406,7 @@ def verify_groebner(G: BasisState, ordering, truncation=None):
     if truncation is not None and not all(f.is_homogeneous() for f in G):
         raise ValueError("truncation requires homogeneous generators")
     pending, stats = {}, RunStats()
-    for s in range(len(G)):
+    for s in _within(G, truncation):
         absorb(s, G, pending, stats, truncation)
     for o in pending:
         if normal_remainder(s_polynomial(o, G, ordering), G, ordering):
@@ -378,14 +418,15 @@ def _first_failure(G, ordering, truncation):
     """The failure the exhaustive check names; ``G`` must have one.
 
     Every obstruction within the bound is reduced, batch by batch in (i, d)
-    order, up to the first failure.  Every source before its ``i`` passed,
-    so only that source's obstructions are then sorted by
-    :func:`obstruction_key` and re-reduced, up to the failure at the latest.
+    order (a batch for each generator that fits the bound), up to the first
+    failure.  Every source before its ``i`` passed, so only that source's
+    obstructions are then sorted by :func:`obstruction_key` and re-reduced,
+    up to the failure at the latest.
     """
     def fails(o):
         return normal_remainder(s_polynomial(o, G, ordering), G, ordering)
 
-    for s in range(len(G)):
+    for s in _within(G, truncation):
         batch = build_obstructions(s, G, obstruction_batch(s, G, truncation)[0])
         failed = next((o for o in batch if fails(o)), None)
         if failed is not None:

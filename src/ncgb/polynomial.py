@@ -199,10 +199,11 @@ def _tokenize(text, line):
 
 
 class _Parser:
-    def __init__(self, tokens, alphabet, line):
+    def __init__(self, tokens, alphabet, line, factors):
         self.tokens = tokens
         self.alphabet = alphabet
         self.line = line
+        self.factors = factors
         self.pos = 0
 
     def peek(self):
@@ -275,25 +276,32 @@ class _Parser:
     def run(self, text, col):
         """The word a run token spells.
 
-        A power that follows the run after a space (``a*b ^ 2``) belongs to
-        its last variable, unless that variable already carries one.
+        Each factor is spelled once per memo ``self.factors``, so a bad
+        one fails where it stands.  A power that follows the run after a
+        space (``a*b ^ 2``) belongs to its last variable, unless that
+        variable already carries one.
         """
-        index = self.alphabet._index
+        factors = self.factors
         word = bytearray()
         for factor in text.split("*"):
-            name, caret, digits = factor.partition("^")
-            letter = index.get(name)
-            if letter is None:
-                self.fail(f"undeclared variable {_shown(name)}", ("name", name, col))
-            if caret:
-                word += self.repeat(bytes((letter,)), ("num", digits, col + len(name) + 1))
-            else:
-                word.append(letter)
+            w = factors.get(factor)
+            if w is None:
+                w = factors[factor] = self.spell(factor, col)
+            word += w
             col += len(factor) + 1
         tokens, pos = self.tokens, self.pos
-        if caret or pos == len(tokens) or tokens[pos][1] != "^":
+        if "^" in factor or pos == len(tokens) or tokens[pos][1] != "^":
             return bytes(word)
         return bytes(word[:-1]) + self.power(bytes(word[-1:]))
+
+    def spell(self, factor, col):
+        """The word of one factor, ``name`` or ``name^digits``, at column ``col``."""
+        name, caret, digits = factor.partition("^")
+        letter = self.alphabet._index.get(name)
+        if letter is None:
+            self.fail(f"undeclared variable {_shown(name)}", ("name", name, col))
+        word = bytes((letter,))
+        return self.repeat(word, ("num", digits, col + len(name) + 1)) if caret else word
 
     def group_word(self):
         """The body of a parenthesized subword: variables and groups only.
@@ -355,12 +363,17 @@ class _Parser:
         return word * n
 
 
-def parse_polynomial(text: str, alphabet: Alphabet, line: int = 1) -> NcPolynomial:
-    """Parse ``3*a*b^2 - 1/2*(b*a)^2 + 1`` style text."""
+def parse_polynomial(text: str, alphabet: Alphabet, line: int = 1,
+                     factors: dict | None = None) -> NcPolynomial:
+    """Parse ``3*a*b^2 - 1/2*(b*a)^2 + 1`` style text.
+
+    ``factors``, a memo of factor text (``x1^2``) -> word, may be shared
+    by the lines of one file parsed against ``alphabet``.
+    """
     tokens = _tokenize(text, line)
     if not tokens:
         raise PolynomialSyntaxError("empty polynomial", line, 1)
-    return _Parser(tokens, alphabet, line).parse()
+    return _Parser(tokens, alphabet, line, {} if factors is None else factors).parse()
 
 
 def format_polynomial(f: NcPolynomial, alphabet: Alphabet, ordering: LLexOrdering) -> str:

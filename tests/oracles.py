@@ -6,9 +6,11 @@ placements in which one leading word starts the common word instead of
 one loop over signed offsets, and raw polynomial arithmetic for
 reconstruction, cofactor words instead of offsets for obstruction
 coverage and order, a letter canvas to build an obstruction from its
-offset, and a sort of every batch to find the first failing obstruction
-(:func:`reference_verify`), and string rewriting by a printed binomial
-basis to list its normal words (:func:`regular_representation`).  Tests
+offset, a sort of every batch to find the first failing obstruction
+(:func:`reference_verify`), a pairwise scan for the minimal leading
+words (:func:`minimal_leading_words_reference`), and string rewriting by
+a printed binomial basis to list its normal words
+(:func:`regular_representation`).  Tests
 assert the library against these, never against itself.  The contract
 checks recheck a library result against its inputs: ``assert_removals_dominated`` a criterion's report, and
 ``validate_division`` a remainder, which must equal
@@ -366,6 +368,21 @@ def reference_verify(G, ordering, truncation=None):
             if reference_divide(s_polynomial_reference(o, G), G, ordering)[1]:
                 return False, [o]
     return True, []
+
+
+def minimal_leading_words_reference(leading_words, ordering):
+    """The indices ``interreduce`` keeps, ascending in the ordering, by a pairwise scan.
+
+    The leading words are taken smallest first (the earlier index first
+    among equal words), and each is kept unless a kept one occurs in it.
+    """
+    order = sorted(range(len(leading_words)),
+                   key=lambda k: (ordering.key(leading_words[k]), k))
+    kept = []
+    for k in order:
+        if not any(leading_words[k].find(leading_words[j]) >= 0 for j in kept):
+            kept.append(k)
+    return kept
 
 
 def random_word(rng, nletters, lo, hi):

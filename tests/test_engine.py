@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +41,7 @@ from oracles import (
     assert_removals_dominated,
     batch_brute,
     built,
+    minimal_leading_words_reference,
     random_basis,
     random_polynomial,
     random_word,
@@ -47,6 +49,9 @@ from oracles import (
     reference_verify,
     validate_division,
 )
+
+
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def polys(texts, alphabet):
@@ -411,6 +416,36 @@ class TestInterreduce:
         reduced = interreduce(G, xy.llex)
         assert reduced.leading_words.count(xy.word("xy")) == 1
 
+    def test_minimal_leading_words_property(self):
+        """The automaton keeps the leading words the pairwise scan keeps.
+
+        Leading words are drawn from a small pool, so duplicates are
+        common, and the pool may hold the empty word, a constant
+        generator's: a proper factor of every other word, but not of itself.
+        """
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        orderings = {2: Alphabet(["a", "b"]).llex, 3: Alphabet(["b", "c", "a"]).llex}
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(st.randoms(use_true_random=False), st.sampled_from([2, 3]),
+                          st.integers(1, 12), st.booleans())
+        def check(rng, nletters, size, constants):
+            ordering = orderings[nletters]
+            pool = [random_word(rng, nletters, 1, 4) for _ in range(rng.randint(1, size))]
+            if constants:
+                pool.append(b"")
+            G = BasisState()
+            for _ in range(size):
+                lw = rng.choice(pool)
+                tail = {b"": rng.randint(1, 3)} if lw and rng.random() < 0.5 else {}
+                G.append(NcPolynomial({lw: 1, **tail}), ordering)
+            kept = minimal_leading_words_reference(G.leading_words, ordering)
+            reduced = interreduce(G, ordering)
+            assert reduced.leading_words == [G.leading_words[k] for k in kept]
+
+        check()
+
 
 class TestVerify:
     def test_completed_run_verifies(self, g09):
@@ -645,21 +680,26 @@ def test_verify_matches_reference_property():
 
     The bases are random, random with one generator repeated at a random
     position, random binomials, homogeneous binomials checked up to a
-    bound, the reduced basis of g04 or g09 with a generator dropped, or
+    bound, the reduced basis of g04 or g09 with a generator dropped,
     braid4's reduced basis truncated at degree 7 (its reference basis cut
-    to degree <= 7) with a generator dropped and checked up to 7: most are
-    not Groebner bases.
+    to degree <= 7) with a generator dropped and checked up to 7, or
+    braid4's reduced basis truncated at degree 8 with a generator dropped,
+    in printed order or shuffled, and checked up to 5, 6 or 7, so that
+    generators above the bound sit among those that fit it: most are not
+    Groebner bases.
     """
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     orderings = {2: Alphabet(["a", "b"]).llex,
                  3: Alphabet(["b", "c", "a"]).llex}
     corpus = {}
-    for name, trunc in (("g04", None), ("g09", None), ("braid4", 7)):
+    for kind, name, trunc in (("g04", "g04", None), ("g09", "g09", None),
+                              ("braid4", "braid4", 7), ("braid4<=8", "braid4", 8)):
         problem = parse_problem(problem_path(name))
         done, _ = buchberger(problem.generators,
                              EngineConfig(ordering=problem.ordering, truncation_degree=trunc))
-        corpus[name] = (list(interreduce(done, problem.ordering)), problem.ordering, trunc)
+        corpus[kind] = (list(interreduce(done, problem.ordering)), problem.ordering, trunc)
+    corpus["braid4<=8 shuffled"] = corpus["braid4<=8"]
     seen = {"ok": 0, "failed": 0, "reordered": 0}
 
     def binomial(rng, nletters, homogeneous):
@@ -669,10 +709,11 @@ def test_verify_matches_reference_property():
             if u != v:
                 return NcPolynomial({u: 1, v: -1})
 
-    @hypothesis.settings(max_examples=350, deadline=None, database=None)
+    @hypothesis.settings(max_examples=450, deadline=None, database=None)
     @hypothesis.given(st.randoms(use_true_random=False),
                       st.sampled_from(["random", "duplicate", "binomial", "homogeneous",
-                                       "g04", "g09", "braid4"]),
+                                       "g04", "g09", "braid4", "braid4<=8",
+                                       "braid4<=8 shuffled"]),
                       st.sampled_from([2, 3]), st.integers(1, 6), st.integers(1, 8))
     def check(rng, kind, nletters, size, bound):
         truncation = bound if kind == "homogeneous" else None
@@ -680,6 +721,10 @@ def test_verify_matches_reference_property():
             gens, ordering, truncation = corpus[kind]
             drop = rng.randrange(len(gens))
             gens = gens[:drop] + gens[drop + 1:]
+            if kind.startswith("braid4<=8"):
+                truncation = 5 + bound % 3
+                if kind.endswith("shuffled"):
+                    rng.shuffle(gens)
         else:
             ordering = orderings[nletters]
             if kind in ("random", "duplicate"):
@@ -703,6 +748,28 @@ def test_verify_matches_reference_property():
 
     check()
     assert min(seen.values()) > 0, seen
+
+
+def test_verify_absorbs_only_the_generators_within_the_bound(monkeypatch):
+    """A generator whose leading word exceeds the bound takes no part in the check.
+
+    braid4's reference basis (416 generators, trunc 11) checked at 10:
+    only the 228 generators of degree <= 10 are absorbed, in index order,
+    and the basis passes.
+    """
+    problem = parse_problem(problem_path("braid4"))
+    basis_file = parse_problem(REFERENCES / "braid4.prob", base_alphabet=problem.alphabet)
+    G = BasisState.from_polynomials(basis_file.generators, problem.ordering)
+    absorbed = []
+
+    def recorded(s, *args):
+        absorbed.append(s)
+        return absorb(s, *args)
+
+    monkeypatch.setattr(engine, "absorb", recorded)
+    assert verify_groebner(G, problem.ordering, 10) == (True, [])
+    assert absorbed == [s for s, lw in enumerate(G.leading_words) if len(lw) <= 10]
+    assert (len(G), len(absorbed)) == (416, 228)
 
 
 def test_verify_keys_no_obstruction(monkeypatch):

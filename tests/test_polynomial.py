@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,11 +17,32 @@ from ncgb.polynomial import (
     parse_polynomial,
     sandwich,
 )
+from ncgb.cli import parse_problem
+from ncgb.corpus import problem_path
 from oracles import random_polynomial, random_word
+
+CORPUS = problem_path("g01").parent
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def poly(text, alphabet):
     return parse_polynomial(text, alphabet)
+
+
+# (text, column, token, message) of a syntax error inside a product
+PRODUCT_ERRORS = [
+    ("3 a*b", 3, "a", "expected '+' or '-' between terms, got 'a'"),
+    ("a*b*q^2", 5, "q", "undeclared variable 'q', got 'q'"),
+    ("a^2^3*b", 4, "^", "expected '+' or '-' between terms, got '^'"),
+    ("a^2/3*b", 3, "2/3", "exponent must be a non-negative integer, got '2/3'"),
+    ("a^2 /3", 3, "2 /3", "exponent must be a non-negative integer, got '2 /3'"),
+    ("a^b*a", 3, "b", "exponent must be a non-negative integer, got 'b'"),
+    ("(a*b^2 b)", 8, "b", "expected '*' or ')' inside group, got 'b'"),
+    ("b*a^70000*q", 5, "70000", "power longer than 65536 letters, got '70000'"),
+    ("a*b^2a", 6, "a", "expected '+' or '-' between terms, got 'a'"),
+    ("a^02*b +", 9, "", "expected a coefficient, variable or '(' (at end of input)"),
+    ("a*b^2 ^ 3", 7, "^", "expected '+' or '-' between terms, got '^'"),
+]
 
 
 class TestLeading:
@@ -198,18 +220,7 @@ class TestParsing:
         assert err.value.column == 5
         assert err.value.token == "q"
 
-    @pytest.mark.parametrize("text, column, token, message", [
-        ("3 a*b", 3, "a", "expected '+' or '-' between terms, got 'a'"),
-        ("a*b*q^2", 5, "q", "undeclared variable 'q', got 'q'"),
-        ("a^2^3*b", 4, "^", "expected '+' or '-' between terms, got '^'"),
-        ("a^2/3*b", 3, "2/3", "exponent must be a non-negative integer, got '2/3'"),
-        ("a^2 /3", 3, "2 /3", "exponent must be a non-negative integer, got '2 /3'"),
-        ("a^b*a", 3, "b", "exponent must be a non-negative integer, got 'b'"),
-        ("(a*b^2 b)", 8, "b", "expected '*' or ')' inside group, got 'b'"),
-        ("b*a^70000*q", 5, "70000", "power longer than 65536 letters, got '70000'"),
-        ("a*b^2a", 6, "a", "expected '+' or '-' between terms, got 'a'"),
-        ("a^02*b +", 9, "", "expected a coefficient, variable or '(' (at end of input)"),
-    ])
+    @pytest.mark.parametrize("text, column, token, message", PRODUCT_ERRORS)
     def test_error_inside_a_product(self, ab, text, column, token, message):
         """A product like a*b^2 is read in one piece; errors still point at its parts."""
         with pytest.raises(PolynomialSyntaxError) as err:
@@ -218,6 +229,7 @@ class TestParsing:
 
     def test_spaced_power_takes_the_last_variable(self, ab):
         assert poly("a*b ^ 2*a", ab) == NcPolynomial.from_term(ab.word("abba"))
+        assert poly("a^2*b ^ 2", ab) == NcPolynomial.from_term(ab.word("aabb"))
         assert poly("(a*b ^2)", ab) == NcPolynomial.from_term(ab.word("abb"))
 
     def test_zero_denominator_rejected(self, ab):
@@ -238,6 +250,44 @@ class TestParsing:
                 parse_polynomial(text, ab, line=2)
             assert err.value.line == 2 and err.value.column == column
             assert "power longer than" in err.value.message
+
+
+class TestFactorMemo:
+    """A memo of factor words shared by the lines of one file changes no result."""
+
+    @pytest.mark.parametrize("path", sorted([*CORPUS.glob("*.prob"), *REFERENCES.glob("*.prob")]),
+                             ids=lambda path: f"{path.parent.name}/{path.stem}")
+    def test_cold_and_warm_parses_agree(self, path):
+        alphabet = parse_problem(problem_path(path.stem.split("_")[0])).alphabet
+        alphabet = parse_problem(path, base_alphabet=alphabet).alphabet
+        lines = [line[4:] for line in path.read_text().splitlines() if line.startswith("gen ")]
+        cold = [parse_polynomial(text, alphabet) for text in lines]
+        factors = {}
+        first = [parse_polynomial(text, alphabet, factors=factors) for text in lines]
+        warm = [parse_polynomial(text, alphabet, factors=factors) for text in lines]
+        assert factors and first == warm == cold
+
+    @pytest.mark.parametrize("text, column, token, message", PRODUCT_ERRORS)
+    def test_errors_keep_their_place_after_a_warm_memo(self, ab, text, column, token,
+                                                       message):
+        factors = {}
+        parse_polynomial("a*b + a^2*b^2 - a^02*b*a^3 + b^5", ab, factors=factors)
+        with pytest.raises(PolynomialSyntaxError) as err:
+            parse_polynomial(text, ab, factors=factors)
+        assert (err.value.column, err.value.token, err.value.message) == (column, token, message)
+
+    def test_memoized_variable_still_takes_a_spaced_power(self, ab):
+        factors = {}
+        assert parse_polynomial("b", ab, factors=factors) == NcPolynomial.from_term(ab.word("b"))
+        assert parse_polynomial("a*b ^ 2*a", ab, factors=factors) == \
+            NcPolynomial.from_term(ab.word("abba"))
+
+    def test_failed_factor_is_not_memoized(self, ab):
+        factors = {}
+        for text in ("a*b*q^2", "b*a^70000"):
+            with pytest.raises(PolynomialSyntaxError):
+                parse_polynomial(text, ab, factors=factors)
+        assert set(factors) == {"a", "b"}
 
 
 class TestFormatting:
