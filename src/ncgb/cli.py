@@ -182,7 +182,7 @@ def cmd_run(args, out) -> int:
     print(f"# rgb {len(reduced)}", file=out)
     for line in rgb_lines:
         print(line, file=out)
-    if stats.capped:
+    if stats.cap_reason:
         print(f"# capped {stats.cap_reason}", file=out)
     row = stats_values(problem, stats, len(basis), len(reduced))
     print("\t".join(STATS_COLUMNS), file=out)
@@ -202,7 +202,7 @@ def cmd_run(args, out) -> int:
             Path(args.basis_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
         except OSError as exc:
             raise ValueError(f"cannot write {args.basis_out}: {exc.strerror}") from None
-    return EXIT_CAPPED if stats.capped else EXIT_OK
+    return EXIT_CAPPED if stats.cap_reason else EXIT_OK
 
 
 def cmd_verify(args, out) -> int:

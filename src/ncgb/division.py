@@ -31,20 +31,20 @@ Corasick, 1975) kept on the basis (``G.divisor_index``, a
 :class:`DivisorIndex`) over the first k leading words, where each state
 holds the smallest index of a leading word ending there, merged along
 the failure links.  It has one column per letter of the alphabet, so a
-letter is its own column.  The division loop walks it itself, the only
-walk there is: one pass over the word's bytes, starting from the root's
-own index (an empty leading word ends at position 0) and stopping early
-at index 0, gives the smallest occurring index, and ``bytes.find`` then
-gives that leading word's leftmost occurrence: exactly the divisor
-rule.  The leading words appended since, ``leading_words[k:]``, form a
-short tail that is searched one by one with ``bytes.find``, only when
-the automaton misses; every tail index is at least k, so an automaton
-hit always wins.  A new leading word can change the failure links of
-existing states, so the automaton is not grown in place: following the
-logarithmic method (Bentley and Saxe, 1980) it is rebuilt over all
-leading words once the tail holds more than ``max(16, k // 4)`` of
-them, which keeps the total rebuild cost a constant multiple of the
-last build.
+letter is its own column.  One pass over the word's bytes, starting
+from the root's own index (an empty leading word ends at position 0) and
+stopping early at index 0, gives the smallest occurring index, and
+``bytes.find`` then gives that leading word's leftmost occurrence:
+exactly the divisor rule.  The division loop makes that walk inline, for
+speed; callers outside the loop use :meth:`DivisorIndex.first`.  The
+leading words appended since, ``leading_words[k:]``, form a short tail
+that is searched one by one with ``bytes.find``, only when the automaton
+misses; every tail index is at least k, so an automaton hit always wins.
+A new leading word can change the failure links of existing states, so
+the automaton is not grown in place: following the logarithmic method
+(Bentley and Saxe, 1980) it is rebuilt over all leading words once the
+tail holds more than ``max(16, k // 4)`` of them, which keeps the total
+rebuild cost a constant multiple of the last build.
 
 Words found normal are remembered in the basis (``G.normal_words``): a
 word maps to a count c such that none of the first c leading words
@@ -68,12 +68,14 @@ from .polynomial import NcPolynomial, normal_coefficient
 class DivisorIndex:
     """Aho-Corasick automaton over a list of patterns (leading words).
 
-    Only the tables: :func:`normal_remainder` walks them.  ``size`` is the
-    number of patterns covered and ``width`` the number of letters in the
-    alphabet, so a letter is its own column and a word over the alphabet
-    is walked byte by byte.  A state is a list of ``width + 1`` slots: the
-    successor state per letter, then the smallest index of a pattern that
-    is a suffix of the text read so far (``size`` when there is none).
+    ``size`` is the number of patterns covered and ``width`` the number of
+    letters in the alphabet, so a letter is its own column and a word over
+    the alphabet is walked byte by byte.  A state is a list of ``width +
+    1`` slots: the successor state per letter, then the smallest index of
+    a pattern that is a suffix of the text read so far (``size`` when
+    there is none).  :func:`normal_remainder` walks the states inline;
+    other callers ask :meth:`first`, and empty a dropped automaton with
+    :meth:`clear`.
     """
 
     __slots__ = ("size", "width", "root")
@@ -110,6 +112,34 @@ class DivisorIndex:
                     s[c] = fail[c]
                 else:
                     queue.append((t, fail[c]))
+
+    def first(self, word):
+        """The smallest index of a pattern that occurs in ``word``; ``size`` when none does."""
+        w = self.width
+        s = self.root
+        i = s[w]
+        for letter in word:
+            s = s[letter]
+            if s[w] < i:
+                i = s[w]
+                if not i:
+                    break
+        return i
+
+    def clear(self):
+        """Empty every state; the automaton is unusable afterwards.
+
+        A missing edge points back to a shallower state, and the root to
+        itself, so the states form cycles: emptied, they are freed by
+        reference counting instead of waiting for a full garbage collection.
+        """
+        w = self.width
+        stack = [self.root]
+        while stack:
+            s = stack.pop()
+            if s:
+                stack += s[:w]
+                s.clear()
 
 
 def normal_remainder(f: NcPolynomial, G, ordering) -> NcPolynomial:
@@ -181,6 +211,4 @@ def normal_remainder(f: NcPolynomial, G, ordering) -> NcPolynomial:
                     v[w] = acc
                 else:
                     del v[w]
-    rem = NcPolynomial.__new__(NcPolynomial)
-    rem._terms = remainder
-    return rem
+    return NcPolynomial.from_normal(remainder)

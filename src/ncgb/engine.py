@@ -118,9 +118,7 @@ class BasisState:
 
 def _monic(lw, tail):
     """The monic polynomial with leading word ``lw`` and the terms ``tail``."""
-    f = NcPolynomial.__new__(NcPolynomial)
-    f._terms = dict(((lw, 1), *tail))
-    return f
+    return NcPolynomial.from_normal(dict(((lw, 1), *tail)))
 
 
 @dataclass
@@ -158,8 +156,7 @@ class RunStats:
     bk: int = 0
     zero_reductions: int = 0
     truncated_discards: int = 0
-    capped: bool = False
-    cap_reason: str = ""
+    cap_reason: str = ""  # why the run stopped early; "" when it completed
 
     @property
     def rho(self) -> Fraction:
@@ -256,19 +253,18 @@ def buchberger(G0, cfg: EngineConfig):
     degree.  Every remainder then fits the bound without a check: the
     S-polynomial of a kept obstruction is homogeneous of degree
     ``len(common)``, and division keeps both properties.  Size and degree
-    caps stop the run early with ``stats.capped`` set instead of raising,
-    and so does an interrupt (Ctrl-C): it returns the generators appended
-    so far with ``cap_reason`` "interrupted".
+    caps stop the run early with ``stats.cap_reason`` set instead of
+    raising, and so does an interrupt (Ctrl-C): it returns the generators
+    appended so far with ``cap_reason`` "interrupted".  Repeated inputs
+    are absorbed once, at their first occurrence.
     """
     cfg.validate()
     ordering = cfg.ordering
-    polys = []
+    polys = {}  # the monic inputs, each once, in input order
     for f in G0:
         if not f:
             raise ValueError("zero polynomial among the generators")
-        f = make_monic(f, ordering)
-        if f not in polys:
-            polys.append(f)
+        polys[make_monic(f, ordering)] = None
     if not polys:
         raise ValueError("no generators")
     if cfg.truncation_degree is not None and not all(f.is_homogeneous() for f in polys):
@@ -287,7 +283,6 @@ def buchberger(G0, cfg: EngineConfig):
         while queue.live:
             o = queue.pop_smallest()
             if cfg.max_degree is not None and len(o.common) > cfg.max_degree:
-                stats.capped = True
                 stats.cap_reason = "max_degree"
                 break
             stats.sel += 1
@@ -296,14 +291,12 @@ def buchberger(G0, cfg: EngineConfig):
                 stats.zero_reductions += 1
                 continue
             if cfg.max_basis is not None and len(G) + 1 > cfg.max_basis:
-                stats.capped = True
                 stats.cap_reason = "max_basis"
                 break
             for o in absorb(G.append(remainder, ordering), G, queue.live, stats, trunc,
                             cfg.criteria):
                 queue.push(o)
     except KeyboardInterrupt:
-        stats.capped = True
         stats.cap_reason = "interrupted"
 
     return G, stats
@@ -314,44 +307,24 @@ def interreduce(G: BasisState, ordering) -> BasisState:
 
     A generator is dropped when another leading word is a proper factor of
     its own, or equals it at a smaller index; then every tail is rewritten
-    once to its normal remainder against the survivors.  One
-    :class:`DivisorIndex` over all leading words decides the first: walks
-    over ``lw[:-1]`` and ``lw[1:]`` meet every proper factor (the empty
-    word, held at the root, is a proper factor of every word but itself),
-    and ``lw``'s own state holds the smallest index of a word equal to it
-    or to a suffix of it.  Leading words never change here, so one pass suffices.  For a
+    once to its normal remainder against the survivors.  The first is
+    decided by position: the indices are sorted stably by leading word in
+    the ordering, and one :class:`DivisorIndex` is built over the leading
+    words in that order.  A word before position p is at most as long as
+    the one at p, and one of the same length occurs in it only when equal
+    and at a smaller index; the automaton keeps the smaller position of
+    equal words.  So the generator at p is kept exactly when the smallest
+    position occurring in its leading word is p itself.
+    An empty leading word sits at position 0, occurs in every other word
+    and keeps itself.  The kept generators come out in that sorted order.
+    Leading words never change here, so one pass suffices.  For a
     Groebner basis the result is the unique reduced one.
     """
     lws = G.leading_words
-    index = DivisorIndex(lws, len(ordering.alphabet))
-    root, width, n = index.root, index.width, index.size
-
-    def walk(word):
-        """The smallest index of a leading word in ``word``, and the state reached."""
-        s = root
-        i = s[width]
-        for letter in word:
-            s = s[letter]
-            if s[width] < i:
-                i = s[width]
-        return i, s
-
-    def minimal(k):
-        lw = lws[k]
-        if not lw:
-            return root[width] == k
-        i, s = walk(lw[:-1])
-        return i == n and s[lw[-1]][width] == k and walk(lw[1:])[0] == n
-
-    kept = sorted(filter(minimal, range(n)), key=lambda k: (ordering.key(lws[k]), k))
-    # missing edges point back to shallower states, so only a full garbage
-    # collection would free the automaton: empty its states now
-    stack = [root]
-    while stack:
-        s = stack.pop()
-        if s:
-            stack += s[:width]
-            s.clear()
+    order = sorted(range(len(lws)), key=lambda k: ordering.key(lws[k]))
+    index = DivisorIndex([lws[k] for k in order], len(ordering.alphabet))
+    kept = [k for p, k in enumerate(order) if index.first(lws[k]) == p]
+    index.clear()
     reduced = BasisState.from_polynomials([G[k] for k in kept], ordering)
     tails = reduced.tails
     for k, tail in enumerate(tails):

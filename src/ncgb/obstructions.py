@@ -84,9 +84,7 @@ def s_polynomial(o: Obstruction, G, ordering):
                 out[w] = acc if type(acc) is int else normal_coefficient(acc)
             else:
                 del out[w]
-    res = NcPolynomial.__new__(NcPolynomial)
-    res._terms = out
-    return res
+    return NcPolynomial.from_normal(out)
 
 
 def nontrivial_obstructions(s: int, G) -> list[tuple[int, int]]:

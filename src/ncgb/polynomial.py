@@ -57,12 +57,17 @@ class NcPolynomial:
         self._terms = data
 
     @classmethod
-    def zero(cls) -> "NcPolynomial":
-        return cls()
+    def from_normal(cls, terms: dict) -> "NcPolynomial":
+        """The polynomial whose word -> coefficient map is ``terms``, taken as is.
 
-    @classmethod
-    def from_term(cls, word: bytes, coeff=1) -> "NcPolynomial":
-        return cls({word: coeff})
+        The trusted constructor: every coefficient must already be normal
+        (see :func:`normal_coefficient`) and non-zero, as this package's
+        arithmetic keeps them.  ``terms`` is not copied, so the caller
+        hands it over and must not change it afterwards.
+        """
+        f = cls.__new__(cls)
+        f._terms = terms
+        return f
 
     def items(self):
         return self._terms.items()
@@ -72,10 +77,6 @@ class NcPolynomial:
 
     def coefficient(self, word: bytes):
         return self._terms.get(word, 0)
-
-    def items_desc(self, ordering: LLexOrdering):
-        """Terms sorted with the largest word first."""
-        return sorted(self._terms.items(), key=lambda kv: ordering.key(kv[0]), reverse=True)
 
     def degree(self) -> int:
         if not self._terms:
@@ -96,15 +97,6 @@ class NcPolynomial:
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
-
-    def __neg__(self):
-        return NcPolynomial({w: -c for w, c in self._terms.items()})
-
-    def __add__(self, other):
-        return add_scaled(self, 1, other)
-
-    def __sub__(self, other):
-        return add_scaled(self, -1, other)
 
     def __repr__(self):
         if not self._terms:
@@ -127,9 +119,7 @@ def sandwich(left: bytes, f: NcPolynomial, right: bytes) -> NcPolynomial:
         return f
     # w -> left + w + right is injective and the coefficients are already
     # normal, so the terms need no re-normalising
-    res = NcPolynomial.__new__(NcPolynomial)
-    res._terms = {left + w + right: c for w, c in f.items()}
-    return res
+    return NcPolynomial.from_normal({left + w + right: c for w, c in f.items()})
 
 
 def add_scaled(f: NcPolynomial, scalar, g: NcPolynomial) -> NcPolynomial:
@@ -143,9 +133,7 @@ def add_scaled(f: NcPolynomial, scalar, g: NcPolynomial) -> NcPolynomial:
                 out[w] = acc if type(acc) is int else normal_coefficient(acc)
             else:
                 del out[w]
-    res = NcPolynomial.__new__(NcPolynomial)
-    res._terms = out
-    return res
+    return NcPolynomial.from_normal(out)
 
 
 def make_monic(f: NcPolynomial, ordering: LLexOrdering) -> NcPolynomial:
@@ -297,10 +285,9 @@ class _Parser:
     def spell(self, factor, col):
         """The word of one factor, ``name`` or ``name^digits``, at column ``col``."""
         name, caret, digits = factor.partition("^")
-        letter = self.alphabet._index.get(name)
-        if letter is None:
+        if name not in self.alphabet:
             self.fail(f"undeclared variable {_shown(name)}", ("name", name, col))
-        word = bytes((letter,))
+        word = bytes((self.alphabet.index(name),))
         return self.repeat(word, ("num", digits, col + len(name) + 1)) if caret else word
 
     def group_word(self):
@@ -381,7 +368,8 @@ def format_polynomial(f: NcPolynomial, alphabet: Alphabet, ordering: LLexOrderin
     if not f:
         return "0"
     parts = []
-    for k, (word, coeff) in enumerate(f.items_desc(ordering)):
+    terms = sorted(f.items(), key=lambda kv: ordering.key(kv[0]), reverse=True)
+    for k, (word, coeff) in enumerate(terms):
         mag = abs(coeff)
         if not word:
             body = str(mag)

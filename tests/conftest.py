@@ -13,11 +13,12 @@ try:
 except ImportError:
     pass
 else:
-    # HYPOTHESIS_PROFILE=ci makes property tests derandomized and prints a
-    # reproduction blob for any failure; without it examples stay random
+    # HYPOTHESIS_PROFILE=ci makes property tests derandomized; without it
+    # examples stay random.  The tests save no examples (database=None), so
+    # both profiles print a reproduction blob for any failure.
     settings.register_profile("ci", derandomize=True, print_blob=True)
-    if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
-        settings.load_profile("ci")
+    settings.register_profile("local", print_blob=True)
+    settings.load_profile("ci" if os.environ.get("HYPOTHESIS_PROFILE") == "ci" else "local")
 
 
 @pytest.fixture(scope="session")

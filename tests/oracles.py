@@ -416,7 +416,7 @@ def random_basis(rng, ordering, nletters, size, max_degree=5, integral=False):
         f = random_polynomial(rng, nletters, max_degree=max_degree, integral=integral)
         if integral:
             lc, lw = leading(f, ordering)
-            f = add_scaled(f, 1 - lc, NcPolynomial.from_term(lw))
+            f = add_scaled(f, 1 - lc, NcPolynomial({lw: 1}))
         G.append(f, ordering)
     return G
 

@@ -6,7 +6,7 @@ import pytest
 
 from ncgb.cli import parse_problem
 from ncgb.corpus import problem_path
-from ncgb.division import normal_remainder
+from ncgb.division import DivisorIndex, normal_remainder
 from ncgb.engine import BasisState, EngineConfig, buchberger, verify_groebner
 from ncgb.polynomial import NcPolynomial, add_scaled, leading, parse_polynomial, sandwich
 from ncgb.words import Alphabet
@@ -46,7 +46,7 @@ def test_no_divisor_applies(xy):
 
 def test_zero_dividend(xy):
     G = basis(["x*y - 1"], xy)
-    assert not normal_remainder(NcPolynomial.zero(), G, xy.llex)
+    assert not normal_remainder(NcPolynomial(), G, xy.llex)
 
 
 def test_leftmost_occurrence_chosen(xy):
@@ -86,7 +86,7 @@ def test_constant_divisor_in_the_tail(xy):
     # 2 joins after the automaton is built over x*y, so only the find tail
     # (b"" occurs at position 0 of every word) can report it
     G = basis(["x*y - 1"], xy)
-    normal_remainder(NcPolynomial.zero(), G, xy.llex)
+    normal_remainder(NcPolynomial(), G, xy.llex)
     G.append(parse_polynomial("2", xy), xy.llex)
     f = random_polynomial(random.Random(1), 2)
     remainder = normal_remainder(f, G, xy.llex)
@@ -282,10 +282,10 @@ def check_divisor_rule(patterns, word, indexed):
     ordering = Alphabet([f"v{k}" for k in range(nletters)]).llex
     gens = [marked_generator(k, p, mark) for k, p in enumerate(patterns)]
     G = BasisState.from_polynomials(gens[:indexed], ordering)
-    normal_remainder(NcPolynomial.zero(), G, ordering)  # builds the automaton
+    normal_remainder(NcPolynomial(), G, ordering)  # builds the automaton
     for g in gens[indexed:]:
         G.append(g, ordering)
-    f = NcPolynomial.from_term(word)
+    f = NcPolynomial({word: 1})
     quotients, expected = reference_divide(f, G, ordering)
     G.tails = log = IndexLog(G.tails)
     remainder = normal_remainder(f, G, ordering)
@@ -341,7 +341,7 @@ def test_leftmost_of_disjoint_occurrences(indexed):
     abcde = Alphabet(["a", "b", "c", "d", "e"])
     gens = [parse_polynomial(t, abcde) for t in ("c*d*a - e", "a*b - c")]
     G = BasisState.from_polynomials(gens[:indexed], abcde.llex)
-    normal_remainder(NcPolynomial.zero(), G, abcde.llex)  # builds the automaton
+    normal_remainder(NcPolynomial(), G, abcde.llex)  # builds the automaton
     for g in gens[indexed:]:
         G.append(g, abcde.llex)
     f = parse_polynomial("a*b*d*a*b", abcde)
@@ -352,10 +352,15 @@ def test_leftmost_of_disjoint_occurrences(indexed):
 
 
 def test_index_matches_plain_scan_property():
-    """The walk and the ``find`` tail, split anywhere, agree with a plain scan."""
+    """The walk and the ``find`` tail, split anywhere, agree with a plain scan.
+
+    So does :meth:`DivisorIndex.first`, on pattern lists that hold
+    duplicates and the empty word.
+    """
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     words = st.binary(max_size=5).map(lambda w: bytes(c % 3 for c in w))
+    seen = {"duplicate": 0, "empty": 0}
 
     @hypothesis.settings(max_examples=400, deadline=None, database=None)
     @hypothesis.given(st.lists(words, max_size=8), st.binary(max_size=12), st.data())
@@ -363,8 +368,13 @@ def test_index_matches_plain_scan_property():
         text = bytes(c % 4 for c in text)  # letter 3 is in no pattern
         indexed = data.draw(st.integers(0, len(patterns)))
         check_divisor_rule(patterns, text, indexed)
+        first = next((k for k, p in enumerate(patterns) if text.find(p) >= 0), len(patterns))
+        assert DivisorIndex(patterns, 4).first(text) == first
+        seen["duplicate"] += len(set(patterns)) < len(patterns)
+        seen["empty"] += b"" in patterns
 
     check()
+    assert seen["duplicate"] and seen["empty"]
 
 
 def test_divide_matches_reference_property():
@@ -390,7 +400,7 @@ def test_divide_matches_reference_property():
         f = random_polynomial(rng, nletters, max_terms=6, max_degree=6, integral=integral)
         indexed = min(indexed, size)
         G = BasisState.from_polynomials(gens[:indexed], ordering)
-        normal_remainder(NcPolynomial.zero(), G, ordering)
+        normal_remainder(NcPolynomial(), G, ordering)
         built = G.divisor_index
         appended = gens[indexed:]
         while True:

@@ -238,8 +238,8 @@ class TestNontrivialObstructions:
                 w2 = w1
             elif how == "shifted":  # w2 starts with the back half of w1
                 w2 = (w1[len(w1) // 2:] + w2)[:12]
-            G = BasisState.from_polynomials([NcPolynomial.from_term(w1),
-                                             NcPolynomial.from_term(w2)], ordering)
+            G = BasisState.from_polynomials([NcPolynomial({w1: 1}),
+                                             NcPolynomial({w2: 1})], ordering)
             for i, j in ((0, 0), (0, 1), (1, 1)):
                 got = pair(i, j, G)
                 assert {(o.wi, o.wi2, o.wj, o.wj2) for o in got} == \
@@ -277,7 +277,7 @@ class TestNontrivialObstructions:
                 lws.append({"fresh": u, "copy": earlier, "around": u + earlier + v,
                             "periodic": (u * 4)[:2 * len(u) + k % (len(u) or 1)],
                             "one": b""}[how])
-            G = BasisState.from_polynomials([NcPolynomial.from_term(w) for w in lws],
+            G = BasisState.from_polynomials([NcPolynomial({w: 1}) for w in lws],
                                             orderings[nletters])
             for s in range(len(G)):
                 assert_batch_is_brute(s, G)
@@ -398,7 +398,7 @@ class TestOrderings:
                           st.permutations(["a", "b", "c"]))
         def check(lws, precedence):
             ordering = Alphabet(precedence).llex
-            G = BasisState.from_polynomials([NcPolynomial.from_term(w) for w in lws],
+            G = BasisState.from_polynomials([NcPolynomial({w: 1}) for w in lws],
                                             ordering)
             pool = [o for j in range(len(G)) for o in batch(j, G)]
             assert sorted(pool, key=lambda o: obstruction_key(o, ordering)) == \

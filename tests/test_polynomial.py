@@ -56,7 +56,7 @@ class TestLeading:
 
     def test_zero_has_no_leading_term(self, xy):
         with pytest.raises(ValueError):
-            leading(NcPolynomial.zero(), xy.llex)
+            leading(NcPolynomial(), xy.llex)
 
     def test_leading_of_sandwich(self, xy):
         rng = random.Random(3)
@@ -78,7 +78,7 @@ class TestSandwich:
         assert sandwich(xy.word("x"), f, xy.word("y")) == poly("x*y^2 + x*y", xy)
 
     def test_zero(self, xy):
-        assert sandwich(xy.word("x"), NcPolynomial.zero(), xy.word("y")) == NcPolynomial.zero()
+        assert sandwich(xy.word("x"), NcPolynomial(), xy.word("y")) == NcPolynomial()
 
     def test_support_size_preserved(self, xy):
         rng = random.Random(4)
@@ -140,7 +140,7 @@ class TestMakeMonic:
 
     def test_zero_rejected(self, xy):
         with pytest.raises(ValueError):
-            make_monic(NcPolynomial.zero(), xy.llex)
+            make_monic(NcPolynomial(), xy.llex)
 
 
 class TestCoefficients:
@@ -149,7 +149,7 @@ class TestCoefficients:
         assert type(NcPolynomial({a: Fraction(4, 2)}).coefficient(a)) is int
         half = poly("1/2*a", ab)
         assert type(add_scaled(half, 1, half).coefficient(a)) is int
-        twice = add_scaled(NcPolynomial.zero(), Fraction(6, 3), poly("a", ab))
+        twice = add_scaled(NcPolynomial(), Fraction(6, 3), poly("a", ab))
         assert type(twice.coefficient(a)) is int
         assert all(type(c) is int for _, c in poly("3*a*b - 1", ab).items())
 
@@ -193,7 +193,7 @@ class TestParsing:
         text = "(" * depth + "a*(b)^2" + ")" * depth + "^2 - b"
         assert poly(text, ab) == poly("(a*b^2)^2 - b", ab)
         assert poly("(a*" * depth + "b" + ")" * depth, ab) == \
-            NcPolynomial.from_term(ab.word("a") * depth + ab.word("b"))
+            NcPolynomial({ab.word("a") * depth + ab.word("b"): 1})
         with pytest.raises(PolynomialSyntaxError) as err:
             parse_polynomial("(" * depth + "a", ab)
         assert err.value.column == depth + 2
@@ -228,9 +228,9 @@ class TestParsing:
         assert (err.value.column, err.value.token, err.value.message) == (column, token, message)
 
     def test_spaced_power_takes_the_last_variable(self, ab):
-        assert poly("a*b ^ 2*a", ab) == NcPolynomial.from_term(ab.word("abba"))
-        assert poly("a^2*b ^ 2", ab) == NcPolynomial.from_term(ab.word("aabb"))
-        assert poly("(a*b ^2)", ab) == NcPolynomial.from_term(ab.word("abb"))
+        assert poly("a*b ^ 2*a", ab) == NcPolynomial({ab.word("abba"): 1})
+        assert poly("a^2*b ^ 2", ab) == NcPolynomial({ab.word("aabb"): 1})
+        assert poly("(a*b ^2)", ab) == NcPolynomial({ab.word("abb"): 1})
 
     def test_zero_denominator_rejected(self, ab):
         with pytest.raises(PolynomialSyntaxError) as err:
@@ -241,7 +241,7 @@ class TestParsing:
 
     def test_power_length_bounded(self, ab):
         limit = MAX_POWER_LETTERS
-        assert poly(f"a^{limit}", ab) == NcPolynomial.from_term(ab.word("a") * limit)
+        assert poly(f"a^{limit}", ab) == NcPolynomial({ab.word("a") * limit: 1})
         assert poly(f"(a*b)^{limit // 2}", ab).degree() == limit
         for text, column in ((f"a^{limit + 1}", 3), (f"(a*b)^{limit // 2 + 1}", 7),
                              ("((a*b)^300)^300", 13), ("a^99999999999999999999", 3),
@@ -278,9 +278,9 @@ class TestFactorMemo:
 
     def test_memoized_variable_still_takes_a_spaced_power(self, ab):
         factors = {}
-        assert parse_polynomial("b", ab, factors=factors) == NcPolynomial.from_term(ab.word("b"))
+        assert parse_polynomial("b", ab, factors=factors) == NcPolynomial({ab.word("b"): 1})
         assert parse_polynomial("a*b ^ 2*a", ab, factors=factors) == \
-            NcPolynomial.from_term(ab.word("abba"))
+            NcPolynomial({ab.word("abba"): 1})
 
     def test_failed_factor_is_not_memoized(self, ab):
         factors = {}
@@ -294,9 +294,10 @@ class TestFormatting:
     def test_descending_terms(self, xy):
         f = poly("y + x^2*y^2 - 1/2", xy)
         assert format_polynomial(f, xy, xy.llex) == "x^2*y^2 + y - 1/2"
+        assert format_polynomial(poly("y + x - 1", xy), xy, xy.llex) == "x + y - 1"
 
     def test_zero(self, xy):
-        assert format_polynomial(NcPolynomial.zero(), xy, xy.llex) == "0"
+        assert format_polynomial(NcPolynomial(), xy, xy.llex) == "0"
 
     def test_negative_leading(self, xy):
         assert format_polynomial(poly("-x + y", xy), xy, xy.llex) == "-x + y"
@@ -314,14 +315,9 @@ class TestStructure:
         assert poly("a*b*a + b^3", ab).is_homogeneous()
         assert not poly("a*b + b^3", ab).is_homogeneous()
         assert poly("a*b + b^3", ab).degree() == 3
-        assert NcPolynomial.zero().is_homogeneous()
+        assert NcPolynomial().is_homogeneous()
         with pytest.raises(ValueError):
-            NcPolynomial.zero().degree()
-
-    def test_items_desc(self, xy):
-        f = poly("y + x - 1", xy)
-        words = [w for w, _ in f.items_desc(xy.llex)]
-        assert words == [xy.word("x"), xy.word("y"), b""]
+            NcPolynomial().degree()
 
     def test_hash_consistent_with_eq(self, ab):
         f = poly("a*b - 1", ab)
