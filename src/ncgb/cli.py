@@ -2,11 +2,12 @@
 
 A problem file is line oriented: ``vars a b`` declares the variables,
 ``order llex b a`` optionally lists them all again, largest first,
-``gen <poly>`` lines list the generators, and ``name``, ``mode``,
-``trunc``, ``maxbasis``, ``maxdegree`` tune the run.  ``#`` starts a
-comment.  Every directive but ``gen`` may appear once, and no generator
-may be zero.  The problem's alphabet is in precedence order: the order
-line's, else the vars line's.
+``gen <poly>`` lines list the generators, ``name`` labels the statistics
+row and ``trunc`` sets the truncation degree; the other run controls are
+flags only.  Spaces or tabs end a directive, and ``#`` starts a comment
+that runs to the end of its line.  Every directive but ``gen`` may
+appear once, and no generator may be zero.  The problem's alphabet is in
+precedence order: the order line's, else the vars line's.
 
 ``ncgb run --basis-out PATH`` writes the reduced basis in this form, as
 vars, order and gen lines that ``ncgb verify`` reads back, with both
@@ -52,10 +53,7 @@ class Problem:
     name: str
     alphabet: Alphabet  # in precedence order, largest variable first
     generators: list = field(default_factory=list)
-    mode: str | None = None
     truncation: int | None = None
-    max_basis: int | None = None
-    max_degree: int | None = None
     # the line that fixes the precedence: the order line, else the vars
     # line; 0 when the alphabet is the base alphabet as given
     order_line: int = 0
@@ -69,7 +67,7 @@ def parse_problem(path, base_alphabet=None) -> Problem:
     """Read a problem file; ``base_alphabet`` backs files without a vars line."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ProblemError(path, 0, str(exc)) from None
     except UnicodeDecodeError:
@@ -78,16 +76,16 @@ def parse_problem(path, base_alphabet=None) -> Problem:
     alphabet = None
     precedence = None
     vars_line = order_line = 0
-    mode = None
-    caps = {}  # the positive integer directives: trunc, maxbasis, maxdegree
+    truncation = None
     raw_gens = []
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        # no polynomial holds a "#", so the first one starts the comment
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
-        directive, _, rest = line.partition(" ")
-        rest = rest.strip()
+        directive, *rest = line.split(None, 1)
+        rest = rest[0] if rest else ""
         if directive in seen:
             raise ProblemError(path, lineno, f"duplicate {directive} line")
         if directive != "gen":
@@ -108,17 +106,13 @@ def parse_problem(path, base_alphabet=None) -> Problem:
             if not rest:
                 raise ProblemError(path, lineno, "empty name")
             name = rest
-        elif directive == "mode":
-            if rest not in ("improved", "basic"):
-                raise ProblemError(path, lineno, f"unknown mode {rest!r}")
-            mode = rest
-        elif directive in ("trunc", "maxbasis", "maxdegree"):
+        elif directive == "trunc":
             try:
-                caps[directive] = int(rest)
+                truncation = int(rest)
             except ValueError:
-                raise ProblemError(path, lineno, f"{directive} needs an integer") from None
-            if caps[directive] < 1:
-                raise ProblemError(path, lineno, f"{directive} must be positive")
+                raise ProblemError(path, lineno, "trunc needs an integer") from None
+            if truncation < 1:
+                raise ProblemError(path, lineno, "trunc must be positive")
         elif directive == "gen":
             if alphabet is None and base_alphabet is None:
                 raise ProblemError(path, lineno, "vars must be declared before gen")
@@ -148,8 +142,7 @@ def parse_problem(path, base_alphabet=None) -> Problem:
         generators.append(g)
     if not generators:
         raise ProblemError(path, 0, "no generators")
-    return Problem(name, alphabet, generators, mode, caps.get("trunc"),
-                   caps.get("maxbasis"), caps.get("maxdegree"), order_line)
+    return Problem(name, alphabet, generators, truncation, order_line)
 
 
 def render_obstruction(o, alphabet) -> str:
@@ -158,8 +151,9 @@ def render_obstruction(o, alphabet) -> str:
 
 
 def stats_values(problem, stats, gb, rgb):
+    # the paper's tail column: this engine has no tail criterion, so it is 0
     return (problem.name, gb, rgb, stats.tot, stats.sel,
-            stats.m, stats.f, stats.tail, stats.bk, f"{float(stats.rho):.4f}")
+            stats.m, stats.f, 0, stats.bk, f"{float(stats.rho):.4f}")
 
 
 def cmd_run(args, out) -> int:
@@ -167,9 +161,9 @@ def cmd_run(args, out) -> int:
     cfg = EngineConfig(
         ordering=problem.ordering,
         truncation_degree=args.trunc if args.trunc is not None else problem.truncation,
-        max_basis=args.max_basis if args.max_basis is not None else problem.max_basis,
-        max_degree=args.max_degree if args.max_degree is not None else problem.max_degree,
-        criteria=(args.mode or problem.mode) != "basic",
+        max_basis=args.max_basis,
+        max_degree=args.max_degree,
+        criteria=args.mode != "basic",
     )
     basis, stats = buchberger(problem.generators, cfg)
     reduced = interreduce(basis, problem.ordering)
@@ -247,9 +241,16 @@ def main(argv=None) -> int:
                            "obstruction")
     prun.add_argument("--trunc", type=int, metavar="D",
                       help="truncation degree (homogeneous input only)")
-    prun.add_argument("--max-basis", type=int, metavar="N")
-    prun.add_argument("--max-degree", type=int, metavar="D")
-    prun.add_argument("--stats-csv", metavar="PATH")
+    prun.add_argument("--max-basis", type=int, metavar="N",
+                      help="stop with '# capped max_basis' and exit 3 when completion "
+                           "would grow the basis beyond N generators; the input "
+                           "generators always join, even more than N of them")
+    prun.add_argument("--max-degree", type=int, metavar="D",
+                      help="stop with '# capped max_degree' and exit 3 at the first "
+                           "selected obstruction whose common word is longer than D")
+    prun.add_argument("--stats-csv", metavar="PATH",
+                      help="also write the statistics row, under its header, to PATH "
+                           "as CSV")
     prun.add_argument("--basis-out", metavar="PATH",
                       help="also write the reduced basis (vars, order and gen "
                            "lines) to PATH, as a basis file for 'ncgb verify'")

@@ -31,12 +31,13 @@ Corasick, 1975) kept on the basis (``G.divisor_index``, a
 :class:`DivisorIndex`) over the first k leading words, where each state
 holds the smallest index of a leading word ending there, merged along
 the failure links.  It has one column per letter of the alphabet, so a
-letter is its own column.  One pass over the word's bytes, starting
-from the root's own index (an empty leading word ends at position 0) and
-stopping early at index 0, gives the smallest occurring index, and
-``bytes.find`` then gives that leading word's leftmost occurrence:
-exactly the divisor rule.  The division loop makes that walk inline, for
-speed; callers outside the loop use :meth:`DivisorIndex.first`.  The
+letter is its own column.  :meth:`DivisorIndex.first` makes one pass
+over the word's bytes, starting from the root's own index (an empty
+leading word ends at position 0) and stopping early at index 0, and
+gives the smallest occurring index; ``bytes.find`` then gives that
+leading word's leftmost occurrence: exactly the divisor rule.  The
+division loop calls ``first`` like every other caller, and only the
+class reads its states, so a new state layout changes one class.  The
 leading words appended since, ``leading_words[k:]``, form a short tail
 that is searched one by one with ``bytes.find``, only when the automaton
 misses; every tail index is at least k, so an automaton hit always wins.
@@ -73,8 +74,8 @@ class DivisorIndex:
     the alphabet is walked byte by byte.  A state is a list of ``width +
     1`` slots: the successor state per letter, then the smallest index of
     a pattern that is a suffix of the text read so far (``size`` when
-    there is none).  :func:`normal_remainder` walks the states inline;
-    other callers ask :meth:`first`, and empty a dropped automaton with
+    there is none).  Only this class's methods read a state's slots:
+    callers ask :meth:`first`, and empty a dropped automaton with
     :meth:`clear`.
     """
 
@@ -117,6 +118,7 @@ class DivisorIndex:
         """The smallest index of a pattern that occurs in ``word``; ``size`` when none does."""
         w = self.width
         s = self.root
+        # an empty pattern ends at the root; index 0 cannot be beaten
         i = s[w]
         for letter in word:
             s = s[letter]
@@ -157,7 +159,7 @@ def normal_remainder(f: NcPolynomial, G, ordering) -> NcPolynomial:
     if index is None or n - index.size > max(16, index.size // 4):
         index = G.divisor_index = DivisorIndex(lws, len(ordering.alphabet))
     k = index.size
-    root, width = index.root, index.width
+    first = index.first
     normal_words = G.normal_words
     # ascending (-len, bytes) pops the largest word first
     v = dict(f.items())
@@ -172,17 +174,7 @@ def normal_remainder(f: NcPolynomial, G, ordering) -> NcPolynomial:
             continue
         i = normal_words.get(word, 0)
         if i < k:
-            # the automaton walk: the smallest index ending anywhere in the
-            # word, starting from the root's (an empty leading word ends at 0);
-            # index 0 cannot be beaten, so the walk stops there
-            s = root
-            i = s[width]
-            for letter in word:
-                s = s[letter]
-                if s[width] < i:
-                    i = s[width]
-                    if not i:
-                        break
+            i = first(word)
         if i < k:
             lw = lws[i]
             pos = word.find(lw)

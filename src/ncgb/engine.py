@@ -141,10 +141,10 @@ class EngineConfig:
 class RunStats:
     """Counters for one run; the removal counts partition the constructed total.
 
-    ``tail`` keeps the paper's column in the statistics row; this engine has
-    no tail criterion, so it is always 0.  ``built`` counts the obstruction
-    tuples completion makes, ``tot - truncated_discards - m - f`` (``tot -
-    truncated_discards`` in the basic procedure); it is not in the row.
+    The row's ``tail`` column is always 0: this engine has no tail
+    criterion.  ``built`` counts the obstruction tuples completion makes,
+    ``tot - truncated_discards - m - f`` (``tot - truncated_discards`` in
+    the basic procedure); it is not in the row.
     """
 
     tot: int = 0
@@ -152,7 +152,6 @@ class RunStats:
     sel: int = 0
     m: int = 0
     f: int = 0
-    tail: int = 0
     bk: int = 0
     zero_reductions: int = 0
     truncated_discards: int = 0

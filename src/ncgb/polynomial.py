@@ -17,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .words import Alphabet, LLexOrdering
+from .words import NAME_PATTERN, Alphabet, LLexOrdering
 
 # Longest word a single ``^`` power may spell; larger powers are rejected
 # before the repeated word is built.
@@ -164,14 +164,14 @@ def _shown(text):
     return repr(text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "…")
 
 
-_NAME = r"[A-Za-z_]\w*"
 # A run is a product of variables with optional integer powers written
 # without spaces, ``x1^2*x2*x3^3``: the bulk of a basis file.  It is
 # exactly the sequence of name, ``*``, ``^`` and num tokens it spells, so it
 # ends wherever one of those would: a power is taken only when no further
 # digit or fraction bar follows it.
+_FACTOR = rf"{NAME_PATTERN}(?:\^\d+(?!\d|\s*/))?"
 _TOKEN_RE = re.compile(
-    rf"(?P<run>{_NAME}(?:\^\d+(?!\d|\s*/))?(?:\*{_NAME}(?:\^\d+(?!\d|\s*/))?)*)"
+    rf"(?P<run>{_FACTOR}(?:\*{_FACTOR})*)"
     r"|(?P<num>\d+(?:\s*/\s*\d+)?)|(?P<op>[-+*^()])|(?P<bad>\S)")
 
 

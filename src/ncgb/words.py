@@ -14,7 +14,13 @@ either direction are all just offsets.
 
 from __future__ import annotations
 
+import re
+
 EMPTY = b""
+
+# A variable name.  The polynomial tokenizer reads names by this pattern
+# too, so every name an alphabet accepts can be spelled in a generator.
+NAME_PATTERN = r"[A-Za-z_]\w*"
 
 
 class Alphabet:
@@ -36,7 +42,7 @@ class Alphabet:
         if len(symbols) > 255:
             raise ValueError("alphabet is limited to 255 variables")
         for name in symbols:
-            if not name or name[0].isdigit() or not all(c.isalnum() or c == "_" for c in name):
+            if not re.fullmatch(NAME_PATTERN, name):
                 raise ValueError(f"bad variable name: {name!r}")
         self.symbols = symbols
         self._index = {name: k for k, name in enumerate(symbols)}

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from ncgb.words import Alphabet, overlaps
+from ncgb.polynomial import NcPolynomial, format_polynomial, parse_polynomial
+from ncgb.words import NAME_PATTERN, Alphabet, overlaps
 from oracles import overlaps_brute, random_word
 
 
@@ -47,6 +48,38 @@ class TestAlphabet:
         alpha = Alphabet(["x1", "x2", "x3"])
         assert alpha.word("x1*x3^2") == bytes([0, 2, 2])
         assert alpha.word_to_text(bytes([0, 2, 2])) == "x1*x3^2"
+
+    def test_accepted_names_spell_letters_property(self):
+        """Every name an alphabet accepts is a letter the parser can spell.
+
+        Names are arbitrary text, runs of Unicode letters, digits and
+        connectors (a non-ASCII letter or a digit may lead), and text the
+        name pattern generates, so accepted names with non-ASCII letters and
+        digits are drawn too.  An accepted name spells letter 0 in
+        ``name*name - 1``, and that polynomial round-trips through
+        ``format_polynomial``.
+        """
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        wordlike = st.text(st.characters(categories=["L", "N", "Pc"]), min_size=1)
+        seen = {"accepted": 0, "non_ascii": 0, "rejected": 0}
+
+        @hypothesis.settings(max_examples=400, deadline=None, database=None)
+        @hypothesis.given(st.text() | wordlike | st.from_regex(NAME_PATTERN, fullmatch=True))
+        def check(name):
+            try:
+                alphabet = Alphabet([name])
+            except ValueError:
+                seen["rejected"] += 1
+                return
+            seen["accepted"] += 1
+            seen["non_ascii"] += not name.isascii()
+            f = parse_polynomial(f"{name}*{name} - 1", alphabet)
+            assert f == NcPolynomial({b"\0\0": 1, b"": -1})
+            assert parse_polynomial(format_polynomial(f, alphabet, alphabet.llex), alphabet) == f
+
+        check()
+        assert min(seen.values()) > 0, seen
 
 
 class TestLLex:
