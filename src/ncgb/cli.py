@@ -3,7 +3,8 @@
 A problem file is line oriented: ``vars a b`` declares the variables,
 ``order llex b a`` optionally lists them all again, largest first,
 ``gen <poly>`` lines list the generators, ``name`` labels the statistics
-row and ``trunc`` sets the truncation degree; the other run controls are
+row (no tab: the row is tab-separated) and ``trunc`` sets the truncation
+degree, in ASCII digits like every number; the other run controls are
 flags only.  Spaces or tabs end a directive, and ``#`` starts a comment
 that runs to the end of its line.  Every directive but ``gen`` may
 appear once, and no generator may be zero.  The problem's alphabet is in
@@ -105,14 +106,18 @@ def parse_problem(path, base_alphabet=None) -> Problem:
         elif directive == "name":
             if not rest:
                 raise ProblemError(path, lineno, "empty name")
+            if "\t" in rest:  # the label is a cell of a tab-separated row
+                raise ProblemError(path, lineno, "name must not contain a tab")
             name = rest
         elif directive == "trunc":
+            # ASCII digits only: int() alone also reads "1_0", a sign and
+            # the digits of other scripts
             try:
-                truncation = int(rest)
-            except ValueError:
-                raise ProblemError(path, lineno, "trunc needs an integer") from None
+                truncation = int(rest) if rest.isascii() and rest.isdigit() else 0
+            except ValueError:  # more digits than the interpreter converts
+                truncation = 0
             if truncation < 1:
-                raise ProblemError(path, lineno, "trunc must be positive")
+                raise ProblemError(path, lineno, "trunc needs a positive integer")
         elif directive == "gen":
             if alphabet is None and base_alphabet is None:
                 raise ProblemError(path, lineno, "vars must be declared before gen")
@@ -131,10 +136,10 @@ def parse_problem(path, base_alphabet=None) -> Problem:
     else:
         order_line = vars_line
     generators = []
-    factors = {}  # the factor memo, shared by this file's gen lines
+    runs = {}  # the run memo, shared by this file's gen lines
     for lineno, body in raw_gens:
         try:
-            g = parse_polynomial(body, alphabet, line=lineno, factors=factors)
+            g = parse_polynomial(body, alphabet, line=lineno, runs=runs)
         except PolynomialSyntaxError as exc:
             raise ProblemError(path, lineno, exc.message, exc.column) from None
         if not g:
@@ -261,7 +266,7 @@ def main(argv=None) -> int:
         description="Check that the basis is a Groebner basis and that every "
                     "problem generator reduces to zero modulo it, both up to the "
                     "truncation degree.  The basis passes when the S-polynomial of "
-                    "every obstruction that survives the m, f and bk criteria "
+                    "every obstruction that survives the m and f criteria "
                     "reduces to zero; on a failure every obstruction is checked, to "
                     "name the first one that does not.  Under a truncation degree, "
                     "generators whose leading word is longer take no part: none of "

@@ -9,10 +9,12 @@ criterion thin the pairs, then the backward criterion prunes the pending
 set.  Only the surviving pairs are built into obstructions and merged.
 The basic one builds and reduces every non-trivial obstruction within the
 bound.  Both enumerate the same basis and differ only in how many
-S-polynomials they reduce.  Verification pushes a fixed basis through the
-same find, prune and build step (:func:`absorb`) into a plain pending
-dict and reduces only the survivors; it never selects, so it keeps no
-heap.
+S-polynomials they reduce.  Verification pushes each generator of a fixed
+basis through the same find, prune and build step (:func:`absorb`) with
+the multiply and leading-word criteria only, and reduces each batch's
+survivors as they are built; it keeps no pending set, so the backward
+criterion, which prunes one, does not run, and it never selects, so it
+keeps no heap.
 
 Selection uses the normal strategy: the pending obstruction with the
 smallest common word (degree first) comes next, ties broken by the
@@ -208,18 +210,21 @@ def obstruction_batch(s: int, G: BasisState, trunc=None):
     return kept, len(pairs) - len(kept)
 
 
-def absorb(s, G: BasisState, pending: dict, stats: RunStats, trunc=None, criteria=True):
+def absorb(s, G: BasisState, pending: dict | None, stats: RunStats, trunc=None,
+           criteria=True):
     """Prune generator s's batch of pairs and ``pending``; build and add the rest.
 
     The one find, prune and build step of completion and verification.
-    ``pending`` is the set of pending obstructions, a dict that maps each
-    to True in insertion order.  The batch within the bound goes through
-    (with ``criteria``) the multiply and the leading-word criterion, the
-    backward criterion's removals are deleted from ``pending``, and the
-    surviving pairs are built into obstructions, added to ``pending`` and
-    returned.  Every count lands in ``stats``.  Construction and each
-    criterion are called once per batch through this module's globals, so
-    a wrapper set on ``ncgb.engine`` sees every batch of both callers.
+    ``pending`` is completion's set of pending obstructions, a dict that
+    maps each to True in insertion order, or None for verification, which
+    keeps none.  The batch within the bound goes through (with
+    ``criteria``) the multiply and the leading-word criterion; given a
+    pending set, the backward criterion's removals are deleted from it.
+    The surviving pairs are built into obstructions, added to ``pending``
+    when there is one, and returned.  Every count lands in ``stats``.
+    Construction and each criterion are called once per batch through
+    this module's globals, so a wrapper set on ``ncgb.engine`` sees every
+    batch of both callers.
     """
     news, cut = obstruction_batch(s, G, trunc)
     stats.tot += len(news) + cut
@@ -230,13 +235,15 @@ def absorb(s, G: BasisState, pending: dict, stats: RunStats, trunc=None, criteri
         rep = leading_word_criterion(rep.survivors, s, G)
         stats.f += rep.removed_f
         news = rep.survivors
-        rep = backward_criterion(pending, news, s, G)
-        stats.bk += rep.removed_bk
-        for dead in rep.removed:
-            del pending[dead]
+        if pending is not None:
+            rep = backward_criterion(pending, news, s, G)
+            stats.bk += rep.removed_bk
+            for dead in rep.removed:
+                del pending[dead]
     built = build_obstructions(s, G, news)
     stats.built += len(built)
-    pending.update(dict.fromkeys(built, True))
+    if pending is not None:
+        pending.update(dict.fromkeys(built, True))
     return built
 
 
@@ -347,24 +354,29 @@ def verify_groebner(G: BasisState, ordering, truncation=None):
     only when every generator is homogeneous, so a non-homogeneous basis
     raises ValueError, as does a bound below 1, which no obstruction fits.
 
-    Only the obstructions that survive the criteria are reduced.  The
-    generators are absorbed in index order by :func:`absorb`, exactly as
-    :func:`buchberger` absorbs its input, and each pending survivor is
-    reduced.  That is sound: if every survivor reduces to zero, completion
-    would append nothing and return ``G``, and the criteria remove only
-    obstructions that others cover, so ``G`` is a Groebner basis (up to
-    the bound).  The bound does not weaken this.  An obstruction that M or
-    B removes is covered by others whose common words are factors of its
+    Only the obstructions that survive the multiply and leading-word
+    criteria are reduced.  The generators are absorbed in index order by
+    :func:`absorb`, with no pending set, and each batch's survivors are
+    reduced as soon as they are built, up to the first non-zero
+    remainder.  That is sound: B only deletes pending obstructions, so
+    these survivors include every one that :func:`buchberger` leaves
+    pending once it has absorbed ``G`` as its input.  If they all reduce
+    to zero, completion would append nothing and return ``G``, and the
+    criteria remove only obstructions that others cover, so ``G`` is a
+    Groebner basis (up to the bound).  A Groebner basis reduces every
+    S-polynomial to zero, so the verdict is exactly that of the exhaustive
+    check.  The bound does not weaken this.  An obstruction that M or B
+    removes is covered by others whose common words are factors of its
     own, and F keeps one member of each group that shares a common word,
     so the covering obstructions fit the bound whenever the removed one
-    does.
+    does.  B is left out: its scan of every pending obstruction for each
+    absorbed generator costs more than the reductions it saves.
 
     Under a bound, only the generators whose leading word fits it are
     absorbed and searched for a failure.  A longer one takes no part:
-    every common word of its obstructions contains it, so none fits; it
-    occurs in no pending common word, so B removes nothing for it; and it
-    divides no word within the bound.  So the survivors, the verdict and
-    the failure named stay the same.
+    every common word of its obstructions contains it, so none fits, and
+    it divides no word within the bound.  So the survivors, the verdict
+    and the failure named stay the same.
 
     A failure is named by the exhaustive check, run only once a survivor
     fails: the batches of s = 0, 1, ... are checked in turn, each in its
@@ -377,12 +389,11 @@ def verify_groebner(G: BasisState, ordering, truncation=None):
         raise ValueError("truncation must be positive")
     if truncation is not None and not all(f.is_homogeneous() for f in G):
         raise ValueError("truncation requires homogeneous generators")
-    pending, stats = {}, RunStats()
+    stats = RunStats()
     for s in _within(G, truncation):
-        absorb(s, G, pending, stats, truncation)
-    for o in pending:
-        if normal_remainder(s_polynomial(o, G, ordering), G, ordering):
-            return False, [_first_failure(G, ordering, truncation)]
+        for o in absorb(s, G, None, stats, truncation):
+            if normal_remainder(s_polynomial(o, G, ordering), G, ordering):
+                return False, [_first_failure(G, ordering, truncation)]
     return True, []
 
 

@@ -166,201 +166,167 @@ def _shown(text):
 
 # A run is a product of variables with optional integer powers written
 # without spaces, ``x1^2*x2*x3^3``: the bulk of a basis file.  It is
-# exactly the sequence of name, ``*``, ``^`` and num tokens it spells, so it
-# ends wherever one of those would: a power is taken only when no further
-# digit or fraction bar follows it.
-_FACTOR = rf"{NAME_PATTERN}(?:\^\d+(?!\d|\s*/))?"
+# exactly the sequence of name, ``*``, ``^`` and number tokens it spells,
+# so it ends wherever one of those would: a power is taken only when no
+# further digit or fraction bar follows it.  Numbers are ASCII digits.  A
+# token's match takes the whitespace before it, and the index of the group
+# that matched is the token's kind.
+_FACTOR = rf"{NAME_PATTERN}(?:\^[0-9]+(?![0-9]|\s*/))?"
 _TOKEN_RE = re.compile(
-    rf"(?P<run>{_FACTOR}(?:\*{_FACTOR})*)"
-    r"|(?P<num>\d+(?:\s*/\s*\d+)?)|(?P<op>[-+*^()])|(?P<bad>\S)")
+    rf"\s*(?:({_FACTOR}(?:\*{_FACTOR})*)|([0-9]+(?:\s*/\s*[0-9]+)?)"
+    r"|([-+])|(\*)|(\^)|(\()|(\))|(\S))")
+_RUN, _NUM, _SIGN, _TIMES, _CARET, _OPEN, _CLOSE, _BAD = range(1, 9)
 
 
-def _tokenize(text, line):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        col = m.start() + 1
-        if m.lastgroup == "bad":
-            raise PolynomialSyntaxError(
-                f"unexpected character {m.group()!r}", line, col, m.group())
-        tokens.append((m.lastgroup, m.group(), col))
-    return tokens
+def _token(m):
+    """(start, text) of the token ``m`` matched; a run stands for its first variable."""
+    kind = m.lastindex
+    token = m.group(kind)
+    if kind == _RUN:
+        token = token.partition("*")[0].partition("^")[0]
+    return m.start(kind), token
 
 
-class _Parser:
-    def __init__(self, tokens, alphabet, line, factors):
-        self.tokens = tokens
-        self.alphabet = alphabet
-        self.line = line
-        self.factors = factors
-        self.pos = 0
+def _error(text, line, message, start=None, token=""):
+    """The error of the malformed right-stripped ``text``.
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, "", 0)
+    Its first unexpected character comes first, wherever it stands, as if
+    the whole line were tokenized before it is parsed; else ``message``
+    at ``start``, or at the end of the input when ``start`` is None.
+    """
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m.lastindex == _BAD:
+            char = m.group(_BAD)
+            return PolynomialSyntaxError(f"unexpected character {char!r}", line,
+                                         m.start(_BAD) + 1, char)
+        pos = m.end()
+    if start is None:
+        return PolynomialSyntaxError(message + " (at end of input)", line, len(text) + 1)
+    return PolynomialSyntaxError(f"{message}, got {_shown(token)}", line, start + 1, token)
 
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
 
-    def fail(self, message, tok=None):
-        kind, text, col = tok if tok is not None else self.peek()
-        if kind == "run":  # the error is at its first variable
-            text = text.partition("*")[0].partition("^")[0]
-        if kind is None:
-            col = self.tokens[-1][2] + len(self.tokens[-1][1]) if self.tokens else 1
-            raise PolynomialSyntaxError(message + " (at end of input)", self.line, col)
-        raise PolynomialSyntaxError(f"{message}, got {_shown(text)}", self.line, col, text)
+def _number(text, line, m):
+    """The coefficient that the number token ``m`` spells."""
+    token = m.group(_NUM)
+    try:
+        return int(token) if "/" not in token else Fraction("".join(token.split()))
+    except ZeroDivisionError:
+        message = "zero denominator"
+    except ValueError:  # the interpreter's limit on digits converted
+        message = f"coefficient longer than {sys.get_int_max_str_digits()} digits"
+    raise _error(text, line, message, m.start(_NUM), token)
 
-    def parse(self):
-        terms = []
-        sign = 1
-        kind, text, _ = self.peek()
-        if kind == "op" and text in "+-":
-            self.next()
-            sign = -1 if text == "-" else 1
-        while True:
-            coeff, word = self.term()
-            terms.append((word, sign * coeff))
-            kind, text, _ = self.peek()
-            if kind is None:
-                break
-            if kind == "op" and text in "+-":
-                self.next()
-                sign = -1 if text == "-" else 1
-            else:
-                self.fail("expected '+' or '-' between terms")
-        return NcPolynomial(terms)
 
-    def term(self):
-        coeff, word = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text == "*":
-                self.next()
-                c, w = self.factor()
-                coeff *= c
-                word += w
-            else:
-                return coeff, word
+def _repeat(word, digits, text, line, start):
+    """``word`` repeated by the exponent ``digits``, which starts at ``start``."""
+    # compare digit counts first: int() refuses very long digit strings
+    n = digits.lstrip("0") or "0"
+    n = int(n) if len(n) <= _POWER_DIGITS else MAX_POWER_LETTERS + 1
+    if len(word) * n > MAX_POWER_LETTERS:
+        raise _error(text, line, f"power longer than {MAX_POWER_LETTERS} letters", start, digits)
+    return word * n
 
-    def factor(self):
-        kind, text, col = self.next()
-        if kind == "num":
-            try:
-                if "/" not in text:
-                    return int(text), b""
-                return Fraction("".join(text.split())), b""
-            except ZeroDivisionError:
-                self.fail("zero denominator", (kind, text, col))
-            except ValueError:  # the interpreter's limit on digits converted
-                self.fail(f"coefficient longer than {sys.get_int_max_str_digits()} digits",
-                          (kind, text, col))
-        if kind == "run":
-            return 1, self.run(text, col)
-        if kind == "op" and text == "(":
-            return 1, self.power(self.group_word())
-        self.fail("expected a coefficient, variable or '('", (kind, text, col))
 
-    def run(self, text, col):
-        """The word a run token spells.
+def _spell(run, text, line, start, alphabet, runs):
+    """The word of ``run``, which starts at ``start``; memoizes it and its factors.
 
-        Each factor is spelled once per memo ``self.factors``, so a bad
-        one fails where it stands.  A power that follows the run after a
-        space (``a*b ^ 2``) belongs to its last variable, unless that
-        variable already carries one.
-        """
-        factors = self.factors
-        word = bytearray()
-        for factor in text.split("*"):
-            w = factors.get(factor)
-            if w is None:
-                w = factors[factor] = self.spell(factor, col)
-            word += w
-            col += len(factor) + 1
-        tokens, pos = self.tokens, self.pos
-        if "^" in factor or pos == len(tokens) or tokens[pos][1] != "^":
-            return bytes(word)
-        return bytes(word[:-1]) + self.power(bytes(word[-1:]))
-
-    def spell(self, factor, col):
-        """The word of one factor, ``name`` or ``name^digits``, at column ``col``."""
-        name, caret, digits = factor.partition("^")
-        if name not in self.alphabet:
-            self.fail(f"undeclared variable {_shown(name)}", ("name", name, col))
-        word = bytes((self.alphabet.index(name),))
-        return self.repeat(word, ("num", digits, col + len(name) + 1)) if caret else word
-
-    def group_word(self):
-        """The body of a parenthesized subword: variables and groups only.
-
-        Groups nest without recursion, so any depth the input spells
-        parses: the letters go into one buffer, ``starts`` holds where each
-        open inner group began in it, and a power replaces its group's
-        letters when the group closes.
-        """
-        word = bytearray()
-        starts = []
-        expect_factor = True
-        while True:
-            kind, text, col = self.next()
-            if kind == "op" and text == ")":
-                if expect_factor:
-                    self.fail("empty group", (kind, text, col))
-                if not starts:
-                    return bytes(word)
-                start = starts.pop()
-                kind, text, _ = self.peek()
-                if kind == "op" and text == "^":
-                    word[start:] = self.power(bytes(word[start:]))
-                continue
-            if not expect_factor:
-                if kind == "op" and text == "*":
-                    expect_factor = True
-                    continue
-                self.fail("expected '*' or ')' inside group", (kind, text, col))
-            if kind == "run":
-                word += self.run(text, col)
-            elif kind == "op" and text == "(":
-                starts.append(len(word))
-                continue
-            elif kind is None:
-                self.fail("unterminated group", (kind, text, col))
-            else:
-                self.fail("only variables may appear inside a group", (kind, text, col))
-            expect_factor = False
-
-    def power(self, word):
-        """``word`` raised to the exponent that follows, if any."""
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.next()
-            tok = self.next()
-            if tok[0] != "num" or "/" in tok[1]:
-                self.fail("exponent must be a non-negative integer", tok)
-            return self.repeat(word, tok)
-        return word
-
-    def repeat(self, word, tok):
-        """``word`` repeated by the exponent of the num token ``tok``."""
-        # compare digit counts first: int() refuses very long digit strings
-        digits = tok[1].lstrip("0") or "0"
-        n = int(digits) if len(digits) <= _POWER_DIGITS else MAX_POWER_LETTERS + 1
-        if len(word) * n > MAX_POWER_LETTERS:
-            self.fail(f"power longer than {MAX_POWER_LETTERS} letters", tok)
-        return word * n
+    Each factor is looked up in ``runs`` too, so a bad one fails where it
+    stands, and a run that fails is not memoized.
+    """
+    word = bytearray()
+    for factor in run.split("*"):
+        w = runs.get(factor)
+        if w is None:
+            name, caret, digits = factor.partition("^")
+            if name not in alphabet:
+                raise _error(text, line, f"undeclared variable {_shown(name)}", start, name)
+            w = bytes((alphabet.index(name),))
+            if caret:
+                w = _repeat(w, digits, text, line, start + len(name) + 1)
+            runs[factor] = w
+        word += w
+        start += len(factor) + 1
+    word = runs[run] = bytes(word)
+    return word
 
 
 def parse_polynomial(text: str, alphabet: Alphabet, line: int = 1,
-                     factors: dict | None = None) -> NcPolynomial:
+                     runs: dict | None = None) -> NcPolynomial:
     """Parse ``3*a*b^2 - 1/2*(b*a)^2 + 1`` style text.
 
-    ``factors``, a memo of factor text (``x1^2``) -> word, may be shared
-    by the lines of one file parsed against ``alphabet``.
+    One loop reads the tokens left to right, alternating between a factor
+    (``expect``) and what may follow one.  Groups nest without recursion:
+    ``starts`` holds where each open group began in the term's word, and
+    a power replaces the letters from ``power_at`` on: a closed group's,
+    or the last variable of a run whose last factor has no power yet
+    (``a*b ^ 2``).  A token's column is worked out only for a diagnostic.
+    ``runs``, a memo of run and factor text (``x1^2*x2``, ``x1^2``) ->
+    word, may be shared by the lines of one file parsed against
+    ``alphabet``.
     """
-    tokens = _tokenize(text, line)
-    if not tokens:
+    text = text.rstrip()
+    if not text:
         raise PolynomialSyntaxError("empty polynomial", line, 1)
-    return _Parser(tokens, alphabet, line, {} if factors is None else factors).parse()
+    if runs is None:
+        runs = {}
+    match, end = _TOKEN_RE.match, len(text)
+    coeff, pos = 1, 0
+    m = match(text)
+    if m.lastindex == _SIGN:
+        coeff, pos = -1 if m.group(_SIGN) == "-" else 1, m.end()
+    word, terms, starts, power_at, expect = bytearray(), [], [], None, True
+    while pos < end:
+        m = match(text, pos)
+        kind, pos = m.lastindex, m.end()
+        if expect:
+            if kind == _RUN:
+                run = m.group(_RUN)
+                word += runs.get(run) or _spell(run, text, line, m.start(_RUN), alphabet, runs)
+                power_at = len(word) - 1
+                expect = False
+            elif kind == _NUM and not starts:
+                coeff *= _number(text, line, m)
+                power_at = None
+                expect = False
+            elif kind == _OPEN:
+                starts.append(len(word))
+            else:
+                message = ("expected a coefficient, variable or '('" if not starts
+                           else "empty group" if kind == _CLOSE
+                           else "only variables may appear inside a group")
+                raise _error(text, line, message, *_token(m))
+        elif kind == _TIMES:
+            expect = True
+        elif kind == _SIGN and not starts:
+            terms.append((bytes(word), coeff))
+            coeff, word, expect = -1 if m.group(_SIGN) == "-" else 1, bytearray(), True
+        elif kind == _CLOSE and starts:
+            power_at = starts.pop()
+            run = ""  # a group takes a power whatever it holds
+        elif kind == _CARET and power_at is not None and "^" not in run[run.rfind("*") + 1:]:
+            message = "exponent must be a non-negative integer"
+            if pos == end:
+                raise _error(text, line, message)
+            m = match(text, pos)
+            pos = m.end()
+            if m.lastindex != _NUM or "/" in m.group(_NUM):
+                raise _error(text, line, message, *_token(m))
+            word[power_at:] = _repeat(word[power_at:], m.group(_NUM), text, line,
+                                      m.start(_NUM))
+            power_at = None
+        else:
+            message = ("expected '*' or ')' inside group" if starts
+                       else "expected '+' or '-' between terms")
+            raise _error(text, line, message, *_token(m))
+    if expect or starts:
+        message = ("expected a coefficient, variable or '('" if not starts
+                   else "unterminated group" if expect
+                   else "expected '*' or ')' inside group")
+        raise _error(text, line, message)
+    terms.append((bytes(word), coeff))
+    return NcPolynomial(terms)
 
 
 def format_polynomial(f: NcPolynomial, alphabet: Alphabet, ordering: LLexOrdering) -> str:

@@ -123,6 +123,32 @@ class TestProblemFiles:
         with pytest.raises(ProblemError, match="zero denominator"):
             parse_problem(path)
 
+    def test_name_with_a_tab_rejected(self, tmp_path):
+        # the label is a cell of the tab-separated statistics row
+        path = tmp_path / "bad.prob"
+        path.write_text("vars a b\nname my\tlabel\ngen a*b - 1\n")
+        with pytest.raises(ProblemError) as err:
+            parse_problem(path)
+        assert str(err.value) == f"{path}:2: name must not contain a tab"
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661\u0660", "+5", "-2", "0", "5a"])
+    def test_trunc_takes_ascii_digits_only(self, tmp_path, value):
+        path = tmp_path / "bad.prob"
+        path.write_text(f"vars a b\ntrunc {value}\ngen a*b - b*a\n", encoding="utf-8")
+        with pytest.raises(ProblemError) as err:
+            parse_problem(path)
+        assert str(err.value) == f"{path}:2: trunc needs a positive integer"
+        path.write_text("vars a b\ntrunc 010\ngen a*b - b*a\n")
+        assert parse_problem(path).truncation == 10
+
+    def test_numbers_take_ascii_digits_only(self, tmp_path):
+        # Arabic-Indic 3 and 2 are digits to int(), not to the number syntax
+        path = tmp_path / "bad.prob"
+        path.write_text("vars a b\ngen \u0663*a^\u0662 - 1\n", encoding="utf-8")
+        with pytest.raises(ProblemError) as err:
+            parse_problem(path)
+        assert str(err.value) == f"{path}:2:1: unexpected character '\u0663'"
+
     def test_order_permutes_precedence(self, tmp_path):
         path = tmp_path / "p.prob"
         path.write_text("vars a b\norder llex b a\ngen a*b - 1\n")

@@ -793,23 +793,26 @@ def test_verify_keys_no_obstruction(monkeypatch):
     assert verify_groebner(G, ordering) == (True, [])
 
 
-@pytest.mark.parametrize("name,survivors", [("g06", 776), ("g13", 920)])
-def test_verify_reduces_only_the_survivors(name, survivors, monkeypatch):
-    """A Groebner basis is verified by reducing only the pending survivors.
+@pytest.mark.parametrize("name", ["g06", "g13"])
+def test_verify_reduces_only_the_survivors(name, monkeypatch):
+    """A Groebner basis is verified by reducing only the M and F survivors.
 
-    These are the obstructions left pending once every generator has
-    been absorbed with the criteria: 776 of g06's 35,569 non-trivial
-    obstructions and 920 of g13's 67,425.  A fallback to the exhaustive
-    check would reduce all of them.
+    These are the obstructions each batch keeps once the multiply and
+    leading-word criteria have run, summed over the batches of every
+    generator: far fewer than the non-trivial obstructions (35,569 on
+    g06, 67,425 on g13), which a fallback to the exhaustive check would
+    reduce, and more than completion leaves pending, where B prunes too.
     """
     problem = parse_problem(problem_path(name))
     ordering = problem.ordering
     done, _ = buchberger(problem.generators, EngineConfig(ordering=ordering))
     G = interreduce(done, ordering)
-    pending, stats = {}, RunStats()
+    stats = RunStats()
+    survivors = sum(len(absorb(s, G, None, stats)) for s in range(len(G)))
+    pending = {}
     for s in range(len(G)):
-        absorb(s, G, pending, stats)
-    assert len(pending) == survivors
+        absorb(s, G, pending, RunStats())
+    assert len(pending) < survivors < stats.tot
     reduced = []
 
     def counted(f, G, ordering):
@@ -819,3 +822,56 @@ def test_verify_reduces_only_the_survivors(name, survivors, monkeypatch):
     monkeypatch.setattr(engine, "normal_remainder", counted)
     assert verify_groebner(G, ordering) == (True, [])
     assert len(reduced) == survivors
+
+
+def broken_bases(name, trunc, drops):
+    """(basis, ordering) pairs: the reduced basis of ``name`` without one generator.
+
+    Each generator whose index is in ``drops`` is dropped in turn.
+    """
+    problem = parse_problem(problem_path(name))
+    ordering = problem.ordering
+    done, _ = buchberger(problem.generators,
+                         EngineConfig(ordering=ordering, truncation_degree=trunc))
+    gens = list(interreduce(done, ordering))
+    for drop in drops:
+        yield BasisState.from_polynomials(gens[:drop] + gens[drop + 1:], ordering), ordering
+
+
+def test_verify_never_runs_the_backward_criterion(monkeypatch):
+    """Verification keeps no pending set, so B never runs, on a pass or a failure."""
+    def refused(*args):
+        raise AssertionError("verification ran the backward criterion")
+
+    problem = parse_problem(problem_path("g06"))
+    basis_file = parse_problem(REFERENCES / "g06.prob", base_alphabet=problem.alphabet)
+    G = BasisState.from_polynomials(basis_file.generators, problem.ordering)
+    broken, ordering = next(broken_bases("g06", None, [1]))
+    monkeypatch.setattr(engine, "backward_criterion", refused)
+    assert verify_groebner(G, problem.ordering) == (True, [])
+    assert not verify_groebner(broken, ordering)[0]
+
+
+@pytest.mark.parametrize("name,trunc,drops", [("g06", None, range(0, 120, 15)),
+                                              ("braid4", 7, range(44))],
+                         ids=["g06", "braid4-trunc7"])
+def test_verify_matches_reference_where_bk_fired(name, trunc, drops):
+    """Broken bases on which B would prune still get the exhaustive check's verdict.
+
+    The reduced basis without one generator: absorbed with a pending set,
+    as completion absorbs its input, B removes obstructions from it on
+    almost every such basis, and verification, which runs only M and F,
+    names the same failure as ``reference_verify``.
+    """
+    cases = fired = 0
+    for G, ordering in broken_bases(name, trunc, drops):
+        cases += 1
+        stats, pending = RunStats(), {}
+        for s in range(len(G)):
+            if trunc is None or len(G.leading_words[s]) <= trunc:
+                absorb(s, G, pending, stats, trunc)
+        fired += stats.bk > 0
+        expected = reference_verify(G, ordering, trunc)
+        assert not expected[0]
+        assert verify_groebner(G, ordering, trunc) == expected
+    assert fired > cases // 2

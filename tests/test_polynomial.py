@@ -18,6 +18,7 @@ from ncgb.polynomial import (
     sandwich,
 )
 from ncgb.cli import parse_problem
+from ncgb.words import Alphabet
 from ncgb.corpus import problem_path
 from oracles import random_polynomial, random_word
 
@@ -43,6 +44,30 @@ PRODUCT_ERRORS = [
     ("a^02*b +", 9, "", "expected a coefficient, variable or '(' (at end of input)"),
     ("a*b^2 ^ 3", 7, "^", "expected '+' or '-' between terms, got '^'"),
 ]
+
+
+# text -> (column, token, message) of a malformed polynomial
+MALFORMED = {
+    "": (1, "", "empty polynomial"),
+    "a +": (4, "", "expected a coefficient, variable or '(' (at end of input)"),
+    "* a": (1, "*", "expected a coefficient, variable or '(', got '*'"),
+    "a ^ b": (5, "b", "exponent must be a non-negative integer, got 'b'"),
+    "a^-1": (3, "-", "exponent must be a non-negative integer, got '-'"),
+    "(a": (3, "", "expected '*' or ')' inside group (at end of input)"),
+    "( )": (3, ")", "empty group, got ')'"),
+    "(2*a)": (2, "2", "only variables may appear inside a group, got '2'"),
+    "a b": (3, "b", "expected '+' or '-' between terms, got 'b'"),
+    "a @ b": (3, "@", "unexpected character '@'"),
+    "c + 1": (1, "c", "undeclared variable 'c', got 'c'"),
+    "3 3": (3, "3", "expected '+' or '-' between terms, got '3'"),
+    # an unexpected character is reported before any earlier mistake
+    "c + @": (5, "@", "unexpected character '@'"),
+    "(a*": (4, "", "unterminated group (at end of input)"),
+    "2/3*(a*b)^": (11, "", "exponent must be a non-negative integer (at end of input)"),
+    "((a)^2^3)": (7, "^", "expected '*' or ')' inside group, got '^'"),
+    "(a) (b)": (5, "(", "expected '+' or '-' between terms, got '('"),
+    "a - b)": (6, ")", "expected '+' or '-' between terms, got ')'"),
+}
 
 
 class TestLeading:
@@ -205,13 +230,24 @@ class TestParsing:
     def test_leading_sign(self, ab):
         assert poly("-a + 1", ab) == NcPolynomial({ab.word("a"): -1, b"": 1})
 
-    @pytest.mark.parametrize("bad", [
-        "", "a +", "* a", "a ^ b", "a^-1", "(a", "( )", "(2*a)", "a b", "a @ b",
-        "c + 1", "3 3",
-    ])
+    @pytest.mark.parametrize("bad", list(MALFORMED))
     def test_rejects_malformed(self, ab, bad):
-        with pytest.raises(PolynomialSyntaxError):
-            poly(bad, ab)
+        with pytest.raises(PolynomialSyntaxError) as err:
+            parse_polynomial(bad, ab, line=2)
+        assert (err.value.line, err.value.column, err.value.token, err.value.message) == \
+            (2, *MALFORMED[bad])
+
+    @pytest.mark.parametrize("text, column, char", [
+        ("\u0663*a^\u0662 - 1", 1, "\u0663"),  # Arabic-Indic 3 and 2
+        ("a^\u0662", 3, "\u0662"),
+        ("a - \u0661/2", 5, "\u0661"),
+        ("a^2\u0663", 4, "\u0663"),
+    ])
+    def test_numbers_take_ascii_digits_only(self, ab, text, column, char):
+        with pytest.raises(PolynomialSyntaxError) as err:
+            parse_polynomial(text, ab)
+        assert (err.value.column, err.value.token, err.value.message) == \
+            (column, char, f"unexpected character {char!r}")
 
     def test_error_carries_position_and_token(self, ab):
         with pytest.raises(PolynomialSyntaxError) as err:
@@ -262,32 +298,38 @@ class TestFactorMemo:
         alphabet = parse_problem(path, base_alphabet=alphabet).alphabet
         lines = [line[4:] for line in path.read_text().splitlines() if line.startswith("gen ")]
         cold = [parse_polynomial(text, alphabet) for text in lines]
-        factors = {}
-        first = [parse_polynomial(text, alphabet, factors=factors) for text in lines]
-        warm = [parse_polynomial(text, alphabet, factors=factors) for text in lines]
-        assert factors and first == warm == cold
+        runs = {}
+        first = [parse_polynomial(text, alphabet, runs=runs) for text in lines]
+        warm = [parse_polynomial(text, alphabet, runs=runs) for text in lines]
+        assert runs and first == warm == cold
 
     @pytest.mark.parametrize("text, column, token, message", PRODUCT_ERRORS)
     def test_errors_keep_their_place_after_a_warm_memo(self, ab, text, column, token,
                                                        message):
-        factors = {}
-        parse_polynomial("a*b + a^2*b^2 - a^02*b*a^3 + b^5", ab, factors=factors)
+        runs = {}
+        parse_polynomial("a*b + a^2*b^2 - a^02*b*a^3 + b^5", ab, runs=runs)
         with pytest.raises(PolynomialSyntaxError) as err:
-            parse_polynomial(text, ab, factors=factors)
+            parse_polynomial(text, ab, runs=runs)
         assert (err.value.column, err.value.token, err.value.message) == (column, token, message)
 
     def test_memoized_variable_still_takes_a_spaced_power(self, ab):
-        factors = {}
-        assert parse_polynomial("b", ab, factors=factors) == NcPolynomial({ab.word("b"): 1})
-        assert parse_polynomial("a*b ^ 2*a", ab, factors=factors) == \
+        runs = {}
+        assert parse_polynomial("b", ab, runs=runs) == NcPolynomial({ab.word("b"): 1})
+        assert parse_polynomial("a*b ^ 2*a", ab, runs=runs) == \
             NcPolynomial({ab.word("abba"): 1})
 
     def test_failed_factor_is_not_memoized(self, ab):
-        factors = {}
+        """A run is memoized whole, with its factors; a run that fails is not.
+
+        The factors spelled before the failing one stay memoized.
+        """
+        runs = {}
         for text in ("a*b*q^2", "b*a^70000"):
             with pytest.raises(PolynomialSyntaxError):
-                parse_polynomial(text, ab, factors=factors)
-        assert set(factors) == {"a", "b"}
+                parse_polynomial(text, ab, runs=runs)
+        assert set(runs) == {"a", "b"}
+        parse_polynomial("a*b^2 - b^2*a", ab, runs=runs)
+        assert set(runs) == {"a", "b", "b^2", "a*b^2", "b^2*a"}
 
 
 class TestFormatting:
@@ -308,6 +350,31 @@ class TestFormatting:
             f = random_polynomial(rng, 2, max_terms=5, max_degree=6)
             text = format_polynomial(f, ab, ab.llex)
             assert parse_polynomial(text, ab) == f
+
+    def test_round_trip_property(self):
+        """Formatted text parses back to the polynomial, through a warm run memo.
+
+        The letters have multi-character names, words repeat letters so
+        that they print with powers, and coefficients are rationals,
+        including on the empty word.
+        """
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        alphabet = Alphabet(["x1", "y", "z_2"])
+        runs = {}
+        word = st.lists(st.tuples(st.integers(0, 2), st.integers(1, 12)), max_size=4).map(
+            lambda runs_: b"".join(bytes([k]) * n for k, n in runs_))
+        coeff = st.fractions(max_denominator=50).filter(bool)
+        polynomial = st.dictionaries(word, coeff, max_size=6).map(NcPolynomial)
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(polynomial)
+        def check(f):
+            text = format_polynomial(f, alphabet, alphabet.llex)
+            assert parse_polynomial(text, alphabet, runs=runs) == f
+
+        check()
+        assert runs
 
 
 class TestStructure:
