@@ -4,8 +4,10 @@ A problem file is line oriented: ``vars a b`` declares the variables,
 ``order llex b a`` optionally lists them all again, largest first,
 ``gen <poly>`` lines list the generators, ``name`` labels the statistics
 row (no tab: the row is tab-separated) and ``trunc`` sets the truncation
-degree, in ASCII digits like every number; the other run controls are
-flags only.  Spaces or tabs end a directive, and ``#`` starts a comment
+degree; the other run controls are flags only.  Every number, in a file
+or in a flag (``--trunc``, ``--max-basis``, ``--max-degree``), is written
+in ASCII digits, so ``1_0``, ``+5`` and the digits of other scripts are
+errors.  Spaces or tabs end a directive, and ``#`` starts a comment
 that runs to the end of its line.  Every directive but ``gen`` may
 appear once, and no generator may be zero.  The problem's alphabet is in
 precedence order: the order line's, else the vars line's.
@@ -64,6 +66,19 @@ class Problem:
         return self.alphabet.llex
 
 
+def positive_integer(text) -> int:
+    """The positive integer ``text`` spells in ASCII digits, else 0.
+
+    The one reader of the ``trunc`` directive and the numeric flags:
+    ``int`` alone also reads "1_0", a sign, surrounding spaces and the
+    digits of other scripts.
+    """
+    try:
+        return int(text) if text.isascii() and text.isdigit() else 0
+    except ValueError:  # more digits than the interpreter converts
+        return 0
+
+
 def parse_problem(path, base_alphabet=None) -> Problem:
     """Read a problem file; ``base_alphabet`` backs files without a vars line."""
     path = Path(path)
@@ -110,13 +125,8 @@ def parse_problem(path, base_alphabet=None) -> Problem:
                 raise ProblemError(path, lineno, "name must not contain a tab")
             name = rest
         elif directive == "trunc":
-            # ASCII digits only: int() alone also reads "1_0", a sign and
-            # the digits of other scripts
-            try:
-                truncation = int(rest) if rest.isascii() and rest.isdigit() else 0
-            except ValueError:  # more digits than the interpreter converts
-                truncation = 0
-            if truncation < 1:
+            truncation = positive_integer(rest)
+            if not truncation:
                 raise ProblemError(path, lineno, "trunc needs a positive integer")
         elif directive == "gen":
             if alphabet is None and base_alphabet is None:
@@ -244,13 +254,14 @@ def main(argv=None) -> int:
                       help="improved (the default) applies the m, f and bk "
                            "criteria in that order; basic reduces every "
                            "obstruction")
-    prun.add_argument("--trunc", type=int, metavar="D",
-                      help="truncation degree (homogeneous input only)")
-    prun.add_argument("--max-basis", type=int, metavar="N",
+    prun.add_argument("--trunc", type=positive_integer, metavar="D",
+                      help="truncation degree (homogeneous input only); every "
+                           "number here is a positive integer in ASCII digits")
+    prun.add_argument("--max-basis", type=positive_integer, metavar="N",
                       help="stop with '# capped max_basis' and exit 3 when completion "
                            "would grow the basis beyond N generators; the input "
                            "generators always join, even more than N of them")
-    prun.add_argument("--max-degree", type=int, metavar="D",
+    prun.add_argument("--max-degree", type=positive_integer, metavar="D",
                       help="stop with '# capped max_degree' and exit 3 at the first "
                            "selected obstruction whose common word is longer than D")
     prun.add_argument("--stats-csv", metavar="PATH",
@@ -277,15 +288,15 @@ def main(argv=None) -> int:
                                     "line, else its vars line, if present, must list "
                                     "the problem's variables in the problem's precedence")
     pver.add_argument("problem", help="problem file supplying variables and ordering")
-    pver.add_argument("--trunc", type=int, metavar="D",
-                      help="only check obstructions and generators up to this degree")
+    pver.add_argument("--trunc", type=positive_integer, metavar="D",
+                      help="only check obstructions and generators up to this degree "
+                           "(a positive integer in ASCII digits)")
 
     args = parser.parse_args(argv)
     try:
         for flag in ("trunc", "max_basis", "max_degree"):
-            value = getattr(args, flag, None)
-            if value is not None and value < 1:
-                raise ValueError(f"--{flag.replace('_', '-')} must be positive")
+            if getattr(args, flag, None) == 0:  # the reader's answer to a bad value
+                raise ValueError(f"--{flag.replace('_', '-')} must be positive (ASCII digits)")
         if args.command == "run":
             return cmd_run(args, sys.stdout)
         return cmd_verify(args, sys.stdout)

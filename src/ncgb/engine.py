@@ -45,38 +45,25 @@ class BasisState:
     ``tails[k]``, its other terms as a tuple of (word, coefficient) pairs.
     Division, ``s_polynomial`` and ``interreduce`` place only the tail,
     because a monic generator's leading term cancels the word it rewrites.
-    ``G[k]`` and ``iter(G)`` build the polynomial on demand, for printing,
-    ``interreduce`` and tests; no hot path reads them.  ``append`` stores
-    the tail before the leading word, so an interrupt never leaves a
-    leading word without its tail, and ``len(G)`` counts leading words.
-    Leading words are only appended, and tails are rewritten only by
-    ``interreduce``, in the state it builds.
-
-    Three caches are kept.  Two serve division (see :mod:`ncgb.division`).
-    ``divisor_index`` is an Aho-Corasick automaton over a prefix
-    ``leading_words[:k]``, one column per letter of the ordering's
-    alphabet; division builds it on first use and rebuilds it over all
-    leading words once more than ``max(16, k // 4)`` have been appended
-    after that prefix, searching the few in between one by one.
-    ``normal_words`` is the memo of remainder words: it maps a word to a
-    count c such that none of ``leading_words[:c]`` occurs in it; a count
-    of at least k lets division skip the automaton and search only
-    ``leading_words[c:]``.  The third serves obstruction construction (see
-    :mod:`ncgb.obstructions`): ``by_prefix`` and ``by_suffix`` map
-    ``hash(affix)`` to the ascending indices k whose leading word has that
-    proper, non-empty prefix or suffix.  They are keyed by hash rather
-    than by the affix itself because the affixes of one word of length n
-    hold about n**2 letters (16 MB for n = 4,000) while their hashes take
-    O(n); construction checks every candidate, so a collision only adds a
-    candidate that fails the check.  No cache depends on a tail, so none
-    ever becomes wrong; ``append`` indexes the affixes last, and an
-    interrupt can leave only the newest word partly indexed, after which
-    nothing constructs.  ``append`` rejects zero, so every generator has a
+    ``G[k]`` and ``iter(G)`` build the polynomial on demand, for printing
+    and tests; no hot path reads them.  ``append`` stores the tail before
+    the leading word, so an interrupt never leaves a leading word without
+    its tail, and ``len(G)`` counts leading words.  Leading words are only
+    appended, and tails are rewritten only by ``interreduce``, in the
+    state it builds.  ``append`` rejects zero, so every generator has a
     leading word.
+
+    The state also holds caches over its leading words, each written only
+    by the module that owns it and described there; none depends on a
+    tail, so none ever becomes wrong.  Division (:mod:`ncgb.division`)
+    owns ``divisor_index``, an Aho-Corasick automaton over a prefix of the
+    leading words, and ``normal_words``, its memo of remainder words.
+    Obstruction construction (:mod:`ncgb.obstructions`) owns the affix
+    index ``by_prefix`` and ``by_suffix``, over ``leading_words[:indexed]``.
     """
 
     __slots__ = ("leading_words", "tails", "normal_words",
-                 "divisor_index", "by_prefix", "by_suffix")
+                 "divisor_index", "by_prefix", "by_suffix", "indexed")
 
     def __init__(self):
         self.leading_words = []
@@ -85,6 +72,7 @@ class BasisState:
         self.divisor_index = None
         self.by_prefix = {}
         self.by_suffix = {}
+        self.indexed = 0
 
     @classmethod
     def from_polynomials(cls, polys, ordering):
@@ -100,13 +88,7 @@ class BasisState:
         _, lw = leading(f, ordering)
         self.tails.append(tuple((u, c) for u, c in f.items() if u != lw))
         self.leading_words.append(lw)
-        k = len(self.leading_words) - 1
-        for n in range(1, len(lw)):
-            for index, affix in ((self.by_prefix, lw[:n]), (self.by_suffix, lw[-n:])):
-                ks = index.setdefault(hash(affix), [])
-                if not ks or ks[-1] != k:  # two affixes of lw may share a hash
-                    ks.append(k)
-        return k
+        return len(self.leading_words) - 1
 
     def __len__(self):
         return len(self.leading_words)
@@ -331,8 +313,9 @@ def interreduce(G: BasisState, ordering) -> BasisState:
     index = DivisorIndex([lws[k] for k in order], len(ordering.alphabet))
     kept = [k for p, k in enumerate(order) if index.first(lws[k]) == p]
     index.clear()
-    reduced = BasisState.from_polynomials([G[k] for k in kept], ordering)
-    tails = reduced.tails
+    reduced = BasisState()
+    reduced.leading_words = [lws[k] for k in kept]
+    reduced.tails = tails = [G.tails[k] for k in kept]
     for k, tail in enumerate(tails):
         tails[k] = tuple(normal_remainder(NcPolynomial(tail), reduced, ordering).items())
     return reduced

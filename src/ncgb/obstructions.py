@@ -16,9 +16,27 @@ pairs, and an obstruction is (i, d) until it survives them.
 
 :func:`nontrivial_obstructions` finds the pairs of one target j at once.
 The containments come from one ``find`` per pair; the proper overlaps from
-the basis's index of leading-word prefixes and suffixes (``BasisState``
-``by_prefix`` and ``by_suffix``), so their cost follows the number of
-obstructions found rather than the number of pairs times the word length.
+an index of leading-word prefixes and suffixes, so their cost follows the
+number of obstructions found rather than the number of pairs times the
+word length.
+
+This module owns that index, held in the basis as ``by_prefix`` and
+``by_suffix``: each maps ``hash(affix)`` to the ascending indices k whose
+leading word has that proper, non-empty prefix or suffix.  It is keyed by
+hash rather than by the affix itself because the affixes of one word of
+length n hold about n**2 letters (16 MB for n = 4,000) while their hashes
+take O(n); every candidate is checked, so a collision only adds a
+candidate that fails the check.  Two affixes of one word may share a
+hash, so a word enters a list only if it is not already last there.  The
+index covers ``leading_words[:indexed]`` and grows only when a target
+beyond it is constructed, up to that target.  So no word past the largest
+target is indexed: under a bound, verification constructs no target whose
+leading word exceeds it, and the reduced basis, which is only printed, is
+never indexed at all.  ``indexed`` advances only after a word is fully indexed: an
+interrupt can leave the next word partly listed, and construction after
+it indexes that word again, the guard keeping each list ascending and
+free of repeats.
+
 :func:`build_obstructions` turns the survivors into :class:`Obstruction`
 named tuples, which carry the common word and the four cofactors: cheap to
 create, immutable and hashable.  The order in which completion selects
@@ -95,14 +113,23 @@ def nontrivial_obstructions(s: int, G) -> list[tuple[int, int]]:
     Containments come from one ``find`` loop per source; a proper overlap
     puts a proper prefix of W at the end of lw(g_i) (d > 0) or a proper
     suffix of W at the start of it (d < 0), and the sources with that affix
-    are read off the basis's affix index.  For i == s only positive offsets
-    count: d = 0 is the trivial coincidence and -d mirrors d, so s itself
-    takes part only in the suffix loop.  For i < s with equal leading words
-    d = 0 is the all-empty alignment.
+    are read off the affix index, first extended through s.  For i == s
+    only positive offsets count: d = 0 is the trivial coincidence and -d
+    mirrors d, so s itself takes part only in the suffix loop.  For i < s
+    with equal leading words d = 0 is the all-empty alignment.
     """
     lws = G.leading_words
     if not 0 <= s < len(lws):
         raise IndexError("generator index out of range")
+    by_prefix, by_suffix = G.by_prefix, G.by_suffix
+    for k in range(G.indexed, s + 1):
+        lw = lws[k]
+        for n in range(1, len(lw)):
+            for index, affix in ((by_prefix, lw[:n]), (by_suffix, lw[-n:])):
+                ks = index.setdefault(hash(affix), [])
+                if not ks or ks[-1] != k:  # two affixes of lw may share a hash
+                    ks.append(k)
+        G.indexed = k + 1
     W = lws[s]
     b = len(W)
     if not b:
@@ -120,7 +147,6 @@ def nontrivial_obstructions(s: int, G) -> list[tuple[int, int]]:
             while pos != -1:
                 found.append((i, -pos))
                 pos = W.find(lw, pos + 1)
-    by_prefix, by_suffix = G.by_prefix, G.by_suffix
     for k in range(1, b):
         # the index is keyed by hash, so each candidate is checked
         head = W[:k]

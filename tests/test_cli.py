@@ -337,7 +337,7 @@ class TestRun:
         assert err == f"error: {path}:3: generator is zero\n"
 
     @pytest.mark.parametrize("flag", ["--trunc", "--max-basis", "--max-degree"])
-    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("value", ["0", "-2", "1_0", "\u0665", "+5"])
     def test_nonpositive_caps_rejected(self, flag, value, capsys):
         code, out, err = run_main(["run", str(problem_path("braid3")), flag, value],
                                   capsys)
@@ -751,7 +751,7 @@ class TestVerify:
         assert code == EXIT_VERIFY_FAILED
         assert out == "not a Groebner basis; unresolved obstruction o[1,2](a,1;1,b)\n"
 
-    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("value", ["0", "-2", "1_0", "\u0665", "+5"])
     def test_nonpositive_trunc_rejected(self, tmp_path, capsys, value):
         problem = tmp_path / "p.prob"
         problem.write_text("vars a b\ngen a*b - 1\ngen a^2 - b\n")

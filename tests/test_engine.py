@@ -98,6 +98,15 @@ class TestBasisState:
         with pytest.raises(ValueError):
             BasisState().append(NcPolynomial(), xy.llex)
 
+    def test_append_indexes_no_affix(self, ab):
+        # the affix index belongs to obstruction construction, which
+        # extends it only up to the targets it constructs
+        G = BasisState.from_polynomials(polys(["a*b - 1", "b*a*b - a"], ab), ab.llex)
+        assert (G.indexed, G.by_prefix, G.by_suffix) == (0, {}, {})
+        nontrivial_obstructions(0, G)
+        assert G.indexed == 1
+        assert list(G.by_prefix.values()) == list(G.by_suffix.values()) == [[0]]
+
     def test_affix_index_is_linear_in_word_length(self, ab):
         # keyed by the affixes themselves, the index of one 4,000-letter
         # leading word would hold about 16 MB of prefixes and suffixes
@@ -106,6 +115,7 @@ class TestBasisState:
         try:
             G = BasisState()
             G.append(f, ab.llex)
+            nontrivial_obstructions(0, G)  # builds the index of word 0
             kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -411,6 +421,28 @@ class TestInterreduce:
             for f, lw in zip(reduced, lws):
                 tail = [w for w in f.support() if w != lw]
                 assert not any(w.find(v) >= 0 for w in tail for v in lws)
+
+    def test_result_copies_kept_generators(self, g09, monkeypatch):
+        """The reduced state takes the kept leading words and tails as they are.
+
+        No generator is rebuilt as a polynomial, made monic again or searched
+        for its leading term, and the affix index stays empty: the reduced
+        basis is only printed, and nothing constructs its obstructions.
+        """
+        G, _ = buchberger(g09.generators, EngineConfig(ordering=g09.ordering))
+        want = list(interreduce(G, g09.ordering))
+
+        def unused(*args):
+            raise AssertionError("interreduce rebuilt a generator")
+
+        for name in ("make_monic", "leading"):
+            monkeypatch.setattr(engine, name, unused)
+        monkeypatch.setattr(BasisState, "__getitem__", unused)
+        monkeypatch.setattr(BasisState, "from_polynomials", unused)
+        reduced = interreduce(G, g09.ordering)
+        assert (reduced.indexed, reduced.by_prefix, reduced.by_suffix) == (0, {}, {})
+        monkeypatch.undo()
+        assert list(reduced) == want
 
     def test_equal_leading_words_keep_first(self, xy):
         G = BasisState.from_polynomials(polys(["x*y - 1", "x*y - y"], xy), xy.llex)
@@ -777,6 +809,24 @@ def test_verify_absorbs_only_the_generators_within_the_bound(monkeypatch):
     assert verify_groebner(G, problem.ordering, 10) == (True, [])
     assert absorbed == [s for s, lw in enumerate(G.leading_words) if len(lw) <= 10]
     assert (len(G), len(absorbed)) == (416, 228)
+
+
+def test_verify_indexes_only_the_generators_within_the_bound():
+    """Construction indexes the affixes of no generator past its last target.
+
+    braid4's reference basis is sorted by length, so at bound 10 the 228
+    generators within it come first, and the 188 longer ones are never
+    indexed.
+    """
+    problem = parse_problem(problem_path("braid4"))
+    basis_file = parse_problem(REFERENCES / "braid4.prob", base_alphabet=problem.alphabet)
+    G = BasisState.from_polynomials(basis_file.generators, problem.ordering)
+    lengths = [len(lw) for lw in G.leading_words]
+    assert lengths == sorted(lengths) and len(G) == 416
+    assert verify_groebner(G, problem.ordering, 10) == (True, [])
+    assert G.indexed == 228 == sum(n <= 10 for n in lengths)
+    assert {k for ks in G.by_prefix.values() for k in ks} == \
+        {k for k in range(228) if lengths[k] > 1}
 
 
 def test_verify_keys_no_obstruction(monkeypatch):

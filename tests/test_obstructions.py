@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-import ncgb.engine as engine
 import ncgb.obstructions as obstructions
 from ncgb.cli import parse_problem
 from ncgb.corpus import problem_path
@@ -292,14 +291,63 @@ class TestNontrivialObstructions:
         The index is keyed by hash, so a lookup may list sources that lack
         the affix, and one word may enter a list under several affixes.
         """
-        for module in (engine, obstructions):
-            monkeypatch.setattr(module, "hash", lambda affix: 0, raising=False)
+        monkeypatch.setattr(obstructions, "hash", lambda affix: 0, raising=False)
         rng = random.Random(23)
         for _ in range(300):
             G = random_basis(rng, xy.llex, 2, rng.randint(1, 5), max_degree=5)
-            assert set(G.by_prefix) <= {0} and set(G.by_suffix) <= {0}
             for s in range(len(G)):
                 assert_batch_is_brute(s, G)
+            assert set(G.by_prefix) <= {0} and set(G.by_suffix) <= {0}
+
+    def test_construction_order_and_interrupts_property(self):
+        """A batch does not depend on the order of construction, nor on an interrupt.
+
+        Targets are constructed in shuffled order with repeats, so the affix
+        index may already cover words past a target.  First, a
+        KeyboardInterrupt raised from ``hash`` part-way through indexing
+        one word leaves that word partly listed; the construction that
+        follows indexes it again.  Every list stays ascending, without
+        repeats.
+        """
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        ordering = Alphabet(["x", "y"]).llex
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(st.randoms(use_true_random=False), st.integers(1, 6),
+                          st.integers(1, 40))
+        def check(rng, size, stop):
+            G = random_basis(rng, ordering, 2, size, max_degree=6)
+            targets = list(range(size)) + rng.choices(range(size), k=size)
+            rng.shuffle(targets)
+            lws = G.leading_words
+            # the index of words 0..t hashes each word's 2 (n - 1) proper
+            # affixes before the search hashes any; stop at one of those
+            hashes = 2 * sum(max(len(w) - 1, 0) for w in lws[:targets[0] + 1])
+            calls = 0
+
+            def interrupting(affix):
+                nonlocal calls
+                calls += 1
+                if calls == stop:
+                    raise KeyboardInterrupt
+                return hash(affix)
+
+            if hashes:
+                stop = 1 + stop % hashes
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(obstructions, "hash", interrupting, raising=False)
+                    with pytest.raises(KeyboardInterrupt):
+                        nontrivial_obstructions(targets[0], G)
+                k = G.indexed  # the word being indexed
+                assert k <= targets[0] and len(lws[k]) > 1
+            for s in targets:
+                assert_batch_is_brute(s, G)
+            assert G.indexed == size
+            for index in (G.by_prefix, G.by_suffix):
+                assert all(ks == sorted(set(ks)) for ks in index.values())
+
+        check()
 
     @pytest.mark.slow
     @pytest.mark.parametrize("name", sorted(p.stem for p in REFERENCES.glob("*.prob")))
