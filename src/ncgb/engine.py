@@ -59,19 +59,24 @@ class BasisState:
     owns ``divisor_index``, an Aho-Corasick automaton over a prefix of the
     leading words, and ``normal_words``, its memo of remainder words.
     Obstruction construction (:mod:`ncgb.obstructions`) owns the affix
-    index ``by_prefix`` and ``by_suffix``, over ``leading_words[:indexed]``.
+    index over ``leading_words[:indexed]``: ``by_prefix`` and ``by_suffix``,
+    one hash-keyed dict per affix length, and ``prefix_overflow`` and
+    ``suffix_overflow`` for affixes whose hashes collide.
     """
 
-    __slots__ = ("leading_words", "tails", "normal_words",
-                 "divisor_index", "by_prefix", "by_suffix", "indexed")
+    __slots__ = ("leading_words", "tails", "normal_words", "divisor_index",
+                 "by_prefix", "by_suffix", "prefix_overflow", "suffix_overflow",
+                 "indexed")
 
     def __init__(self):
         self.leading_words = []
         self.tails = []
         self.normal_words = {}
         self.divisor_index = None
-        self.by_prefix = {}
-        self.by_suffix = {}
+        self.by_prefix = []
+        self.by_suffix = []
+        self.prefix_overflow = {}
+        self.suffix_overflow = {}
         self.indexed = 0
 
     @classmethod
@@ -84,8 +89,9 @@ class BasisState:
     def append(self, f: NcPolynomial, ordering) -> int:
         if not f:
             raise ValueError("zero polynomial cannot join a basis")
-        f = make_monic(f, ordering)
-        _, lw = leading(f, ordering)
+        lc, lw = leading(f, ordering)  # scaled here: make_monic would find lw again
+        if lc != 1:
+            f = NcPolynomial({u: Fraction(c, lc) for u, c in f.items()})
         self.tails.append(tuple((u, c) for u, c in f.items() if u != lw))
         self.leading_words.append(lw)
         return len(self.leading_words) - 1
@@ -177,10 +183,11 @@ class ObstructionQueue:
 def obstruction_batch(s: int, G: BasisState, trunc=None):
     """The non-trivial obstructions of the pairs (i, s), i <= s, that fit the bound.
 
-    Returns (pairs, cut): the offset pairs (i, d), sorted, and the number
-    whose common word is longer than ``trunc``.  With a = len(lw(g_i)) and
-    b = len(lw(g_s)) the common word has length max(-d, 0) + max(a, b + d),
-    so nothing is built to decide the bound.
+    Returns (pairs, cut): the offset pairs (i, d), in the discovery order of
+    :func:`nontrivial_obstructions`, and the number whose common word is
+    longer than ``trunc``.  With a = len(lw(g_i)) and b = len(lw(g_s)) the
+    common word has length max(-d, 0) + max(a, b + d), so nothing is built
+    to decide the bound.
     """
     pairs = nontrivial_obstructions(s, G)
     if trunc is None:
@@ -362,11 +369,12 @@ def verify_groebner(G: BasisState, ordering, truncation=None):
     and the failure named stay the same.
 
     A failure is named by the exhaustive check, run only once a survivor
-    fails: the batches of s = 0, 1, ... are checked in turn, each in its
-    (i, d) order, and at the first failure only that source's obstructions
-    are sorted by :func:`obstruction_key`.  So the failure reported is the
-    smallest by target s, then by source index i, then by that key, and it
-    does not depend on which survivor failed first.
+    fails: the batches of s = 0, 1, ... are checked in turn, each sorted
+    into (i, d) order, and at the first failure only that source's
+    obstructions are sorted by :func:`obstruction_key`.  So the failure
+    reported is the smallest by target s, then by source index i, then by
+    that key, and it does not depend on which survivor failed first.  Only
+    this search sorts; the batches absorbed above stay in discovery order.
     """
     if truncation is not None and truncation < 1:
         raise ValueError("truncation must be positive")
@@ -383,17 +391,18 @@ def verify_groebner(G: BasisState, ordering, truncation=None):
 def _first_failure(G, ordering, truncation):
     """The failure the exhaustive check names; ``G`` must have one.
 
-    Every obstruction within the bound is reduced, batch by batch in (i, d)
-    order (a batch for each generator that fits the bound), up to the first
-    failure.  Every source before its ``i`` passed, so only that source's
-    obstructions are then sorted by :func:`obstruction_key` and re-reduced,
-    up to the failure at the latest.
+    Every obstruction within the bound is reduced, batch by batch, each
+    batch sorted into (i, d) order (a batch for each generator that fits
+    the bound), up to the first failure.  Every source before its ``i``
+    passed, so only that source's obstructions are then sorted by
+    :func:`obstruction_key` and re-reduced, up to the failure at the
+    latest.
     """
     def fails(o):
         return normal_remainder(s_polynomial(o, G, ordering), G, ordering)
 
     for s in _within(G, truncation):
-        batch = build_obstructions(s, G, obstruction_batch(s, G, truncation)[0])
+        batch = build_obstructions(s, G, sorted(obstruction_batch(s, G, truncation)[0]))
         failed = next((o for o in batch if fails(o)), None)
         if failed is not None:
             same = sorted((o for o in batch if o.i == failed.i),

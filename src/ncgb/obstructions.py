@@ -18,24 +18,34 @@ pairs, and an obstruction is (i, d) until it survives them.
 The containments come from one ``find`` per pair; the proper overlaps from
 an index of leading-word prefixes and suffixes, so their cost follows the
 number of obstructions found rather than the number of pairs times the
-word length.
+word length.  The pairs come in discovery order, not sorted: nothing
+downstream reads their order (the criteria decide on cofactor sets and
+completion selects by :func:`obstruction_key`), and the one reader that
+needs an order, verification's search for the failure it names, sorts
+the batch it scans.
 
 This module owns that index, held in the basis as ``by_prefix`` and
-``by_suffix``: each maps ``hash(affix)`` to the ascending indices k whose
-leading word has that proper, non-empty prefix or suffix.  It is keyed by
-hash rather than by the affix itself because the affixes of one word of
-length n hold about n**2 letters (16 MB for n = 4,000) while their hashes
-take O(n); every candidate is checked, so a collision only adds a
-candidate that fails the check.  Two affixes of one word may share a
-hash, so a word enters a list only if it is not already last there.  The
-index covers ``leading_words[:indexed]`` and grows only when a target
+``by_suffix``: ``by_prefix[n]`` maps ``hash(affix)`` of a proper prefix
+of length n to the ascending indices k whose leading word has that
+prefix, and ``by_suffix[n]`` likewise for suffixes; slot 0 stays empty.
+It is keyed by hash rather than by the affix itself because the affixes
+of one word of length n hold about n**2 letters (16 MB for n = 4,000)
+while their hashes take O(n).  Each list is exact: it holds the words
+that carry the affix of its first word, and only those.  A word whose
+affix has the hash of a list whose first word carries another affix of
+that length goes instead to ``prefix_overflow`` or ``suffix_overflow``,
+keyed by the affix bytes, which stay empty unless hashes collide.  So a
+lookup compares its affix with one list's first word and then emits the
+whole list, cut at the target by bisection, with no check per candidate.
+The index covers ``leading_words[:indexed]`` and grows only when a target
 beyond it is constructed, up to that target.  So no word past the largest
 target is indexed: under a bound, verification constructs no target whose
 leading word exceeds it, and the reduced basis, which is only printed, is
-never indexed at all.  ``indexed`` advances only after a word is fully indexed: an
-interrupt can leave the next word partly listed, and construction after
-it indexes that word again, the guard keeping each list ascending and
-free of repeats.
+never indexed at all.  ``indexed`` advances only after a word is fully
+indexed: an interrupt can leave the next word partly listed, and
+construction after it indexes that word again; a word already last in a
+list is not entered twice, so each list stays ascending and free of
+repeats.
 
 :func:`build_obstructions` turns the survivors into :class:`Obstruction`
 named tuples, which carry the common word and the four cofactors: cheap to
@@ -45,6 +55,7 @@ them lives in :func:`obstruction_key`.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .polynomial import NcPolynomial, normal_coefficient
@@ -107,28 +118,32 @@ def s_polynomial(o: Obstruction, G, ordering):
 
 def nontrivial_obstructions(s: int, G) -> list[tuple[int, int]]:
     """The batch of target s: the offset pair (i, d) of every overlapping
-    alignment of a pair (i, s), i <= s, sorted.
+    alignment of a pair (i, s), i <= s, in discovery order.
 
     One pair per offset d at which lw(g_i) and W = lw(g_s) agree.
-    Containments come from one ``find`` loop per source; a proper overlap
-    puts a proper prefix of W at the end of lw(g_i) (d > 0) or a proper
-    suffix of W at the start of it (d < 0), and the sources with that affix
-    are read off the affix index, first extended through s.  For i == s
+    Containments come first, from one ``find`` loop per source, by source.
+    A proper overlap puts a proper prefix of W at the end of lw(g_i)
+    (d > 0) or a proper suffix of W at the start of it (d < 0); for each
+    affix length k the sources with that prefix of W as a suffix, then
+    those with that suffix of W as a prefix, are read off the affix index,
+    first extended through s, each list ascending and cut at s.  For i == s
     only positive offsets count: d = 0 is the trivial coincidence and -d
-    mirrors d, so s itself takes part only in the suffix loop.  For i < s
+    mirrors d, so s itself takes part only in the suffix lists.  For i < s
     with equal leading words d = 0 is the all-empty alignment.
     """
     lws = G.leading_words
     if not 0 <= s < len(lws):
         raise IndexError("generator index out of range")
     by_prefix, by_suffix = G.by_prefix, G.by_suffix
+    prefix_overflow, suffix_overflow = G.prefix_overflow, G.suffix_overflow
     for k in range(G.indexed, s + 1):
         lw = lws[k]
+        while len(by_prefix) < len(lw):
+            by_prefix.append({})
+            by_suffix.append({})
         for n in range(1, len(lw)):
-            for index, affix in ((by_prefix, lw[:n]), (by_suffix, lw[-n:])):
-                ks = index.setdefault(hash(affix), [])
-                if not ks or ks[-1] != k:  # two affixes of lw may share a hash
-                    ks.append(k)
+            _enter(by_prefix[n], prefix_overflow, lw[:n], k, lws, bytes.startswith)
+            _enter(by_suffix[n], suffix_overflow, lw[-n:], k, lws, bytes.endswith)
         G.indexed = k + 1
     W = lws[s]
     b = len(W)
@@ -148,23 +163,42 @@ def nontrivial_obstructions(s: int, G) -> list[tuple[int, int]]:
                 found.append((i, -pos))
                 pos = W.find(lw, pos + 1)
     for k in range(1, b):
-        # the index is keyed by hash, so each candidate is checked
         head = W[:k]
-        for i in by_suffix.get(hash(head), ()):
-            if i > s:
-                break
-            lw = lws[i]
-            if len(lw) > k and lw.endswith(head):
-                found.append((i, len(lw) - k))
+        ks = by_suffix[k].get(hash(head))
+        if ks is not None:
+            if not lws[ks[0]].endswith(head):  # another suffix with this hash
+                ks = suffix_overflow.get(head, ())
+            found += [(i, len(lws[i]) - k) for i in ks[:bisect_right(ks, s)]]
         tail = W[-k:]
-        for i in by_prefix.get(hash(tail), ()):
-            if i >= s:
-                break
-            lw = lws[i]
-            if len(lw) > k and lw.startswith(tail):
-                found.append((i, k - b))
-    found.sort()
+        ks = by_prefix[k].get(hash(tail))
+        if ks is not None:
+            if not lws[ks[0]].startswith(tail):  # another prefix with this hash
+                ks = prefix_overflow.get(tail, ())
+            found += [(i, k - b) for i in ks[:bisect_left(ks, s)]]
     return found
+
+
+def _enter(lists, overflow, affix, k, lws, carries):
+    """File word k under ``affix`` in ``lists``, keyed by hash, or in ``overflow``.
+
+    ``carries(word, affix)`` tells whether a longer word has ``affix`` on
+    this side.  The list under ``hash(affix)`` belongs to the affix of its
+    first word; a word with another affix of that hash goes to
+    ``overflow``, keyed by the affix itself.  A word already last in its
+    list is not entered again.
+    """
+    h = hash(affix)
+    ks = lists.get(h)
+    if ks is None:
+        lists[h] = [k]
+        return
+    if not carries(lws[ks[0]], affix):
+        ks = overflow.get(affix)
+        if ks is None:
+            overflow[affix] = [k]
+            return
+    if ks[-1] != k:
+        ks.append(k)
 
 
 # tuple.__new__ skips the Python-level NamedTuple.__new__ call, about 40%

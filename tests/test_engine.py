@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import ncgb.engine as engine
+import ncgb.polynomial as polynomial
 from ncgb.criteria import (
     backward_criterion,
     leading_word_criterion,
@@ -58,6 +59,27 @@ def polys(texts, alphabet):
     return [parse_polynomial(t, alphabet) for t in texts]
 
 
+def affix_index(G):
+    """The affix index of ``G``: how far it reaches and its four tables."""
+    return G.indexed, G.by_prefix, G.by_suffix, G.prefix_overflow, G.suffix_overflow
+
+
+def reordered_batches(seed):
+    """``engine.obstruction_batch`` with each batch reversed (seed None) or shuffled."""
+    batch = engine.obstruction_batch
+    rng = random.Random(seed)
+
+    def reordered(s, G, trunc=None):
+        news, cut = batch(s, G, trunc)
+        if seed is None:
+            return news[::-1], cut
+        news = list(news)
+        rng.shuffle(news)
+        return news, cut
+
+    return reordered
+
+
 def partition_holds(st):
     return st.tot == st.sel + st.m + st.f + st.bk + st.truncated_discards
 
@@ -98,14 +120,32 @@ class TestBasisState:
         with pytest.raises(ValueError):
             BasisState().append(NcPolynomial(), xy.llex)
 
+    def test_append_finds_each_leading_word_once(self, ab, monkeypatch):
+        # one leading-term scan per generator, made monic or not, and none
+        # through make_monic
+        gens = polys(["2*a*b - 1", "b*a*b - a", "a - 3*b", "-b + a*a"], ab)
+        want = [make_monic(f, ab.llex) for f in gens]
+        scanned = []
+
+        def counted(f, ordering):
+            scanned.append(f)
+            return leading(f, ordering)
+
+        monkeypatch.setattr(engine, "leading", counted)
+        monkeypatch.setattr(polynomial, "leading", counted)
+        G = BasisState.from_polynomials(gens, ab.llex)
+        assert scanned == gens
+        assert list(G) == want
+
     def test_append_indexes_no_affix(self, ab):
         # the affix index belongs to obstruction construction, which
         # extends it only up to the targets it constructs
         G = BasisState.from_polynomials(polys(["a*b - 1", "b*a*b - a"], ab), ab.llex)
-        assert (G.indexed, G.by_prefix, G.by_suffix) == (0, {}, {})
+        assert affix_index(G) == (0, [], [], {}, {})
         nontrivial_obstructions(0, G)
         assert G.indexed == 1
-        assert list(G.by_prefix.values()) == list(G.by_suffix.values()) == [[0]]
+        assert [list(lists.values()) for lists in G.by_prefix] == \
+            [list(lists.values()) for lists in G.by_suffix] == [[], [[0]]]
 
     def test_affix_index_is_linear_in_word_length(self, ab):
         # keyed by the affixes themselves, the index of one 4,000-letter
@@ -119,7 +159,7 @@ class TestBasisState:
             kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(G.by_prefix) == len(G.by_suffix) == 3999
+        assert list(map(len, G.by_prefix)) == list(map(len, G.by_suffix)) == [0] + [1] * 3999
         assert kept < 4_000_000
 
     def test_generators_are_leading_word_and_tail_property(self):
@@ -345,27 +385,41 @@ class TestBuchberger:
             assert shuffled_batches > 20
 
     def test_completion_ignores_batch_order(self, monkeypatch):
-        """Reversing every constructed batch leaves the basis and the row alone.
+        """Reversing or shuffling every constructed batch leaves the basis and the row alone.
 
-        Construction lists each pair's obstructions by offset, not in
-        selection order; the criteria's removal sets and the queue's unique
-        keys must make that order irrelevant.
+        Construction lists each batch in discovery order, not in selection
+        order; the criteria's removal sets and the queue's unique keys must
+        make that order irrelevant.
         """
-        batch = engine.obstruction_batch
-
-        def reversed_batch(s, G, trunc=None):
-            news, cut = batch(s, G, trunc)
-            return news[::-1], cut
-
         for name, trunc in (("g05", None), ("g09", None), ("braid4", 6)):
             problem = parse_problem(problem_path(name))
             cfg = EngineConfig(ordering=problem.ordering, truncation_degree=trunc)
             G, st = buchberger(problem.generators, cfg)
+            for seed in (None, 1, 2, 3):  # None reverses
+                with monkeypatch.context() as mp:
+                    mp.setattr(engine, "obstruction_batch", reordered_batches(seed))
+                    reordered_G, reordered_st = buchberger(problem.generators, cfg)
+                assert list(reordered_G) == list(G)
+                assert reordered_st == st
+
+    @pytest.mark.parametrize("name,trunc", [("g06", None), ("braid4", 10)])
+    def test_named_failure_ignores_batch_order(self, name, trunc, monkeypatch):
+        """Reordered batches name the same failure: only the failure search sorts.
+
+        The reference basis without its second generator, checked with
+        every batch reversed or shuffled, both where survivors are reduced
+        and where the failure is named.
+        """
+        problem = parse_problem(problem_path(name))
+        basis_file = parse_problem(REFERENCES / f"{name}.prob", base_alphabet=problem.alphabet)
+        gens = basis_file.generators
+        G = BasisState.from_polynomials(gens[:1] + gens[2:], problem.ordering)
+        expected = verify_groebner(G, problem.ordering, trunc)
+        assert not expected[0]
+        for seed in (None, 1, 2, 3):
             with monkeypatch.context() as mp:
-                mp.setattr(engine, "obstruction_batch", reversed_batch)
-                reversed_G, reversed_st = buchberger(problem.generators, cfg)
-            assert list(reversed_G) == list(G)
-            assert reversed_st == st
+                mp.setattr(engine, "obstruction_batch", reordered_batches(seed))
+                assert verify_groebner(G, problem.ordering, trunc) == expected
 
     def test_input_leading_word_inside_another(self, ab):
         # lw(a*b - 1) is a factor of lw(a*b*a - b): the only kind of input on
@@ -440,7 +494,7 @@ class TestInterreduce:
         monkeypatch.setattr(BasisState, "__getitem__", unused)
         monkeypatch.setattr(BasisState, "from_polynomials", unused)
         reduced = interreduce(G, g09.ordering)
-        assert (reduced.indexed, reduced.by_prefix, reduced.by_suffix) == (0, {}, {})
+        assert affix_index(reduced) == (0, [], [], {}, {})
         monkeypatch.undo()
         assert list(reduced) == want
 
@@ -523,7 +577,7 @@ class TestVerify:
         # a*b*a*a*b) and at +1 (a*a*b*a).  Both S-polynomials fail, and the
         # batch's offset order meets the longer common word first
         G = BasisState.from_polynomials(polys(["a*a*b - b", "a*b*a - a"], ab), ab.llex)
-        first, second = build_obstructions(1, G, obstruction_batch(1, G)[0])[:2]
+        first, second = build_obstructions(1, G, sorted(obstruction_batch(1, G)[0]))[:2]
         assert (first.i, first.common, second.i, second.common) == \
             (0, ab.word("abaab"), 0, ab.word("aaba"))
         for o in (first, second):
@@ -546,7 +600,8 @@ def test_obstruction_batch_is_every_pair_within_the_bound(xy):
     for s in range(len(G)):
         news = nontrivial_obstructions(s, G)
         batch = build_obstructions(s, G, news)
-        assert [(o.i, o.wi, o.wi2, o.wj, o.wj2) for o in batch] == batch_brute(s, G)
+        assert [(o.i, o.wi, o.wi2, o.wj, o.wj2)
+                for o in build_obstructions(s, G, sorted(news))] == batch_brute(s, G)
         assert obstruction_batch(s, G) == (news, 0)
         for trunc in range(3, 7):
             kept = [o for o in batch if len(o.common) <= trunc]
@@ -590,7 +645,8 @@ def test_truncation_drops_every_pair_of_a_longer_generator(xy):
     G = BasisState.from_polynomials(polys(["x*y - y*x", "x*y*x*y*x - y^5"], xy), xy.llex)
     news = nontrivial_obstructions(1, G)
     assert news and obstruction_batch(1, G, 4) == ([], len(news))
-    assert obstruction_batch(1, G, 5) == ([(0, -2), (0, 0)], len(news) - 2)
+    pairs, cut = obstruction_batch(1, G, 5)
+    assert (sorted(pairs), cut) == ([(0, -2), (0, 0)], len(news) - 2)
     cfg = EngineConfig(ordering=xy.llex, truncation_degree=4)
     _, st = buchberger(polys(["x*y*x*y*x - y^5"], xy), cfg)
     assert st.tot == st.truncated_discards > 0 and st.built == st.sel == 0
@@ -778,9 +834,9 @@ def test_verify_matches_reference_property():
         ok, failures = expected
         seen["ok" if ok else "failed"] += 1
         if not ok:
-            # the first failure in the batch's own (i, d) order
+            # the first failure in (i, d) order
             s = failures[0].j
-            batch = build_obstructions(s, G, obstruction_batch(s, G, truncation)[0])
+            batch = build_obstructions(s, G, sorted(obstruction_batch(s, G, truncation)[0]))
             first = next(o for o in batch
                          if normal_remainder(s_polynomial(o, G, ordering), G, ordering))
             seen["reordered"] += first != failures[0]
@@ -825,7 +881,7 @@ def test_verify_indexes_only_the_generators_within_the_bound():
     assert lengths == sorted(lengths) and len(G) == 416
     assert verify_groebner(G, problem.ordering, 10) == (True, [])
     assert G.indexed == 228 == sum(n <= 10 for n in lengths)
-    assert {k for ks in G.by_prefix.values() for k in ks} == \
+    assert {k for lists in G.by_prefix for ks in lists.values() for k in ks} == \
         {k for k in range(228) if lengths[k] > 1}
 
 

@@ -47,12 +47,47 @@ def pair(i, j, G):
 
 
 def assert_batch_is_brute(s, G):
-    """The pairs of target s and their built form against the pairwise oracle."""
+    """The pairs of target s and their built form against the pairwise oracle.
+
+    The search lists its pairs in discovery order, so they are compared
+    sorted, as a multiset: a pair found twice fails.
+    """
     want = batch_brute(s, G)
     got = nontrivial_obstructions(s, G)
-    assert got == [(t[0], len(t[3]) - len(t[1])) for t in want]
-    assert [(o.i, o.wi, o.wi2, o.wj, o.wj2) for o in build_obstructions(s, G, got)] == want
+    assert sorted(got) == [(t[0], len(t[3]) - len(t[1])) for t in want]
+    assert [(o.i, o.wi, o.wi2, o.wj, o.wj2)
+            for o in build_obstructions(s, G, sorted(got))] == want
     assert build_obstructions(s, G, got) == built(got, s, G)
+
+
+def assert_index_is_exact(G, hash_of=hash):
+    """Each affix list holds exactly the indexed words that carry its affix.
+
+    ``by_prefix[n]`` and ``by_suffix[n]`` key each list by ``hash_of`` of
+    the length-n affix its first word carries; an overflow list is keyed by
+    its affix, whose hash keys a list of another affix.  Every proper
+    affix of every indexed word is in exactly one list, ascending.
+    """
+    lws = G.leading_words[:G.indexed]
+    for by_length, overflow, cut in ((G.by_prefix, G.prefix_overflow, lambda w, n: w[:n]),
+                                     (G.by_suffix, G.suffix_overflow, lambda w, n: w[-n:])):
+        assert by_length[:1] in ([], [{}])  # no affix is empty
+        listed = {}
+        for n, lists in enumerate(by_length):
+            for h, ks in lists.items():
+                affix = cut(lws[ks[0]], n)
+                assert h == hash_of(affix) and affix not in listed
+                listed[affix] = ks
+        for affix, ks in overflow.items():
+            assert affix not in listed
+            main = by_length[len(affix)][hash_of(affix)]
+            assert cut(lws[main[0]], len(affix)) != affix
+            listed[affix] = ks
+        want = {}
+        for k, w in enumerate(lws):
+            for n in range(1, len(w)):
+                want.setdefault(cut(w, n), []).append(k)
+        assert listed == want
 
 
 def basis(texts, alphabet):
@@ -201,11 +236,10 @@ class TestNontrivialObstructions:
         with pytest.raises(IndexError):
             nontrivial_obstructions(-1, G)
 
-    def test_returned_in_ascending_order(self, triple, xy):
+    def test_each_offset_once(self, triple, xy):
         for j in range(len(triple)):
             for i in range(j + 1):
-                offsets = [len(o.wj) - len(o.wi)
-                           for o in pair(i, j, triple)]
+                offsets = sorted(len(o.wj) - len(o.wi) for o in pair(i, j, triple))
                 assert all(a < b for a, b in zip(offsets, offsets[1:]))
 
     def test_against_alignment_enumeration(self, xy):
@@ -246,7 +280,7 @@ class TestNontrivialObstructions:
                 for o in got:
                     assert aligned(i, j, o.wi, o.wi2, o.wj, o.wj2, G).common == o.common
                     assert has_overlap(o, G)
-                offsets = [len(o.wj) - len(o.wi) for o in got]
+                offsets = sorted(len(o.wj) - len(o.wi) for o in got)
                 assert all(a < b for a, b in zip(offsets, offsets[1:]))
 
         check()
@@ -288,16 +322,42 @@ class TestNontrivialObstructions:
     def test_affix_hash_collisions_are_harmless(self, xy, monkeypatch):
         """With every affix hashing alike, the index changes no batch.
 
-        The index is keyed by hash, so a lookup may list sources that lack
-        the affix, and one word may enter a list under several affixes.
+        Each affix length keeps one hash-keyed list, that of the first
+        word's affix; every other affix of that length overflows.
         """
-        monkeypatch.setattr(obstructions, "hash", lambda affix: 0, raising=False)
+        collide = lambda affix: 0
+        monkeypatch.setattr(obstructions, "hash", collide, raising=False)
         rng = random.Random(23)
+        overflowed = 0
         for _ in range(300):
             G = random_basis(rng, xy.llex, 2, rng.randint(1, 5), max_degree=5)
             for s in range(len(G)):
                 assert_batch_is_brute(s, G)
-            assert set(G.by_prefix) <= {0} and set(G.by_suffix) <= {0}
+            assert all(set(lists) <= {0} for lists in G.by_prefix + G.by_suffix)
+            assert_index_is_exact(G, collide)
+            overflowed += len(G.prefix_overflow) + len(G.suffix_overflow)
+        assert overflowed
+
+    def test_partial_hash_collisions_are_harmless(self, monkeypatch):
+        """With affixes hashed by their first letter, the index changes no batch.
+
+        Lists of one length then hold several affixes between them: under
+        each hash one keeps the first word's affix and the others overflow,
+        and every list still holds exactly the words that carry its affix.
+        """
+        first_letter = lambda affix: affix[0]
+        monkeypatch.setattr(obstructions, "hash", first_letter, raising=False)
+        ordering = Alphabet(["x", "y", "z"]).llex
+        rng = random.Random(29)
+        shared, overflowed = 0, 0
+        for _ in range(300):
+            G = random_basis(rng, ordering, 3, rng.randint(1, 6), max_degree=5)
+            for s in range(len(G)):
+                assert_batch_is_brute(s, G)
+            assert_index_is_exact(G, first_letter)
+            shared += sum(len(lists) > 1 for lists in G.by_prefix + G.by_suffix)
+            overflowed += len(G.prefix_overflow) + len(G.suffix_overflow)
+        assert shared and overflowed
 
     def test_construction_order_and_interrupts_property(self):
         """A batch does not depend on the order of construction, nor on an interrupt.
@@ -306,17 +366,20 @@ class TestNontrivialObstructions:
         index may already cover words past a target.  First, a
         KeyboardInterrupt raised from ``hash`` part-way through indexing
         one word leaves that word partly listed; the construction that
-        follows indexes it again.  Every list stays ascending, without
+        follows indexes it again.  Half the examples hash affixes by their
+        first letter, so words are also filed, and interrupted, in the
+        overflow lists.  Every list stays exact, ascending and without
         repeats.
         """
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         ordering = Alphabet(["x", "y"]).llex
+        seen = {"interrupted": 0, "overflowed": 0}
 
         @hypothesis.settings(max_examples=300, deadline=None, database=None)
         @hypothesis.given(st.randoms(use_true_random=False), st.integers(1, 6),
-                          st.integers(1, 40))
-        def check(rng, size, stop):
+                          st.integers(1, 40), st.booleans())
+        def check(rng, size, stop, collide):
             G = random_basis(rng, ordering, 2, size, max_degree=6)
             targets = list(range(size)) + rng.choices(range(size), k=size)
             rng.shuffle(targets)
@@ -324,6 +387,8 @@ class TestNontrivialObstructions:
             # the index of words 0..t hashes each word's 2 (n - 1) proper
             # affixes before the search hashes any; stop at one of those
             hashes = 2 * sum(max(len(w) - 1, 0) for w in lws[:targets[0] + 1])
+            stop = 1 + stop % hashes if hashes else 0
+            base = (lambda affix: affix[0]) if collide else hash
             calls = 0
 
             def interrupting(affix):
@@ -331,23 +396,24 @@ class TestNontrivialObstructions:
                 calls += 1
                 if calls == stop:
                     raise KeyboardInterrupt
-                return hash(affix)
+                return base(affix)
 
-            if hashes:
-                stop = 1 + stop % hashes
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(obstructions, "hash", interrupting, raising=False)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(obstructions, "hash", interrupting, raising=False)
+                if stop:
                     with pytest.raises(KeyboardInterrupt):
                         nontrivial_obstructions(targets[0], G)
-                k = G.indexed  # the word being indexed
-                assert k <= targets[0] and len(lws[k]) > 1
-            for s in targets:
-                assert_batch_is_brute(s, G)
+                    k = G.indexed  # the word being indexed
+                    assert k <= targets[0] and len(lws[k]) > 1
+                    seen["interrupted"] += 1
+                for s in targets:
+                    assert_batch_is_brute(s, G)
             assert G.indexed == size
-            for index in (G.by_prefix, G.by_suffix):
-                assert all(ks == sorted(set(ks)) for ks in index.values())
+            assert_index_is_exact(G, base)
+            seen["overflowed"] += bool(G.prefix_overflow or G.suffix_overflow)
 
         check()
+        assert min(seen.values()) > 0, seen
 
     @pytest.mark.slow
     @pytest.mark.parametrize("name", sorted(p.stem for p in REFERENCES.glob("*.prob")))
