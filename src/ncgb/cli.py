@@ -278,8 +278,9 @@ def main(argv=None) -> int:
                     "problem generator reduces to zero modulo it, both up to the "
                     "truncation degree.  The basis passes when the S-polynomial of "
                     "every obstruction that survives the m and f criteria "
-                    "reduces to zero; on a failure every obstruction is checked, to "
-                    "name the first one that does not.  Under a truncation degree, "
+                    "reduces to zero; on a failure it names the first survivor that "
+                    "does not, by generator and then in the order completion selects "
+                    "them.  Under a truncation degree, "
                     "generators whose leading word is longer take no part: none of "
                     "their obstructions fits the bound, and they divide no word "
                     "within it.  The reverse inclusion, that the basis lies in the "

@@ -14,7 +14,9 @@ basis through the same find, prune and build step (:func:`absorb`) with
 the multiply and leading-word criteria only, and reduces each batch's
 survivors as they are built; it keeps no pending set, so the backward
 criterion, which prunes one, does not run, and it never selects, so it
-keeps no heap.
+keeps no heap.  It names the smallest failing survivor of the first
+failing batch by the obstruction ordering, the one completion would
+select first.
 
 Selection uses the normal strategy: the pending obstruction with the
 smallest common word (degree first) comes next, ties broken by the
@@ -328,13 +330,6 @@ def interreduce(G: BasisState, ordering) -> BasisState:
     return reduced
 
 
-def _within(G, truncation):
-    """The indices of the generators whose leading word fits the bound, ascending."""
-    if truncation is None:
-        return range(len(G))
-    return [s for s, lw in enumerate(G.leading_words) if len(lw) <= truncation]
-
-
 def verify_groebner(G: BasisState, ordering, truncation=None):
     """Check that every non-trivial obstruction's S-polynomial reduces to zero.
 
@@ -363,48 +358,34 @@ def verify_groebner(G: BasisState, ordering, truncation=None):
     absorbed generator costs more than the reductions it saves.
 
     Under a bound, only the generators whose leading word fits it are
-    absorbed and searched for a failure.  A longer one takes no part:
-    every common word of its obstructions contains it, so none fits, and
-    it divides no word within the bound.  So the survivors, the verdict
-    and the failure named stay the same.
+    absorbed.  A longer one takes no part: every common word of its
+    obstructions contains it, so none fits, and it divides no word within
+    the bound.  So the survivors, the verdict and the failure named stay
+    the same.
 
-    A failure is named by the exhaustive check, run only once a survivor
-    fails: the batches of s = 0, 1, ... are checked in turn, each sorted
-    into (i, d) order, and at the first failure only that source's
-    obstructions are sorted by :func:`obstruction_key`.  So the failure
-    reported is the smallest by target s, then by source index i, then by
-    that key, and it does not depend on which survivor failed first.  Only
-    this search sorts; the batches absorbed above stay in discovery order.
+    The failure named is the smallest failing survivor by target s and
+    then by :func:`obstruction_key`, the one completion would select
+    first.  Survivors are reduced in discovery order.  Those ahead of the
+    first failure in batch s passed, so only it and the survivors after
+    it are sorted by that key and reduced in turn, up to the one that
+    failed at the latest.  So the name does not depend on the order in
+    which a batch is built, and a basis that passes is never keyed.
     """
     if truncation is not None and truncation < 1:
         raise ValueError("truncation must be positive")
     if truncation is not None and not all(f.is_homogeneous() for f in G):
         raise ValueError("truncation requires homogeneous generators")
-    stats = RunStats()
-    for s in _within(G, truncation):
-        for o in absorb(s, G, None, stats, truncation):
-            if normal_remainder(s_polynomial(o, G, ordering), G, ordering):
-                return False, [_first_failure(G, ordering, truncation)]
-    return True, []
 
-
-def _first_failure(G, ordering, truncation):
-    """The failure the exhaustive check names; ``G`` must have one.
-
-    Every obstruction within the bound is reduced, batch by batch, each
-    batch sorted into (i, d) order (a batch for each generator that fits
-    the bound), up to the first failure.  Every source before its ``i``
-    passed, so only that source's obstructions are then sorted by
-    :func:`obstruction_key` and re-reduced, up to the failure at the
-    latest.
-    """
     def fails(o):
         return normal_remainder(s_polynomial(o, G, ordering), G, ordering)
 
-    for s in _within(G, truncation):
-        batch = build_obstructions(s, G, sorted(obstruction_batch(s, G, truncation)[0]))
-        failed = next((o for o in batch if fails(o)), None)
-        if failed is not None:
-            same = sorted((o for o in batch if o.i == failed.i),
-                          key=lambda o: obstruction_key(o, ordering))
-            return next(o for o in same if o is failed or fails(o))
+    stats = RunStats()
+    for s, lw in enumerate(G.leading_words):
+        if truncation is not None and len(lw) > truncation:
+            continue
+        survivors = absorb(s, G, None, stats, truncation)
+        for k, o in enumerate(survivors):
+            if fails(o):
+                ahead = sorted(survivors[k:], key=lambda p: obstruction_key(p, ordering))
+                return False, [next(p for p in ahead if p is o or fails(p))]
+    return True, []

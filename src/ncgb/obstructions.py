@@ -19,10 +19,10 @@ The containments come from one ``find`` per pair; the proper overlaps from
 an index of leading-word prefixes and suffixes, so their cost follows the
 number of obstructions found rather than the number of pairs times the
 word length.  The pairs come in discovery order, not sorted: nothing
-downstream reads their order (the criteria decide on cofactor sets and
-completion selects by :func:`obstruction_key`), and the one reader that
-needs an order, verification's search for the failure it names, sorts
-the batch it scans.
+downstream reads their order.  The criteria decide on cofactor sets,
+completion selects by :func:`obstruction_key`, and verification names
+its failure by that key too, sorting only the survivors of the batch
+where one fails.
 
 This module owns that index, held in the basis as ``by_prefix`` and
 ``by_suffix``: ``by_prefix[n]`` maps ``hash(affix)`` of a proper prefix

@@ -6,9 +6,10 @@ placements in which one leading word starts the common word instead of
 one loop over signed offsets, and raw polynomial arithmetic for
 reconstruction, cofactor words instead of offsets for obstruction
 coverage and order, a letter canvas to build an obstruction from its
-offset, a sort of every batch to find the first failing obstruction
-(:func:`reference_verify`), a pairwise scan for the minimal leading
-words (:func:`minimal_leading_words_reference`), and string rewriting by
+offset, a check of every obstruction for the verdict and a sort of every
+batch's survivors to name the failure (:func:`reference_verify`), a
+pairwise scan for the minimal leading words
+(:func:`minimal_leading_words_reference`), and string rewriting by
 a printed binomial basis to list its normal words
 (:func:`regular_representation`).  Tests
 assert the library against these, never against itself.  The contract
@@ -347,26 +348,41 @@ def reference_divide(f, G, ordering):
 
 
 def reference_verify(G, ordering, truncation=None):
-    """``verify_groebner`` with every batch sorted: (True, []) or (False, [failure]).
+    """The exhaustive verdict, with the failure named among the survivors.
 
-    The batches of s = 0, 1, ... are taken in turn, each sorted by source
-    index i and then by the obstruction ordering, and the first obstruction
-    whose S-polynomial has a non-zero remainder is the failure.  The
-    obstructions come from the exhaustive alignment search, those whose
-    common word exceeds ``truncation`` are skipped, and each S-polynomial
-    is built from two full sandwiches and divided by the rescan.
+    Returns (True, []) or (False, [failure]).  Every obstruction from the
+    exhaustive alignment search whose common word fits ``truncation`` is
+    checked: its S-polynomial is built from two full sandwiches and divided
+    by the rescan.  The failure named is the first, in s = 0, 1, ... and
+    then in the obstruction ordering, among each batch's survivors of
+    :func:`multiply_criterion_reference` and then
+    :func:`leading_word_criterion_reference`.  A failure that no survivor
+    shows would break the soundness of checking survivors only, and raises
+    AssertionError.  Once some obstruction has failed, the verdict is known,
+    and only survivors are checked further.
     """
     if truncation is not None and truncation < 1:
         raise ValueError("truncation must be positive")
     if truncation is not None and not all(f.is_homogeneous() for f in G):
         raise ValueError("truncation requires homogeneous generators")
+
+    def fails(o):
+        return bool(reference_divide(s_polynomial_reference(o, G), G, ordering)[1])
+
+    failed = None  # the first failing obstruction the exhaustive pass meets
     for s in range(len(G)):
-        batch = [aligned(i, s, *cofactors, G) for i, *cofactors in batch_brute(s, G)]
-        for o in sorted(batch, key=lambda o: (o.i, translated_obstruction_key(o, ordering))):
-            if truncation is not None and len(o.common) > truncation:
-                continue
-            if reference_divide(s_polynomial_reference(o, G), G, ordering)[1]:
+        batch = [o for o in (aligned(i, s, *cofactors, G) for i, *cofactors in batch_brute(s, G))
+                 if truncation is None or len(o.common) <= truncation]
+        survivors = leading_word_criterion_reference(
+            multiply_criterion_reference(batch).survivors).survivors
+        for o in sorted(survivors, key=lambda o: translated_obstruction_key(o, ordering)):
+            if fails(o):
                 return False, [o]
+        if failed is None:
+            kept = set(survivors)
+            failed = next((o for o in batch if o not in kept and fails(o)), None)
+    if failed is not None:
+        raise AssertionError(f"{failed!r} fails, but every survivor reduces to zero")
     return True, []
 
 

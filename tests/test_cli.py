@@ -615,11 +615,16 @@ class TestVerify:
         ("g13", 1, "o[1,1](1,b*a*b^2*a*b*a*b*a*b*a*b;b*a*b^2*a*b^2*a*b*a*b*a,1)"),
         # by offset, o[0,1](b*a*b^4*a*b*a,1;1,b^4) would fail first
         ("g06", 0, "o[0,1](1,a*b^4*a*b*a*b;b^4,1)"),
+        # checking every obstruction, the first failure by source index and
+        # then obstruction order was o[2,3](b*a*b*a*b^4*a,1;1,a*b^4*a*b*a*b),
+        # which the multiply and leading-word criteria remove
+        ("g06", 4, "o[0,6](1,b*a*b*a*b^3*a*b;a,1)"),
     ])
     def test_first_unresolved_obstruction(self, tmp_path, capsys, name, drop, obstruction):
         # a reduced basis without one generator; construction lists
-        # obstructions by offset, and verify reports the first failure by
-        # source index and then obstruction order
+        # obstructions in discovery order, and verify reports the first
+        # failure among the multiply and leading-word survivors by target
+        # and then obstruction order
         path = self.write_basis(tmp_path, capsys, drop=drop, name=name)
         code, out, _ = run_main(["verify", str(path), str(problem_path(name))], capsys)
         assert code == EXIT_VERIFY_FAILED

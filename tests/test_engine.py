@@ -404,11 +404,10 @@ class TestBuchberger:
 
     @pytest.mark.parametrize("name,trunc", [("g06", None), ("braid4", 10)])
     def test_named_failure_ignores_batch_order(self, name, trunc, monkeypatch):
-        """Reordered batches name the same failure: only the failure search sorts.
+        """Reordered batches name the same failure: the failing batch's survivors are sorted.
 
         The reference basis without its second generator, checked with
-        every batch reversed or shuffled, both where survivors are reduced
-        and where the failure is named.
+        every batch reversed or shuffled.
         """
         problem = parse_problem(problem_path(name))
         basis_file = parse_problem(REFERENCES / f"{name}.prob", base_alphabet=problem.alphabet)
@@ -771,7 +770,13 @@ def test_corpus_mode_equivalence(name, trunc, monkeypatch):
 
 
 def test_verify_matches_reference_property():
-    """``verify_groebner`` reports what sorting every batch reports.
+    """``verify_groebner`` gives the exhaustive verdict and names the reference's failure.
+
+    ``reference_verify`` checks every obstruction and names the smallest
+    failing M/F survivor by (s, obstruction ordering); it raises if a
+    failure shows among the removed obstructions only.  The "reordered"
+    count records examples where the first failing survivor in discovery
+    order is not the one named, so the sort shows.
 
     The bases are random, random with one generator repeated at a random
     position, random binomials, homogeneous binomials checked up to a
@@ -834,10 +839,9 @@ def test_verify_matches_reference_property():
         ok, failures = expected
         seen["ok" if ok else "failed"] += 1
         if not ok:
-            # the first failure in (i, d) order
-            s = failures[0].j
-            batch = build_obstructions(s, G, sorted(obstruction_batch(s, G, truncation)[0]))
-            first = next(o for o in batch
+            # the first failing survivor in discovery order
+            survivors = absorb(failures[0].j, G, None, RunStats(), truncation)
+            first = next(o for o in survivors
                          if normal_remainder(s_polynomial(o, G, ordering), G, ordering))
             seen["reordered"] += first != failures[0]
 
@@ -944,6 +948,34 @@ def broken_bases(name, trunc, drops):
         yield BasisState.from_polynomials(gens[:drop] + gens[drop + 1:], ordering), ordering
 
 
+def test_verify_failure_reduces_each_survivor_at_most_twice(monkeypatch):
+    """A failure costs the survivors up to its batch, and that batch's once more.
+
+    g13's reduced basis without generator 30: the first survivor to fail
+    is in batch 39.  Verification reduces the survivors of batches 0..39
+    in discovery order, then at most the survivors of batch 39 again, to
+    name the smallest failing one.
+    """
+    G, ordering = next(broken_bases("g13", None, [30]))
+    sizes = []
+    for s in range(len(G)):
+        survivors = absorb(s, G, None, RunStats())
+        sizes.append(len(survivors))
+        if any(normal_remainder(s_polynomial(o, G, ordering), G, ordering) for o in survivors):
+            break
+    calls = 0
+
+    def counted(f, G, ordering):
+        nonlocal calls
+        calls += 1
+        return normal_remainder(f, G, ordering)
+
+    monkeypatch.setattr(engine, "normal_remainder", counted)
+    assert not verify_groebner(G, ordering)[0]
+    assert (len(sizes) - 1, sum(sizes) + sizes[-1]) == (39, 463)
+    assert calls <= sum(sizes) + sizes[-1]
+
+
 def test_verify_never_runs_the_backward_criterion(monkeypatch):
     """Verification keeps no pending set, so B never runs, on a pass or a failure."""
     def refused(*args):
@@ -967,7 +999,8 @@ def test_verify_matches_reference_where_bk_fired(name, trunc, drops):
     The reduced basis without one generator: absorbed with a pending set,
     as completion absorbs its input, B removes obstructions from it on
     almost every such basis, and verification, which runs only M and F,
-    names the same failure as ``reference_verify``.
+    names the same failure as ``reference_verify``, which checks that the
+    exhaustive pass fails too.
     """
     cases = fired = 0
     for G, ordering in broken_bases(name, trunc, drops):
