@@ -45,7 +45,12 @@ A new leading word can change the failure links of existing states, so
 the automaton is not grown in place: following the logarithmic method
 (Bentley and Saxe, 1980) it is rebuilt over all leading words once the
 tail holds more than ``max(16, k // 4)`` of them, which keeps the total
-rebuild cost a constant multiple of the last build.
+rebuild cost a constant multiple of the last build.  Its states form
+cycles (a missing edge points back to a shallower state, and the root to
+itself), so reference counting alone never frees a dropped automaton:
+each rebuild clears the one it replaces, and only after the new one is
+stored in ``G.divisor_index``, so an interrupt during the build leaves
+the old automaton there and usable.
 
 Words found normal are remembered in the basis (``G.normal_words``): a
 word maps to a count c such that none of the first c leading words
@@ -149,7 +154,8 @@ def normal_remainder(f: NcPolynomial, G, ordering) -> NcPolynomial:
 
     Remainder words are recorded in ``G.normal_words``, and
     ``G.divisor_index`` is built or rebuilt when the leading words have
-    outgrown it (see the module docstring).
+    outgrown it; a rebuild clears the automaton it replaces (see the
+    module docstring).
     """
     tails = G.tails
     lws = G.leading_words
@@ -157,7 +163,11 @@ def normal_remainder(f: NcPolynomial, G, ordering) -> NcPolynomial:
     index = G.divisor_index
     # the logarithmic method: rebuild once the tail outgrows a quarter of the index
     if index is None or n - index.size > max(16, index.size // 4):
-        index = G.divisor_index = DivisorIndex(lws, len(ordering.alphabet))
+        # stored before the old one is cleared: an interrupt in the build keeps that
+        G.divisor_index = DivisorIndex(lws, len(ordering.alphabet))
+        if index is not None:
+            index.clear()
+        index = G.divisor_index
     k = index.size
     first = index.first
     normal_words = G.normal_words

@@ -61,24 +61,21 @@ class BasisState:
     owns ``divisor_index``, an Aho-Corasick automaton over a prefix of the
     leading words, and ``normal_words``, its memo of remainder words.
     Obstruction construction (:mod:`ncgb.obstructions`) owns the affix
-    index over ``leading_words[:indexed]``: ``by_prefix`` and ``by_suffix``,
-    one hash-keyed dict per affix length, and ``prefix_overflow`` and
-    ``suffix_overflow`` for affixes whose hashes collide.
+    index over ``leading_words[:indexed]``: ``prefixes`` and ``suffixes``,
+    one dict per side from each proper affix, a view into a leading word,
+    to the ascending indices of the words that carry it.
     """
 
     __slots__ = ("leading_words", "tails", "normal_words", "divisor_index",
-                 "by_prefix", "by_suffix", "prefix_overflow", "suffix_overflow",
-                 "indexed")
+                 "prefixes", "suffixes", "indexed")
 
     def __init__(self):
         self.leading_words = []
         self.tails = []
         self.normal_words = {}
         self.divisor_index = None
-        self.by_prefix = []
-        self.by_suffix = []
-        self.prefix_overflow = {}
-        self.suffix_overflow = {}
+        self.prefixes = {}
+        self.suffixes = {}
         self.indexed = 0
 
     @classmethod

@@ -24,19 +24,18 @@ completion selects by :func:`obstruction_key`, and verification names
 its failure by that key too, sorting only the survivors of the batch
 where one fails.
 
-This module owns that index, held in the basis as ``by_prefix`` and
-``by_suffix``: ``by_prefix[n]`` maps ``hash(affix)`` of a proper prefix
-of length n to the ascending indices k whose leading word has that
-prefix, and ``by_suffix[n]`` likewise for suffixes; slot 0 stays empty.
-It is keyed by hash rather than by the affix itself because the affixes
-of one word of length n hold about n**2 letters (16 MB for n = 4,000)
-while their hashes take O(n).  Each list is exact: it holds the words
-that carry the affix of its first word, and only those.  A word whose
-affix has the hash of a list whose first word carries another affix of
-that length goes instead to ``prefix_overflow`` or ``suffix_overflow``,
-keyed by the affix bytes, which stay empty unless hashes collide.  So a
-lookup compares its affix with one list's first word and then emits the
-whole list, cut at the target by bisection, with no check per candidate.
+This module owns that index, held in the basis as ``prefixes`` and
+``suffixes``: ``prefixes`` maps each proper prefix of an indexed leading
+word to the ascending indices k whose leading word has that prefix, and
+``suffixes`` likewise for suffixes.  A key is a ``memoryview`` slice of
+the first word that carries the affix.  A slice copies no letters, hashes
+like the ``bytes`` affix and compares with it by content, so a lookup
+probes with the target's ``bytes`` affix and finds the list of exactly
+the words that carry it.  ``bytes`` keys would copy every affix: those of
+one word of n letters hold about n**2/2 letters per side (8 MB per side
+for n = 4,000), against n - 1 views of fixed size.  So a lookup
+emits the whole list, cut at the target by bisection, with no check per
+candidate.
 The index covers ``leading_words[:indexed]`` and grows only when a target
 beyond it is constructed, up to that target.  So no word past the largest
 target is indexed: under a bound, verification constructs no target whose
@@ -134,16 +133,12 @@ def nontrivial_obstructions(s: int, G) -> list[tuple[int, int]]:
     lws = G.leading_words
     if not 0 <= s < len(lws):
         raise IndexError("generator index out of range")
-    by_prefix, by_suffix = G.by_prefix, G.by_suffix
-    prefix_overflow, suffix_overflow = G.prefix_overflow, G.suffix_overflow
+    prefixes, suffixes = G.prefixes, G.suffixes
     for k in range(G.indexed, s + 1):
-        lw = lws[k]
-        while len(by_prefix) < len(lw):
-            by_prefix.append({})
-            by_suffix.append({})
-        for n in range(1, len(lw)):
-            _enter(by_prefix[n], prefix_overflow, lw[:n], k, lws, bytes.startswith)
-            _enter(by_suffix[n], suffix_overflow, lw[-n:], k, lws, bytes.endswith)
+        view = memoryview(lws[k])
+        for n in range(1, len(view)):
+            _enter(prefixes, view[:n], k)
+            _enter(suffixes, view[-n:], k)
         G.indexed = k + 1
     W = lws[s]
     b = len(W)
@@ -163,41 +158,21 @@ def nontrivial_obstructions(s: int, G) -> list[tuple[int, int]]:
                 found.append((i, -pos))
                 pos = W.find(lw, pos + 1)
     for k in range(1, b):
-        head = W[:k]
-        ks = by_suffix[k].get(hash(head))
+        ks = suffixes.get(W[:k])
         if ks is not None:
-            if not lws[ks[0]].endswith(head):  # another suffix with this hash
-                ks = suffix_overflow.get(head, ())
             found += [(i, len(lws[i]) - k) for i in ks[:bisect_right(ks, s)]]
-        tail = W[-k:]
-        ks = by_prefix[k].get(hash(tail))
+        ks = prefixes.get(W[-k:])
         if ks is not None:
-            if not lws[ks[0]].startswith(tail):  # another prefix with this hash
-                ks = prefix_overflow.get(tail, ())
             found += [(i, k - b) for i in ks[:bisect_left(ks, s)]]
     return found
 
 
-def _enter(lists, overflow, affix, k, lws, carries):
-    """File word k under ``affix`` in ``lists``, keyed by hash, or in ``overflow``.
-
-    ``carries(word, affix)`` tells whether a longer word has ``affix`` on
-    this side.  The list under ``hash(affix)`` belongs to the affix of its
-    first word; a word with another affix of that hash goes to
-    ``overflow``, keyed by the affix itself.  A word already last in its
-    list is not entered again.
-    """
-    h = hash(affix)
-    ks = lists.get(h)
+def _enter(index, affix, k):
+    """File word k under ``affix`` in ``index``, unless it is already last there."""
+    ks = index.get(affix)
     if ks is None:
-        lists[h] = [k]
-        return
-    if not carries(lws[ks[0]], affix):
-        ks = overflow.get(affix)
-        if ks is None:
-            overflow[affix] = [k]
-            return
-    if ks[-1] != k:
+        index[affix] = [k]
+    elif ks[-1] != k:
         ks.append(k)
 
 

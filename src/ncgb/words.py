@@ -148,8 +148,9 @@ def overlaps(w1: bytes, w2: bytes) -> list[int]:
     identical words d = 0 is the full coincidence and -d mirrors d.
 
     This is the pairwise form, kept for the benchmark's micro-timings.
-    Completion does not call it: it builds whole batches through the affix
-    index of :class:`ncgb.engine.BasisState`.
+    Completion does not call it: :mod:`ncgb.obstructions` finds a whole
+    batch through its affix index, one dict per side keyed by views of the
+    leading words.
     """
     if not w1 or not w2:
         raise ValueError("overlap enumeration needs non-empty words")

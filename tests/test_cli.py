@@ -348,11 +348,19 @@ class TestRun:
         code, _, err = run_main(["run", "/nonexistent/x.prob"], capsys)
         assert code == EXIT_ERROR and "x.prob" in err
 
-    def test_cap_gets_distinct_exit_code(self, capsys):
+    def test_cap_gets_distinct_exit_code(self, tmp_path, capsys):
         code, out, _ = run_main(
             ["run", str(problem_path("g09")), "--max-basis", "5"], capsys)
         assert code == EXIT_CAPPED
         assert "# capped max_basis" in out
+        # one 4,000-letter leading word: 1,999 self overlaps are found
+        # through its affix index, and M removes all but one
+        path = tmp_path / "long.prob"
+        path.write_text("vars a b\ngen (a*b)^2000 - a\n")
+        code, out, _ = run_main(["run", str(path), "--max-basis", "1"], capsys)
+        assert code == EXIT_CAPPED
+        assert "# capped max_basis" in out
+        assert "long\t1\t1\t1999\t1\t1998\t0\t0\t0\t0.0005" in out.splitlines()
 
     def test_capped_run_fuzz_property(self, tmp_path, capsys):
         """A small random ideal ends complete and verified, or capped.

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import ncgb.division as division
 from ncgb.cli import parse_problem
 from ncgb.corpus import problem_path
 from ncgb.division import DivisorIndex, normal_remainder
@@ -434,3 +435,53 @@ def test_index_across_rebuilds():
             for word, count in G.normal_words.items():
                 assert reference_find_divisor(word, G.leading_words[:count]) is None
         assert len(sizes) >= 4 and tails > 30
+
+
+def grown_past_a_rebuild(seed):
+    """(G, f, old): 18 generators, an automaton ``old`` over only the first,
+    so that the next division rebuilds it, and a dividend ``f``."""
+    abc = Alphabet(["a", "b", "c"])
+    rng = random.Random(seed)
+    G = BasisState()
+
+    def append():
+        lw = random_word(rng, 3, 2, 5)
+        G.append(NcPolynomial({lw: 1, random_word(rng, 3, 0, len(lw) - 1): -1}), abc.llex)
+
+    append()
+    normal_remainder(NcPolynomial(), G, abc.llex)
+    old = G.divisor_index
+    for _ in range(17):  # a tail of 17 outgrows max(16, 1 // 4)
+        append()
+    return G, random_polynomial(rng, 3, max_terms=6, max_degree=7), old
+
+
+def test_rebuild_clears_the_replaced_automaton():
+    """The automaton a rebuild drops is emptied, so its cycles of states are freed."""
+    ordering = Alphabet(["a", "b", "c"]).llex
+    for seed in range(5):
+        G, f, old = grown_past_a_rebuild(seed)
+        assert old.size == 1 and old.root
+        assert normal_remainder(f, G, ordering) == reference_divide(f, G, ordering)[1]
+        assert G.divisor_index is not old and G.divisor_index.size == len(G) == 18
+        assert old.root == []
+
+
+def test_interrupted_rebuild_keeps_the_old_automaton(monkeypatch):
+    """An interrupt while the new automaton is built leaves the old one stored and whole."""
+    ordering = Alphabet(["a", "b", "c"]).llex
+    G, f, old = grown_past_a_rebuild(7)
+
+    def interrupted(patterns, width):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(division, "DivisorIndex", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        normal_remainder(f, G, ordering)
+    assert G.divisor_index is old and old.size == 1
+    lw = G.leading_words[0]
+    for word in [*G.leading_words, *dict(f.items())]:
+        assert old.first(word) == (0 if lw in word else 1)
+    monkeypatch.undo()
+    assert normal_remainder(f, G, ordering) == reference_divide(f, G, ordering)[1]
+    assert G.divisor_index.size == 18 and old.root == []

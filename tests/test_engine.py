@@ -60,8 +60,8 @@ def polys(texts, alphabet):
 
 
 def affix_index(G):
-    """The affix index of ``G``: how far it reaches and its four tables."""
-    return G.indexed, G.by_prefix, G.by_suffix, G.prefix_overflow, G.suffix_overflow
+    """The affix index of ``G``: how far it reaches and its two dicts."""
+    return G.indexed, G.prefixes, G.suffixes
 
 
 def reordered_batches(seed):
@@ -141,15 +141,14 @@ class TestBasisState:
         # the affix index belongs to obstruction construction, which
         # extends it only up to the targets it constructs
         G = BasisState.from_polynomials(polys(["a*b - 1", "b*a*b - a"], ab), ab.llex)
-        assert affix_index(G) == (0, [], [], {}, {})
+        assert affix_index(G) == (0, {}, {})
         nontrivial_obstructions(0, G)
-        assert G.indexed == 1
-        assert [list(lists.values()) for lists in G.by_prefix] == \
-            [list(lists.values()) for lists in G.by_suffix] == [[], [[0]]]
+        assert affix_index(G) == (1, {ab.word("a"): [0]}, {ab.word("b"): [0]})
 
     def test_affix_index_is_linear_in_word_length(self, ab):
-        # keyed by the affixes themselves, the index of one 4,000-letter
-        # leading word would hold about 16 MB of prefixes and suffixes
+        # keyed by copies of the affixes, the index of one 4,000-letter
+        # leading word would hold about 16 MB of prefixes and suffixes; its
+        # keys are views into the word instead
         f = parse_polynomial("(a*b)^2000 - a", ab)
         tracemalloc.start()
         try:
@@ -159,7 +158,8 @@ class TestBasisState:
             kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert list(map(len, G.by_prefix)) == list(map(len, G.by_suffix)) == [0] + [1] * 3999
+        assert len(G.prefixes) == len(G.suffixes) == 3999
+        assert {type(view) for view in (*G.prefixes, *G.suffixes)} == {memoryview}
         assert kept < 4_000_000
 
     def test_generators_are_leading_word_and_tail_property(self):
@@ -493,7 +493,7 @@ class TestInterreduce:
         monkeypatch.setattr(BasisState, "__getitem__", unused)
         monkeypatch.setattr(BasisState, "from_polynomials", unused)
         reduced = interreduce(G, g09.ordering)
-        assert affix_index(reduced) == (0, [], [], {}, {})
+        assert affix_index(reduced) == (0, {}, {})
         monkeypatch.undo()
         assert list(reduced) == want
 
@@ -885,7 +885,7 @@ def test_verify_indexes_only_the_generators_within_the_bound():
     assert lengths == sorted(lengths) and len(G) == 416
     assert verify_groebner(G, problem.ordering, 10) == (True, [])
     assert G.indexed == 228 == sum(n <= 10 for n in lengths)
-    assert {k for lists in G.by_prefix for ks in lists.values() for k in ks} == \
+    assert {k for ks in G.prefixes.values() for k in ks} == \
         {k for k in range(228) if lengths[k] > 1}
 
 

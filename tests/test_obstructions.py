@@ -60,31 +60,23 @@ def assert_batch_is_brute(s, G):
     assert build_obstructions(s, G, got) == built(got, s, G)
 
 
-def assert_index_is_exact(G, hash_of=hash):
+def assert_index_is_exact(G):
     """Each affix list holds exactly the indexed words that carry its affix.
 
-    ``by_prefix[n]`` and ``by_suffix[n]`` key each list by ``hash_of`` of
-    the length-n affix its first word carries; an overflow list is keyed by
-    its affix, whose hash keys a list of another affix.  Every proper
-    affix of every indexed word is in exactly one list, ascending.
+    Every key of ``prefixes`` and ``suffixes`` is a view into the leading
+    word of its list's first index, so no affix was copied.  Every proper
+    affix of every indexed word is under exactly one key, and each list is
+    ascending without repeats.
     """
-    lws = G.leading_words[:G.indexed]
-    for by_length, overflow, cut in ((G.by_prefix, G.prefix_overflow, lambda w, n: w[:n]),
-                                     (G.by_suffix, G.suffix_overflow, lambda w, n: w[-n:])):
-        assert by_length[:1] in ([], [{}])  # no affix is empty
+    lws = G.leading_words
+    for index, cut in ((G.prefixes, lambda w, n: w[:n]), (G.suffixes, lambda w, n: w[-n:])):
         listed = {}
-        for n, lists in enumerate(by_length):
-            for h, ks in lists.items():
-                affix = cut(lws[ks[0]], n)
-                assert h == hash_of(affix) and affix not in listed
-                listed[affix] = ks
-        for affix, ks in overflow.items():
-            assert affix not in listed
-            main = by_length[len(affix)][hash_of(affix)]
-            assert cut(lws[main[0]], len(affix)) != affix
-            listed[affix] = ks
+        for view, ks in index.items():
+            assert type(view) is memoryview and view.obj is lws[ks[0]]
+            assert ks == sorted(set(ks))
+            listed[bytes(view)] = ks
         want = {}
-        for k, w in enumerate(lws):
+        for k, w in enumerate(lws[:G.indexed]):
             for n in range(1, len(w)):
                 want.setdefault(cut(w, n), []).append(k)
         assert listed == want
@@ -291,7 +283,8 @@ class TestNontrivialObstructions:
 
         Random 1- to 3-letter bases with duplicated leading words, words that
         contain earlier ones, periodic words (self overlaps) and constants;
-        every s, so also the batches of a basis that has grown past s.
+        every s, so also the batches of a basis that has grown past s.  The
+        affix index then lists exactly the affixes of every word.
         """
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
@@ -316,90 +309,49 @@ class TestNontrivialObstructions:
                 assert_batch_is_brute(s, G)
                 assert all(o.j == s and o.common == o.wi + lws[o.i] + o.wi2
                            for o in batch(s, G))
+            assert_index_is_exact(G)
 
         check()
-
-    def test_affix_hash_collisions_are_harmless(self, xy, monkeypatch):
-        """With every affix hashing alike, the index changes no batch.
-
-        Each affix length keeps one hash-keyed list, that of the first
-        word's affix; every other affix of that length overflows.
-        """
-        collide = lambda affix: 0
-        monkeypatch.setattr(obstructions, "hash", collide, raising=False)
-        rng = random.Random(23)
-        overflowed = 0
-        for _ in range(300):
-            G = random_basis(rng, xy.llex, 2, rng.randint(1, 5), max_degree=5)
-            for s in range(len(G)):
-                assert_batch_is_brute(s, G)
-            assert all(set(lists) <= {0} for lists in G.by_prefix + G.by_suffix)
-            assert_index_is_exact(G, collide)
-            overflowed += len(G.prefix_overflow) + len(G.suffix_overflow)
-        assert overflowed
-
-    def test_partial_hash_collisions_are_harmless(self, monkeypatch):
-        """With affixes hashed by their first letter, the index changes no batch.
-
-        Lists of one length then hold several affixes between them: under
-        each hash one keeps the first word's affix and the others overflow,
-        and every list still holds exactly the words that carry its affix.
-        """
-        first_letter = lambda affix: affix[0]
-        monkeypatch.setattr(obstructions, "hash", first_letter, raising=False)
-        ordering = Alphabet(["x", "y", "z"]).llex
-        rng = random.Random(29)
-        shared, overflowed = 0, 0
-        for _ in range(300):
-            G = random_basis(rng, ordering, 3, rng.randint(1, 6), max_degree=5)
-            for s in range(len(G)):
-                assert_batch_is_brute(s, G)
-            assert_index_is_exact(G, first_letter)
-            shared += sum(len(lists) > 1 for lists in G.by_prefix + G.by_suffix)
-            overflowed += len(G.prefix_overflow) + len(G.suffix_overflow)
-        assert shared and overflowed
 
     def test_construction_order_and_interrupts_property(self):
         """A batch does not depend on the order of construction, nor on an interrupt.
 
         Targets are constructed in shuffled order with repeats, so the affix
         index may already cover words past a target.  First, a
-        KeyboardInterrupt raised from ``hash`` part-way through indexing
+        KeyboardInterrupt raised from ``_enter`` part-way through indexing
         one word leaves that word partly listed; the construction that
-        follows indexes it again.  Half the examples hash affixes by their
-        first letter, so words are also filed, and interrupted, in the
-        overflow lists.  Every list stays exact, ascending and without
-        repeats.
+        follows indexes it again.  Every list stays exact, ascending and
+        without repeats.
         """
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         ordering = Alphabet(["x", "y"]).llex
-        seen = {"interrupted": 0, "overflowed": 0}
+        seen = {"interrupted": 0}
 
         @hypothesis.settings(max_examples=300, deadline=None, database=None)
         @hypothesis.given(st.randoms(use_true_random=False), st.integers(1, 6),
-                          st.integers(1, 40), st.booleans())
-        def check(rng, size, stop, collide):
+                          st.integers(1, 40))
+        def check(rng, size, stop):
             G = random_basis(rng, ordering, 2, size, max_degree=6)
             targets = list(range(size)) + rng.choices(range(size), k=size)
             rng.shuffle(targets)
             lws = G.leading_words
-            # the index of words 0..t hashes each word's 2 (n - 1) proper
-            # affixes before the search hashes any; stop at one of those
-            hashes = 2 * sum(max(len(w) - 1, 0) for w in lws[:targets[0] + 1])
-            stop = 1 + stop % hashes if hashes else 0
-            base = (lambda affix: affix[0]) if collide else hash
+            # the index of words 0..t enters each word's 2 (n - 1) proper
+            # affixes; stop at one of those
+            entries = 2 * sum(max(len(w) - 1, 0) for w in lws[:targets[0] + 1])
+            stop = 1 + stop % entries if entries else 0
+            enter = obstructions._enter
             calls = 0
 
-            def interrupting(affix):
+            def interrupting(index, affix, k):
                 nonlocal calls
                 calls += 1
                 if calls == stop:
                     raise KeyboardInterrupt
-                return base(affix)
+                enter(index, affix, k)
 
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(obstructions, "hash", interrupting, raising=False)
+                mp.setattr(obstructions, "_enter", interrupting)
                 if stop:
                     with pytest.raises(KeyboardInterrupt):
                         nontrivial_obstructions(targets[0], G)
@@ -409,8 +361,7 @@ class TestNontrivialObstructions:
                 for s in targets:
                     assert_batch_is_brute(s, G)
             assert G.indexed == size
-            assert_index_is_exact(G, base)
-            seen["overflowed"] += bool(G.prefix_overflow or G.suffix_overflow)
+            assert_index_is_exact(G)
 
         check()
         assert min(seen.values()) > 0, seen
