@@ -47,10 +47,13 @@ the automaton is not grown in place: following the logarithmic method
 tail holds more than ``max(16, k // 4)`` of them, which keeps the total
 rebuild cost a constant multiple of the last build.  Its states form
 cycles (a missing edge points back to a shallower state, and the root to
-itself), so reference counting alone never frees a dropped automaton:
-each rebuild clears the one it replaces, and only after the new one is
-stored in ``G.divisor_index``, so an interrupt during the build leaves
-the old automaton there and usable.
+itself), so reference counting alone never frees a dropped automaton.
+The automaton lists each state as it creates it, and
+:meth:`DivisorIndex.clear` empties the listed states in one pass, with
+no walk of the cyclic graph.  Each rebuild clears the automaton it
+replaces, and only after the new one is stored in ``G.divisor_index``,
+so an interrupt during the build leaves the old automaton there and
+usable.
 
 Words found normal are remembered in the basis (``G.normal_words``): a
 word maps to a count c such that none of the first c leading words
@@ -79,24 +82,27 @@ class DivisorIndex:
     the alphabet is walked byte by byte.  A state is a list of ``width +
     1`` slots: the successor state per letter, then the smallest index of
     a pattern that is a suffix of the text read so far (``size`` when
-    there is none).  Only this class's methods read a state's slots:
-    callers ask :meth:`first`, and empty a dropped automaton with
-    :meth:`clear`.
+    there is none).  ``states`` lists every state, the root first, in the
+    order the build creates them.  Only this class's methods read a
+    state's slots: callers ask :meth:`first`, and empty a dropped
+    automaton with :meth:`clear`.
     """
 
-    __slots__ = ("size", "width", "root")
+    __slots__ = ("size", "width", "root", "states")
 
     def __init__(self, patterns, width):
         n = self.size = len(patterns)
         w = self.width = width
         # trie; None marks a missing edge until the pass below fills it
         root = self.root = [None] * w + [n]
+        states = self.states = [root]
         for k, p in enumerate(patterns):
             s = root
             for c in p:
                 t = s[c]
                 if t is None:
                     t = s[c] = [None] * w + [n]
+                    states.append(t)
                 s = t
             if s[w] == n:  # a duplicate keeps the smaller index
                 s[w] = k
@@ -134,19 +140,16 @@ class DivisorIndex:
         return i
 
     def clear(self):
-        """Empty every state; the automaton is unusable afterwards.
+        """Empty the states listed at build time, then the list.
 
-        A missing edge points back to a shallower state, and the root to
-        itself, so the states form cycles: emptied, they are freed by
-        reference counting instead of waiting for a full garbage collection.
+        The automaton is unusable afterwards.  A missing edge points back
+        to a shallower state, and the root to itself, so the states form
+        cycles: emptied, they are freed by reference counting instead of
+        waiting for a full garbage collection.
         """
-        w = self.width
-        stack = [self.root]
-        while stack:
-            s = stack.pop()
-            if s:
-                stack += s[:w]
-                s.clear()
+        for s in self.states:
+            s.clear()
+        self.states.clear()
 
 
 def normal_remainder(f: NcPolynomial, G, ordering) -> NcPolynomial:

@@ -69,12 +69,6 @@ class Obstruction(NamedTuple):
     wj2: bytes
     common: bytes
 
-    def __repr__(self):
-        def w(b):
-            return b.hex() or "1"
-        return (f"o[{self.i},{self.j}]({w(self.wi)},{w(self.wi2)};"
-                f"{w(self.wj)},{w(self.wj2)})")
-
 
 def obstruction_key(o: Obstruction, ordering):
     """Sort key realizing the obstruction ordering: j-side term, then i-side.

@@ -101,7 +101,7 @@ class NcPolynomial:
     def __repr__(self):
         if not self._terms:
             return "NcPolynomial(0)"
-        body = " + ".join(f"{c}*{w.hex() or 'l'}" for w, c in self._terms.items())
+        body = " + ".join(f"{c}*{w.hex() or '1'}" for w, c in self._terms.items())
         return f"NcPolynomial({body})"
 
 

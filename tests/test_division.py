@@ -1,5 +1,6 @@
 """The division loop and its full contract."""
 
+import gc
 import random
 
 import pytest
@@ -464,7 +465,7 @@ def test_rebuild_clears_the_replaced_automaton():
         assert old.size == 1 and old.root
         assert normal_remainder(f, G, ordering) == reference_divide(f, G, ordering)[1]
         assert G.divisor_index is not old and G.divisor_index.size == len(G) == 18
-        assert old.root == []
+        assert old.states == []
 
 
 def test_interrupted_rebuild_keeps_the_old_automaton(monkeypatch):
@@ -484,4 +485,34 @@ def test_interrupted_rebuild_keeps_the_old_automaton(monkeypatch):
         assert old.first(word) == (0 if lw in word else 1)
     monkeypatch.undo()
     assert normal_remainder(f, G, ordering) == reference_divide(f, G, ordering)[1]
-    assert G.divisor_index.size == 18 and old.root == []
+    assert G.divisor_index.size == 18 and old.states == []
+
+
+def test_cleared_automaton_leaves_no_cycles():
+    """The build lists every state once, root first, and ``clear`` empties them all.
+
+    So a cleared automaton leaves no cycle for the garbage collector.
+    """
+    rng = random.Random(28)
+    for _ in range(30):
+        patterns = [random_word(rng, 3, 0, 6) for _ in range(rng.randint(0, 12))]
+        gc.collect()
+        gc.disable()
+        try:
+            index = DivisorIndex(patterns, 3)
+            states = list(index.states)
+            reachable = {id(index.root): index.root}
+            stack = [index.root]
+            while stack:
+                for t in stack.pop()[:3]:
+                    if id(t) not in reachable:
+                        reachable[id(t)] = t
+                        stack.append(t)
+            assert states[0] is index.root
+            assert sorted(map(id, states)) == sorted(reachable)
+            index.clear()
+            assert index.states == [] and all(s == [] for s in states)
+            del index, states, reachable, t
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -390,3 +390,10 @@ class TestStructure:
         f = poly("a*b - 1", ab)
         g = poly("-1 + a*b", ab)
         assert f == g and hash(f) == hash(g)
+
+    def test_repr_writes_the_empty_word_as_one(self):
+        """The empty word reads ``1``, as in the text syntax; other words are hex."""
+        assert repr(NcPolynomial({b"": 3})) == "NcPolynomial(3*1)"
+        f = NcPolynomial({b"\x00\x01": Fraction(1, 2), b"": -1})
+        assert repr(f) == "NcPolynomial(1/2*0001 + -1*1)"
+        assert repr(NcPolynomial()) == "NcPolynomial(0)"
