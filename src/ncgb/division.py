@@ -53,7 +53,10 @@ The automaton lists each state as it creates it, and
 no walk of the cyclic graph.  Each rebuild clears the automaton it
 replaces, and only after the new one is stored in ``G.divisor_index``,
 so an interrupt during the build leaves the old automaton there and
-usable.
+usable.  A basis that is done with division drops its last automaton
+through :func:`release_divisor_index`, which unhooks it before it clears
+it, so an interrupt during the clear never leaves a half-cleared
+automaton stored.
 
 Words found normal are remembered in the basis (``G.normal_words``): a
 word maps to a count c such that none of the first c leading words
@@ -150,6 +153,17 @@ class DivisorIndex:
         for s in self.states:
             s.clear()
         self.states.clear()
+
+
+def release_divisor_index(G):
+    """Drop ``G``'s divisor automaton: unhook it from ``G``, then clear it.
+
+    Division builds a new one on its next call.  Unhooked first, an
+    automaton that an interrupt leaves half cleared is no longer stored.
+    """
+    index, G.divisor_index = G.divisor_index, None
+    if index is not None:
+        index.clear()
 
 
 def normal_remainder(f: NcPolynomial, G, ordering) -> NcPolynomial:

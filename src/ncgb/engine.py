@@ -30,14 +30,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .criteria import backward_criterion, leading_word_criterion, multiply_criterion
-from .division import DivisorIndex, normal_remainder
+from .division import DivisorIndex, normal_remainder, release_divisor_index
 from .obstructions import (
     build_obstructions,
     nontrivial_obstructions,
     obstruction_key,
     s_polynomial,
 )
-from .polynomial import NcPolynomial, leading, make_monic
+from .polynomial import NcPolynomial, leading
 
 
 class BasisState:
@@ -48,7 +48,9 @@ class BasisState:
     Division, ``s_polynomial`` and ``interreduce`` place only the tail,
     because a monic generator's leading term cancels the word it rewrites.
     ``G[k]`` and ``iter(G)`` build the polynomial on demand, for printing
-    and tests; no hot path reads them.  ``append`` stores the tail before
+    and tests; no hot path reads them.  ``append`` is the one place that
+    makes a polynomial monic: it finds the leading term once and divides
+    by its coefficient only when that is not 1.  It stores the tail before
     the leading word, so an interrupt never leaves a leading word without
     its tail, and ``len(G)`` counts leading words.  Leading words are only
     appended, and tails are rewritten only by ``interreduce``, in the
@@ -88,7 +90,7 @@ class BasisState:
     def append(self, f: NcPolynomial, ordering) -> int:
         if not f:
             raise ValueError("zero polynomial cannot join a basis")
-        lc, lw = leading(f, ordering)  # scaled here: make_monic would find lw again
+        lc, lw = leading(f, ordering)
         if lc != 1:
             f = NcPolynomial({u: Fraction(c, lc) for u, c in f.items()})
         self.tails.append(tuple((u, c) for u, c in f.items() if u != lw))
@@ -179,25 +181,6 @@ class ObstructionQueue:
         raise LookupError("no pending obstructions")
 
 
-def obstruction_batch(s: int, G: BasisState, trunc=None):
-    """The non-trivial obstructions of the pairs (i, s), i <= s, that fit the bound.
-
-    Returns (pairs, cut): the offset pairs (i, d), in the discovery order of
-    :func:`nontrivial_obstructions`, and the number whose common word is
-    longer than ``trunc``.  With a = len(lw(g_i)) and b = len(lw(g_s)) the
-    common word has length max(-d, 0) + max(a, b + d), so nothing is built
-    to decide the bound.
-    """
-    pairs = nontrivial_obstructions(s, G)
-    if trunc is None:
-        return pairs, 0
-    lws = G.leading_words
-    b = len(lws[s])
-    kept = [(i, d) for i, d in pairs
-            if (-d if d < 0 else 0) + max(len(lws[i]), b + d) <= trunc]
-    return kept, len(pairs) - len(kept)
-
-
 def absorb(s, G: BasisState, pending: dict | None, stats: RunStats, trunc=None,
            criteria=True):
     """Prune generator s's batch of pairs and ``pending``; build and add the rest.
@@ -205,18 +188,29 @@ def absorb(s, G: BasisState, pending: dict | None, stats: RunStats, trunc=None,
     The one find, prune and build step of completion and verification.
     ``pending`` is completion's set of pending obstructions, a dict that
     maps each to True in insertion order, or None for verification, which
-    keeps none.  The batch within the bound goes through (with
-    ``criteria``) the multiply and the leading-word criterion; given a
-    pending set, the backward criterion's removals are deleted from it.
-    The surviving pairs are built into obstructions, added to ``pending``
-    when there is one, and returned.  Every count lands in ``stats``.
-    Construction and each criterion are called once per batch through
-    this module's globals, so a wrapper set on ``ncgb.engine`` sees every
-    batch of both callers.
+    keeps none.  The batch is the offset pairs (i, d) of
+    :func:`nontrivial_obstructions`, in its discovery order, all counted
+    in ``tot``.  Under the bound ``trunc`` only the pairs whose common word
+    fits it are kept, and the others are counted as truncated discards.
+    No obstruction is built to decide that: with a = len(lw(g_i)) and
+    b = len(lw(g_s)), the common word has length max(-d, 0) + max(a, b + d).
+    The kept pairs go through (with ``criteria``) the multiply and the
+    leading-word criterion; given a pending set, the backward criterion's
+    removals are deleted from it.  The surviving pairs are built into
+    obstructions, added to ``pending`` when there is one, and returned.
+    Every count lands in ``stats``.  Construction and each criterion are
+    called once per batch through this module's globals, so a wrapper set
+    on ``ncgb.engine`` sees every batch of both callers.
     """
-    news, cut = obstruction_batch(s, G, trunc)
-    stats.tot += len(news) + cut
-    stats.truncated_discards += cut
+    news = nontrivial_obstructions(s, G)
+    stats.tot += len(news)
+    if trunc is not None:
+        lws = G.leading_words
+        b = len(lws[s])
+        kept = [(i, d) for i, d in news
+                if (-d if d < 0 else 0) + max(len(lws[i]), b + d) <= trunc]
+        stats.truncated_discards += len(news) - len(kept)
+        news = kept
     if criteria:
         rep = multiply_criterion(news, s, G)
         stats.m += rep.removed_m
@@ -249,16 +243,16 @@ def buchberger(G0, cfg: EngineConfig):
     ``len(common)``, and division keeps both properties.  Size and degree
     caps stop the run early with ``stats.cap_reason`` set instead of
     raising, and so does an interrupt (Ctrl-C): it returns the generators
-    appended so far with ``cap_reason`` "interrupted".  Repeated inputs
-    are absorbed once, at their first occurrence.
+    appended so far with ``cap_reason`` "interrupted".  Inputs are made
+    monic by :meth:`BasisState.append`, which rejects zero, and an input
+    equal to an earlier one once both are monic is absorbed once, at its
+    first occurrence.  The divisor automaton of the returned basis is
+    released (:func:`release_divisor_index`), interrupted or not.
     """
     cfg.validate()
     ordering = cfg.ordering
-    polys = {}  # the monic inputs, each once, in input order
-    for f in G0:
-        if not f:
-            raise ValueError("zero polynomial among the generators")
-        polys[make_monic(f, ordering)] = None
+    # the monic inputs, each once, in input order
+    polys = dict.fromkeys(BasisState.from_polynomials(G0, ordering))
     if not polys:
         raise ValueError("no generators")
     if cfg.truncation_degree is not None and not all(f.is_homogeneous() for f in polys):
@@ -292,7 +286,8 @@ def buchberger(G0, cfg: EngineConfig):
                 queue.push(o)
     except KeyboardInterrupt:
         stats.cap_reason = "interrupted"
-
+    finally:
+        release_divisor_index(G)
     return G, stats
 
 
@@ -324,6 +319,7 @@ def interreduce(G: BasisState, ordering) -> BasisState:
     reduced.tails = tails = [G.tails[k] for k in kept]
     for k, tail in enumerate(tails):
         tails[k] = tuple(normal_remainder(NcPolynomial(tail), reduced, ordering).items())
+    release_divisor_index(reduced)
     return reduced
 
 

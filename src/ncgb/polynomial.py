@@ -136,14 +136,6 @@ def add_scaled(f: NcPolynomial, scalar, g: NcPolynomial) -> NcPolynomial:
     return NcPolynomial.from_normal(out)
 
 
-def make_monic(f: NcPolynomial, ordering: LLexOrdering) -> NcPolynomial:
-    """Scale ``f`` so its leading coefficient becomes 1."""
-    lc, _ = leading(f, ordering)
-    if lc == 1:
-        return f
-    return NcPolynomial({w: Fraction(c, lc) for w, c in f.items()})
-
-
 # ---------------------------------------------------------------------------
 # text syntax
 # ---------------------------------------------------------------------------

@@ -401,6 +401,99 @@ def minimal_leading_words_reference(leading_words, ordering):
     return kept
 
 
+def monic_reference(f, ordering):
+    """``f`` divided by the coefficient of its largest word, found by sorting the support."""
+    lw = sorted(f.support(), key=ordering.key)[-1]
+    lc = Fraction(f.coefficient(lw))
+    return NcPolynomial({w: c / lc for w, c in f.items()})
+
+
+def coxeter_problem(matrix, precedence=None, monoid=False):
+    """Problem file text for the Coxeter group of ``matrix``, or its Artin monoid.
+
+    Letter i is named ``s<i+1>``, and ``precedence`` lists the letter
+    indices largest first (the vars order when None).  The group's
+    generators are s_i^2 - 1 and (s_i*s_j)^m - 1 for i < j and
+    m = ``matrix[i][j]``.  With ``monoid`` they are the positive braid
+    relations s_i*s_j*s_i... - s_j*s_i*s_j..., m letters on each side.
+    """
+    n = len(matrix)
+    names = [f"s{i + 1}" for i in range(n)]
+    lines = [f"vars {' '.join(names)}"]
+    if precedence is not None:
+        lines.append("order llex " + " ".join(names[k] for k in precedence))
+    for i in range(n):
+        if not monoid:
+            lines.append(f"gen {names[i]}^2 - 1")
+        for j in range(i + 1, n):
+            m = matrix[i][j]
+            if monoid:
+                left = "*".join((names[i], names[j])[k % 2] for k in range(m))
+                right = "*".join((names[j], names[i])[k % 2] for k in range(m))
+                lines.append(f"gen {left} - {right}")
+            else:
+                lines.append(f"gen ({names[i]}*{names[j]})^{m} - 1")
+    return "\n".join(lines) + "\n"
+
+
+def artin_series(matrix, degree):
+    """The coefficients up to ``degree`` of 1 / sum over J of (-1)^|J| t^l(w_J).
+
+    That is the Hilbert series of the Artin monoid of a finite Coxeter
+    group (Deligne 1972; Charney 1995), for J over the subsets of the
+    letters.  The length l(w_J) of the longest element of W_J is summed
+    over the components of J in the Coxeter graph (edges where m >= 3) as
+    their numbers of positive roots: k(k+1)/2 for A_k, and k^2 for B_k,
+    a chain with one edge labelled 4.  Other types raise ValueError.
+    """
+    n = len(matrix)
+    denominator = [0] * (degree + 1)
+    for mask in range(1 << n):
+        subset = [i for i in range(n) if mask >> i & 1]
+        length, seen = 0, set()
+        for start in subset:
+            if start in seen:
+                continue
+            component, stack = [], [start]
+            seen.add(start)
+            while stack:
+                i = stack.pop()
+                component.append(i)
+                for j in subset:
+                    if j not in seen and matrix[i][j] >= 3:
+                        seen.add(j)
+                        stack.append(j)
+            k = len(component)
+            labels = sorted(matrix[i][j] for i in component for j in component if i < j)
+            edges = [m for m in labels if m >= 3]
+            if len(edges) != k - 1 or any(m > 4 for m in edges) or edges.count(4) > 1:
+                raise ValueError("only types A and B are supported")
+            length += k * k if 4 in edges else k * (k + 1) // 2
+        if length <= degree:
+            denominator[length] += (-1) ** len(subset)
+    series = []
+    for d in range(degree + 1):
+        series.append(int(d == 0) - sum(denominator[k] * series[d - k] for k in range(1, d + 1)))
+    return series
+
+
+def normal_word_counts(leading_words, nletters, degree):
+    """The number of words of each length 0..``degree`` in which no leading word occurs.
+
+    The words of length d + 1 are grown from the normal words of length d
+    by one letter.  Every prefix of a normal word is normal, so a grown
+    word is normal unless a leading word ends it, which ``endswith``
+    decides one leading word at a time.
+    """
+    level = [] if b"" in leading_words else [b""]
+    counts = [len(level)]
+    for _ in range(degree):
+        level = [w + bytes([x]) for w in level for x in range(nletters)]
+        level = [w for w in level if not any(w.endswith(lw) for lw in leading_words)]
+        counts.append(len(level))
+    return counts
+
+
 def random_word(rng, nletters, lo, hi):
     return bytes(rng.randrange(nletters) for _ in range(rng.randint(lo, hi)))
 

@@ -8,7 +8,7 @@ import pytest
 import ncgb.division as division
 from ncgb.cli import parse_problem
 from ncgb.corpus import problem_path
-from ncgb.division import DivisorIndex, normal_remainder
+from ncgb.division import DivisorIndex, normal_remainder, release_divisor_index
 from ncgb.engine import BasisState, EngineConfig, buchberger, verify_groebner
 from ncgb.polynomial import NcPolynomial, add_scaled, leading, parse_polynomial, sandwich
 from ncgb.words import Alphabet
@@ -486,6 +486,33 @@ def test_interrupted_rebuild_keeps_the_old_automaton(monkeypatch):
     monkeypatch.undo()
     assert normal_remainder(f, G, ordering) == reference_divide(f, G, ordering)[1]
     assert G.divisor_index.size == 18 and old.states == []
+
+
+def test_release_unhooks_then_clears(monkeypatch):
+    """Releasing empties the stored automaton and stores none; the next division builds one.
+
+    An interrupt during the clear still leaves no automaton stored, so
+    none is ever left half cleared on the basis.
+    """
+    ordering = Alphabet(["a", "b", "c"]).llex
+    G, f, old = grown_past_a_rebuild(3)
+    release_divisor_index(G)
+    assert G.divisor_index is None and old.states == []
+    release_divisor_index(G)  # nothing stored
+    assert normal_remainder(f, G, ordering) == reference_divide(f, G, ordering)[1]
+    stored = G.divisor_index
+    assert stored.size == 18
+
+    def interrupted(index):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(DivisorIndex, "clear", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        release_divisor_index(G)
+    assert G.divisor_index is None
+    monkeypatch.undo()
+    assert normal_remainder(f, G, ordering) == reference_divide(f, G, ordering)[1]
+    assert G.divisor_index is not stored
 
 
 def test_cleared_automaton_leaves_no_cycles():

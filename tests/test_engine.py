@@ -1,13 +1,14 @@
 """The completion loop, interreduction, verification and bookkeeping."""
 
+import gc
 import random
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import ncgb.engine as engine
-import ncgb.polynomial as polynomial
 from ncgb.criteria import (
     backward_criterion,
     leading_word_criterion,
@@ -22,7 +23,6 @@ from ncgb.engine import (
     absorb,
     buchberger,
     interreduce,
-    obstruction_batch,
     verify_groebner,
 )
 from ncgb.obstructions import build_obstructions, nontrivial_obstructions, s_polynomial
@@ -30,7 +30,6 @@ from ncgb.polynomial import (
     NcPolynomial,
     add_scaled,
     leading,
-    make_monic,
     parse_polynomial,
     sandwich,
 )
@@ -43,6 +42,8 @@ from oracles import (
     batch_brute,
     built,
     minimal_leading_words_reference,
+    monic_reference,
+    offset_pair,
     random_basis,
     random_polynomial,
     random_word,
@@ -65,17 +66,20 @@ def affix_index(G):
 
 
 def reordered_batches(seed):
-    """``engine.obstruction_batch`` with each batch reversed (seed None) or shuffled."""
-    batch = engine.obstruction_batch
+    """``engine.nontrivial_obstructions`` with each batch reversed (seed None) or shuffled.
+
+    The bound's cut keeps the order it is given, so every batch reaches
+    the criteria reordered.
+    """
+    construct = engine.nontrivial_obstructions
     rng = random.Random(seed)
 
-    def reordered(s, G, trunc=None):
-        news, cut = batch(s, G, trunc)
+    def reordered(s, G):
+        news = list(construct(s, G))
         if seed is None:
-            return news[::-1], cut
-        news = list(news)
+            return news[::-1]
         rng.shuffle(news)
-        return news, cut
+        return news
 
     return reordered
 
@@ -116,15 +120,23 @@ class TestBasisState:
         assert G[0] == parse_polynomial("x*y - 1", xy)
         assert G.leading_words[0] == xy.word("xy")
 
+    def test_append_divides_exactly(self, ab):
+        # an integral quotient stays an int, any other becomes a Fraction
+        G = BasisState()
+        G.append(parse_polynomial("3*a - 1", ab), ab.llex)
+        assert G.tails == [((b"", Fraction(-1, 3)),)]
+        assert type(G[0].coefficient(ab.word("a"))) is int
+        G.append(parse_polynomial("3*b - 6", ab), ab.llex)
+        assert G.tails[1] == ((b"", -2),) and type(G.tails[1][0][1]) is int
+
     def test_zero_rejected(self, xy):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero polynomial cannot join a basis"):
             BasisState().append(NcPolynomial(), xy.llex)
 
     def test_append_finds_each_leading_word_once(self, ab, monkeypatch):
-        # one leading-term scan per generator, made monic or not, and none
-        # through make_monic
+        # one leading-term scan per generator, made monic or not
         gens = polys(["2*a*b - 1", "b*a*b - a", "a - 3*b", "-b + a*a"], ab)
-        want = [make_monic(f, ab.llex) for f in gens]
+        want = [monic_reference(f, ab.llex) for f in gens]
         scanned = []
 
         def counted(f, ordering):
@@ -132,7 +144,6 @@ class TestBasisState:
             return leading(f, ordering)
 
         monkeypatch.setattr(engine, "leading", counted)
-        monkeypatch.setattr(polynomial, "leading", counted)
         G = BasisState.from_polynomials(gens, ab.llex)
         assert scanned == gens
         assert list(G) == want
@@ -175,7 +186,7 @@ class TestBasisState:
             ordering = orderings[nletters]
             inputs = [random_polynomial(rng, nletters) for _ in range(size)]
             G = BasisState.from_polynomials(inputs, ordering)
-            assert list(G) == [make_monic(f, ordering) for f in inputs]
+            assert list(G) == [monic_reference(f, ordering) for f in inputs]
             for B in (G, interreduce(G, ordering)):
                 assert len(B) == len(B.tails)
                 assert [B[k] for k in range(len(B))] == list(B)
@@ -258,9 +269,9 @@ class TestBuchberger:
         assert list(G) == polys(["y^2 - y", "x - 1"], xy)
 
     def test_zero_generator_rejected(self, xy):
-        with pytest.raises(ValueError):
-            buchberger([NcPolynomial()], EngineConfig(ordering=xy.llex))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero polynomial cannot join a basis"):
+            buchberger(polys(["x - 1"], xy) + [NcPolynomial()], EngineConfig(ordering=xy.llex))
+        with pytest.raises(ValueError, match="no generators"):
             buchberger([], EngineConfig(ordering=xy.llex))
 
     def test_truncation_needs_homogeneous(self, xy):
@@ -397,7 +408,7 @@ class TestBuchberger:
             G, st = buchberger(problem.generators, cfg)
             for seed in (None, 1, 2, 3):  # None reverses
                 with monkeypatch.context() as mp:
-                    mp.setattr(engine, "obstruction_batch", reordered_batches(seed))
+                    mp.setattr(engine, "nontrivial_obstructions", reordered_batches(seed))
                     reordered_G, reordered_st = buchberger(problem.generators, cfg)
                 assert list(reordered_G) == list(G)
                 assert reordered_st == st
@@ -417,7 +428,7 @@ class TestBuchberger:
         assert not expected[0]
         for seed in (None, 1, 2, 3):
             with monkeypatch.context() as mp:
-                mp.setattr(engine, "obstruction_batch", reordered_batches(seed))
+                mp.setattr(engine, "nontrivial_obstructions", reordered_batches(seed))
                 assert verify_groebner(G, problem.ordering, trunc) == expected
 
     def test_input_leading_word_inside_another(self, ab):
@@ -478,7 +489,7 @@ class TestInterreduce:
     def test_result_copies_kept_generators(self, g09, monkeypatch):
         """The reduced state takes the kept leading words and tails as they are.
 
-        No generator is rebuilt as a polynomial, made monic again or searched
+        No generator is rebuilt as a polynomial, appended again or searched
         for its leading term, and the affix index stays empty: the reduced
         basis is only printed, and nothing constructs its obstructions.
         """
@@ -488,8 +499,8 @@ class TestInterreduce:
         def unused(*args):
             raise AssertionError("interreduce rebuilt a generator")
 
-        for name in ("make_monic", "leading"):
-            monkeypatch.setattr(engine, name, unused)
+        monkeypatch.setattr(engine, "leading", unused)
+        monkeypatch.setattr(BasisState, "append", unused)
         monkeypatch.setattr(BasisState, "__getitem__", unused)
         monkeypatch.setattr(BasisState, "from_polynomials", unused)
         reduced = interreduce(G, g09.ordering)
@@ -576,7 +587,7 @@ class TestVerify:
         # a*b*a*a*b) and at +1 (a*a*b*a).  Both S-polynomials fail, and the
         # batch's offset order meets the longer common word first
         G = BasisState.from_polynomials(polys(["a*a*b - b", "a*b*a - a"], ab), ab.llex)
-        first, second = build_obstructions(1, G, sorted(obstruction_batch(1, G)[0]))[:2]
+        first, second = build_obstructions(1, G, sorted(nontrivial_obstructions(1, G)))[:2]
         assert (first.i, first.common, second.i, second.common) == \
             (0, ab.word("abaab"), 0, ab.word("aaba"))
         for o in (first, second):
@@ -593,7 +604,18 @@ class TestVerify:
             verify_groebner(G, ab.llex, truncation=truncation)
 
 
+def cut_batch(s, G, trunc):
+    """The obstructions of target s that ``absorb`` builds under ``trunc`` without criteria.
+
+    Returns them with the batch's ``tot`` and ``truncated_discards``.
+    """
+    stats = RunStats()
+    kept = absorb(s, G, None, stats, trunc, criteria=False)
+    return kept, stats.tot, stats.truncated_discards
+
+
 def test_obstruction_batch_is_every_pair_within_the_bound(xy):
+    """``absorb`` builds the batch's pairs whose common word fits, and counts the rest."""
     G = BasisState.from_polynomials(polys(["x*y*x - y", "y*x*y - x", "x*x*y - y"], xy),
                                     xy.llex)
     for s in range(len(G)):
@@ -601,11 +623,10 @@ def test_obstruction_batch_is_every_pair_within_the_bound(xy):
         batch = build_obstructions(s, G, news)
         assert [(o.i, o.wi, o.wi2, o.wj, o.wj2)
                 for o in build_obstructions(s, G, sorted(news))] == batch_brute(s, G)
-        assert obstruction_batch(s, G) == (news, 0)
+        assert cut_batch(s, G, None) == (batch, len(news), 0)
         for trunc in range(3, 7):
             kept = [o for o in batch if len(o.common) <= trunc]
-            pairs, cut = obstruction_batch(s, G, trunc)
-            assert (build_obstructions(s, G, pairs), cut) == (kept, len(news) - len(kept))
+            assert cut_batch(s, G, trunc) == (kept, len(news), len(news) - len(kept))
 
 
 def test_truncation_arithmetic_property():
@@ -631,9 +652,10 @@ def test_truncation_arithmetic_property():
             news = nontrivial_obstructions(s, G)
             lengths = [len(o.common) for o in built(news, s, G)]
             for trunc in range(1, max(lengths, default=0) + 2):
-                pairs, cut = obstruction_batch(s, G, trunc)
+                kept, tot, cut = cut_batch(s, G, trunc)
                 fits = [p for p, n in zip(news, lengths) if n <= trunc]
-                assert pairs == fits and cut == len(news) - len(fits)
+                assert list(map(offset_pair, kept)) == fits
+                assert (tot, cut) == (len(news), len(news) - len(fits))
 
     check()
 
@@ -643,9 +665,9 @@ def test_truncation_drops_every_pair_of_a_longer_generator(xy):
     # and its overlaps with x*y all have a common word of 5 letters or more
     G = BasisState.from_polynomials(polys(["x*y - y*x", "x*y*x*y*x - y^5"], xy), xy.llex)
     news = nontrivial_obstructions(1, G)
-    assert news and obstruction_batch(1, G, 4) == ([], len(news))
-    pairs, cut = obstruction_batch(1, G, 5)
-    assert (sorted(pairs), cut) == ([(0, -2), (0, 0)], len(news) - 2)
+    assert news and cut_batch(1, G, 4) == ([], len(news), len(news))
+    kept, _, cut = cut_batch(1, G, 5)
+    assert (sorted(map(offset_pair, kept)), cut) == ([(0, -2), (0, 0)], len(news) - 2)
     cfg = EngineConfig(ordering=xy.llex, truncation_degree=4)
     _, st = buchberger(polys(["x*y*x*y*x - y^5"], xy), cfg)
     assert st.tot == st.truncated_discards > 0 and st.built == st.sel == 0
@@ -722,6 +744,44 @@ def test_only_survivors_are_built(name, trunc, modes, monkeypatch):
                 assert st.built < 0.05 * st.tot
         else:
             assert st.built == st.tot - st.truncated_discards
+
+
+@pytest.mark.parametrize("name,trunc", [("g13", None), ("braid4", 8)])
+def test_finished_bases_release_their_automata(name, trunc, monkeypatch):
+    """Completion and interreduction leave no divisor automaton on their bases.
+
+    An automaton's states form cycles, so one left on a dropped basis
+    waits for a full garbage collection.  With the collector off, the
+    completed and the reduced basis, once dropped, leave nothing for it;
+    so does a completion cut short by an interrupt.
+    """
+    problem = parse_problem(problem_path(name))
+    cfg = EngineConfig(ordering=problem.ordering, truncation_degree=trunc)
+    gc.collect()
+    gc.disable()
+    try:
+        G, _ = buchberger(problem.generators, cfg)
+        reduced = interreduce(G, problem.ordering)
+        assert G.divisor_index is None and reduced.divisor_index is None
+        del G, reduced
+        assert gc.collect() == 0
+        calls = 0
+        reduce = engine.normal_remainder
+
+        def interrupted(f, G, ordering):
+            nonlocal calls
+            calls += 1
+            if calls == 20:
+                raise KeyboardInterrupt
+            return reduce(f, G, ordering)
+
+        monkeypatch.setattr(engine, "normal_remainder", interrupted)
+        G, st = buchberger(problem.generators, cfg)
+        assert st.cap_reason == "interrupted" and G.divisor_index is None
+        del G
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_random_small_ideals_mode_equivalence(xy):
