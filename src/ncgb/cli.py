@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .division import normal_remainder
+from .division import normal_remainder, release_divisor_index
 from .engine import BasisState, EngineConfig, buchberger, interreduce, verify_groebner
 from .polynomial import PolynomialSyntaxError, format_polynomial, parse_polynomial
 from .words import Alphabet, LLexOrdering
@@ -224,20 +224,25 @@ def cmd_verify(args, out) -> int:
                            "basis and problem declare different orders")
     G = BasisState.from_polynomials(basis_file.generators, problem.ordering)
     truncation = args.trunc if args.trunc is not None else problem.truncation
-    ok, failures = verify_groebner(G, problem.ordering, truncation)
-    if not ok:
-        print(f"not a Groebner basis; unresolved obstruction "
-              f"{render_obstruction(failures[0], problem.alphabet)}", file=out)
-        return EXIT_VERIFY_FAILED
-    # the problem's ideal must lie inside the basis's: with a Groebner basis
-    # that is a zero remainder for every generator within the bound
-    for k, g in enumerate(problem.generators, 1):
-        if truncation is not None and g.degree() > truncation:
-            continue
-        if normal_remainder(g, G, problem.ordering):
-            print(f"problem generator {k} does not reduce to zero: "
-                  f"{format_polynomial(g, problem.alphabet, problem.ordering)}", file=out)
+    try:
+        ok, failures = verify_groebner(G, problem.ordering, truncation)
+        if not ok:
+            print(f"not a Groebner basis; unresolved obstruction "
+                  f"{render_obstruction(failures[0], problem.alphabet)}", file=out)
             return EXIT_VERIFY_FAILED
+        # the problem's ideal must lie inside the basis's: with a Groebner
+        # basis that is a zero remainder for every generator within the bound
+        for k, g in enumerate(problem.generators, 1):
+            if truncation is not None and g.degree() > truncation:
+                continue
+            if normal_remainder(g, G, problem.ordering):
+                print(f"problem generator {k} does not reduce to zero: "
+                      f"{format_polynomial(g, problem.alphabet, problem.ordering)}",
+                      file=out)
+                return EXIT_VERIFY_FAILED
+    finally:
+        # whatever the verdict, the basis is done with division
+        release_divisor_index(G)
     print("ok", file=out)
     return EXIT_OK
 

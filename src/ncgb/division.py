@@ -13,18 +13,22 @@ the divisor index, and each generator's tail (``G.tails``, its terms
 but the leading one).  Every word is over the ordering's alphabet, as
 every basis and dividend built from one problem is.
 
-The live terms are a word -> coefficient dict plus a max-heap of their
-words in the llex order (the simplest form of Yan's geobuckets), so
+The live terms are a word -> coefficient dict plus, for each word
+length, a heap of bare words (the simplest form of Yan's geobuckets), so
 finding the largest word costs a pop instead of a scan of every live
-term.  A heap entry is ``(-len(w), w)``: the alphabet order is the
-precedence, so among words of one length the largest has the smallest
-bytes, and the smallest entry is the largest word.  Deletion is lazy: a
-word is pushed whenever it enters the dict, and a popped word that is no
-longer in the dict was cancelled and is skipped.  A popped word leaves
-the dict at once: the divisor is monic, so its placed leading term
-cancels the word exactly, and a step places only the divisor's stored
-tail.  A processed word never comes back, because every word a step adds
-is smaller than the one it rewrites.
+term.  The alphabet order is the precedence, so among words of one
+length the largest has the smallest bytes, and a heap's smallest entry is
+its largest word.  The heaps are kept in a dict keyed by length and
+worked through longest first; the next length is the largest key left,
+read off the dict without touching the live terms.  A step adds only
+words no longer than the one it rewrites: one of the current length goes
+onto the current heap, a shorter one onto the heap of its own length.
+Deletion is lazy: a word is pushed whenever it enters the dict, and a
+popped word that is no longer in the dict was cancelled and is skipped.
+A popped word leaves the dict at once: the divisor is monic, so its
+placed leading term cancels the word exactly, and a step places only the
+divisor's stored tail.  A processed word never comes back, because every
+word a step adds is smaller than the one it rewrites.
 
 The divisor of a word is found with an Aho-Corasick automaton (Aho and
 Corasick, 1975) kept on the basis (``G.divisor_index``, a
@@ -188,46 +192,56 @@ def normal_remainder(f: NcPolynomial, G, ordering) -> NcPolynomial:
     k = index.size
     first = index.first
     normal_words = G.normal_words
-    # ascending (-len, bytes) pops the largest word first
+    # one heap of bare words per length: among words of one length the
+    # smallest bytes is the largest word, so each pop gives the llex order
     v = dict(f.items())
-    heap = [(-len(w), w) for w in v]
-    heapify(heap)
+    heaps = {}
+    for w in v:
+        heaps.setdefault(len(w), []).append(w)
+    for heap in heaps.values():
+        heapify(heap)
     remainder = {}
-    while heap:
-        word = heappop(heap)[1]
-        # the step below cancels the word exactly, so it leaves the live set now
-        c = v.pop(word, None)
-        if c is None:
-            continue
-        i = normal_words.get(word, 0)
-        if i < k:
-            i = first(word)
-        if i < k:
-            lw = lws[i]
-            pos = word.find(lw)
-        else:
-            # the memo or the automaton ruled out every index below i
-            for i in range(i, n):
+    while heaps:
+        length = max(heaps)
+        heap = heaps.pop(length)
+        while heap:
+            word = heappop(heap)
+            # the step below cancels the word exactly, so it leaves the live set now
+            c = v.pop(word, None)
+            if c is None:
+                continue
+            i = normal_words.get(word, 0)
+            if i < k:
+                i = first(word)
+            if i < k:
                 lw = lws[i]
                 pos = word.find(lw)
-                if pos >= 0:
-                    break
             else:
-                normal_words[word] = n
-                remainder[word] = normal_coefficient(c)
-                continue
-        left = word[:pos]
-        right = word[pos + len(lw):]
-        for u, cu in tails[i]:
-            w = left + u + right
-            old = v.get(w)
-            if old is None:
-                v[w] = -c * cu
-                heappush(heap, (-len(w), w))
-            else:
-                acc = old - c * cu
-                if acc:
-                    v[w] = acc
+                # the memo or the automaton ruled out every index below i
+                for i in range(i, n):
+                    lw = lws[i]
+                    pos = word.find(lw)
+                    if pos >= 0:
+                        break
                 else:
-                    del v[w]
+                    normal_words[word] = n
+                    remainder[word] = normal_coefficient(c)
+                    continue
+            left = word[:pos]
+            right = word[pos + len(lw):]
+            for u, cu in tails[i]:
+                w = left + u + right
+                old = v.get(w)
+                if old is None:
+                    v[w] = -c * cu
+                    if len(w) == length:
+                        heappush(heap, w)
+                    else:  # shorter, so onto the heap of its own length
+                        heappush(heaps.setdefault(len(w), []), w)
+                else:
+                    acc = old - c * cu
+                    if acc:
+                        v[w] = acc
+                    else:
+                        del v[w]
     return NcPolynomial.from_normal(remainder)

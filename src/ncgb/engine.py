@@ -62,10 +62,12 @@ class BasisState:
     tail, so none ever becomes wrong.  Division (:mod:`ncgb.division`)
     owns ``divisor_index``, an Aho-Corasick automaton over a prefix of the
     leading words, and ``normal_words``, its memo of remainder words.
-    Obstruction construction (:mod:`ncgb.obstructions`) owns the affix
-    index over ``leading_words[:indexed]``: ``prefixes`` and ``suffixes``,
-    one dict per side from each proper affix, a view into a leading word,
-    to the ascending indices of the words that carry it.
+    Obstruction construction (:mod:`ncgb.obstructions`) reads that memo
+    to skip the search for earlier leading words inside a new one that
+    division has found normal, and owns the affix index over
+    ``leading_words[:indexed]``: ``prefixes`` and ``suffixes``, one dict
+    per side from each proper affix, a view into a leading word, to the
+    ascending indices of the words that carry it.
     """
 
     __slots__ = ("leading_words", "tails", "normal_words", "divisor_index",

@@ -15,14 +15,16 @@ truncation bound and the criteria (see :mod:`ncgb.criteria`) decide on
 pairs, and an obstruction is (i, d) until it survives them.
 
 :func:`nontrivial_obstructions` finds the pairs of one target j at once.
-The containments come from one ``find`` per pair; the proper overlaps from
-an index of leading-word prefixes and suffixes, so their cost follows the
-number of obstructions found rather than the number of pairs times the
-word length.  The pairs come in discovery order, not sorted: nothing
-downstream reads their order.  The criteria decide on cofactor sets,
-completion selects by :func:`obstruction_key`, and verification names
-its failure by that key too, sorting only the survivors of the batch
-where one fails.
+The containments come from one ``find`` per pair, and only from the
+sources at least as long as the target when division's memo of normal
+words (``G.normal_words``) shows that no earlier leading word occurs in
+the target's.  The proper overlaps come from an index of leading-word
+prefixes and suffixes, so their cost follows the number of obstructions
+found rather than the number of pairs times the word length.  The pairs
+come in discovery order, not sorted: nothing downstream reads their
+order.  The criteria decide on cofactor sets, completion selects by
+:func:`obstruction_key`, and verification names its failure by that key
+too, sorting only the survivors of the batch where one fails.
 
 This module owns that index, held in the basis as ``prefixes`` and
 ``suffixes``: ``prefixes`` maps each proper prefix of an indexed leading
@@ -115,6 +117,10 @@ def nontrivial_obstructions(s: int, G) -> list[tuple[int, int]]:
 
     One pair per offset d at which lw(g_i) and W = lw(g_s) agree.
     Containments come first, from one ``find`` loop per source, by source.
+    Division's memo (``G.normal_words``) may already rule out every
+    lw(g_i), i < s, inside W: a count of at least s for W says none of
+    them occurs in it, as for every remainder completion appends.  Then
+    only W inside a longer or equal lw(g_i) is searched.
     A proper overlap puts a proper prefix of W at the end of lw(g_i)
     (d > 0) or a proper suffix of W at the start of it (d < 0); for each
     affix length k the sources with that prefix of W as a suffix, then
@@ -139,6 +145,8 @@ def nontrivial_obstructions(s: int, G) -> list[tuple[int, int]]:
     if not b:
         return []
     found = []
+    # division's memo: a count of at least s says no lw(g_i), i < s, occurs in W
+    inside = G.normal_words.get(W, 0) < s
     for i in range(s):
         lw = lws[i]
         if len(lw) >= b:  # W inside lw(g_i) at d
@@ -146,7 +154,7 @@ def nontrivial_obstructions(s: int, G) -> list[tuple[int, int]]:
             while d != -1:
                 found.append((i, d))
                 d = lw.find(W, d + 1)
-        elif lw:  # lw(g_i) inside W at -d
+        elif inside and lw:  # lw(g_i) inside W at -d
             pos = W.find(lw)
             while pos != -1:
                 found.append((i, -pos))

@@ -29,9 +29,13 @@ class Alphabet:
     The list is the precedence: letter k, the byte k in a word, is the
     k-th largest variable.  So every word has one encoding, and among
     words of one length the largest has the smallest bytes.
+
+    :meth:`word_to_text` remembers the text of every word it renders.  A
+    problem's alphabet is parsed once per run, so the memo lives as long
+    as that run, and printing a basis renders each distinct word once.
     """
 
-    __slots__ = ("symbols", "_index", "_llex")
+    __slots__ = ("symbols", "_index", "_llex", "_text")
 
     def __init__(self, symbols):
         symbols = tuple(symbols)
@@ -47,6 +51,7 @@ class Alphabet:
         self.symbols = symbols
         self._index = {name: k for k, name in enumerate(symbols)}
         self._llex = None
+        self._text = {EMPTY: "1"}
 
     def __len__(self):
         return len(self.symbols)
@@ -105,8 +110,9 @@ class Alphabet:
 
     def word_to_text(self, w: bytes) -> str:
         """Render a word with powers collapsed, e.g. ``a^2*b``; the empty word is ``1``."""
-        if not w:
-            return "1"
+        text = self._text.get(w)
+        if text is not None:
+            return text
         parts = []
         k = 0
         while k < len(w):
@@ -116,7 +122,8 @@ class Alphabet:
             name = self.symbols[w[k]]
             parts.append(name if run - k == 1 else f"{name}^{run - k}")
             k = run
-        return "*".join(parts)
+        text = self._text[w] = "*".join(parts)
+        return text
 
 
 class LLexOrdering:

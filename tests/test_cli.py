@@ -1,5 +1,6 @@
 """The batch front end: problem files, run output, verification."""
 
+import gc
 import hashlib
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 import ncgb
 import ncgb.cli as cli
+import ncgb.division as division
 import ncgb.engine as engine
 from ncgb.cli import (
     EXIT_CAPPED,
@@ -25,6 +27,9 @@ from ncgb.corpus import names, problem_path
 from ncgb.polynomial import format_polynomial
 from ncgb.words import Alphabet
 from oracles import random_polynomial, regular_representation
+
+# the benchmark's reference bases
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def interrupt_on_call(monkeypatch, k):
@@ -670,6 +675,50 @@ class TestVerify:
         problem.write_text("vars a b\ngen a^2 - 1\n")
         code, out, _ = run_main(["verify", str(path), str(problem)], capsys)
         assert (code, out) == (EXIT_OK, "ok\n")
+
+    @pytest.mark.parametrize("name, argv, drop, code", [
+        ("g13", [], None, EXIT_OK),
+        ("braid4", ["--trunc", "10"], None, EXIT_OK),
+        ("g06", [], 1, EXIT_VERIFY_FAILED),
+    ])
+    def test_verify_releases_its_automaton(self, tmp_path, capsys, monkeypatch,
+                                           name, argv, drop, code):
+        """Whatever the verdict, no divisor automaton outlives the command.
+
+        An automaton's states form cycles, so one left on the dropped basis
+        waits for a full garbage collection.  With the collector off, the
+        states of every automaton built during the command are not among
+        the unreachable objects it leaves.  The check is on the states
+        themselves: a ``main`` call leaves other cycles too (argparse's
+        parser, an alphabet and its ordering).
+        """
+        lines = (REFERENCES / f"{name}.prob").read_text().splitlines()
+        if drop is not None:
+            del lines[[k for k, line in enumerate(lines) if line.startswith("gen ")][drop]]
+        path = tmp_path / "basis.prob"
+        path.write_text("\n".join(lines) + "\n")
+        built = []
+
+        class Recorded(division.DivisorIndex):
+            def __init__(self, patterns, width):
+                super().__init__(patterns, width)
+                built.append({id(s) for s in self.states})
+
+        monkeypatch.setattr(division, "DivisorIndex", Recorded)
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            got, _, _ = run_main(["verify", str(path), str(problem_path(name)), *argv],
+                                 capsys)
+            gc.collect()
+            states = set().union(*built)
+            assert got == code and states
+            assert not any(id(o) in states for o in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
 
     def test_single_generator_basis(self, tmp_path, capsys):
         problem = tmp_path / "p.prob"

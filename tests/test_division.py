@@ -150,6 +150,44 @@ def test_cancelled_word_produced_again(xy):
     assert len(reference_divide(f, G, xy.llex)[0]) == 2
 
 
+@pytest.mark.parametrize("gens, dividend, remainder, steps", [
+    # x^3*y rewrites to words of three lengths below its own, one per
+    # tail term: x*y*x, x^2 and x, each onto the heap of its length
+    (["x^2*y - y*x - x + 1"], "x^3*y + y", "x*y*x + x^2 - x + y", 1),
+    # a shorter word produced, cancelled, produced again and added to:
+    # rewriting x^2 leaves 1, rewriting x*y cancels it, rewriting y*x
+    # brings it back onto the heap of length 0, where it then sits twice,
+    # and rewriting y^2 adds to it; it is peeled only after all four
+    (["x^2 - 1", "x*y - 1", "y*x - 1", "y^2 - 1"], "x^2 - x*y + y*x + y^2", "2", 4),
+    # a word of the current length added again while shorter words are
+    # live: y^2 is cancelled by the x*y step and returns with the y*x step
+    (["x^2 - y^2 - x", "x*y - y^2 + y", "y*x - y^2 - 1"],
+     "x^2 + x*y + y*x - 2*y^2", "y^2 + x - y + 1", 3),
+])
+def test_heap_per_length(xy, gens, dividend, remainder, steps):
+    """Words of several lengths, and words that return after a cancellation."""
+    G = basis(gens, xy)
+    f = parse_polynomial(dividend, xy)
+    quotients, want = reference_divide(f, G, xy.llex)
+    assert len(quotients) == steps and want == parse_polynomial(remainder, xy)
+    assert normal_remainder(f, G, xy.llex) == want
+
+
+def test_many_word_lengths(xy):
+    """A dividend with 2,000 distinct word lengths divides like a rescan.
+
+    y^k*x rewrites to y^(k-1)*x, so every step lands on the next length
+    down, where the sum either cancels (and the next step brings the word
+    back) or grows.  A correctness check, not a timing one.
+    """
+    G = basis(["y*x - x"], xy)
+    x, y = xy.word("x"), xy.word("y")
+    f = NcPolynomial({y * k + x: 2 if k == 0 else (-1) ** k for k in range(2000)})
+    assert len({len(w) for w in f.support()}) == 2000
+    remainder = normal_remainder(f, G, xy.llex)
+    assert remainder == reference_divide(f, G, xy.llex)[1] == NcPolynomial({x: 1})
+
+
 def test_matches_reference_divide(xy):
     """The same remainder as a rescan, with integer coefficients kept as int."""
     abc = Alphabet(["a", "b", "c"])

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
+import ncgb.engine as engine
 import ncgb.obstructions as obstructions
 from ncgb.cli import parse_problem
 from ncgb.corpus import problem_path
-from ncgb.engine import BasisState
+from ncgb.engine import BasisState, EngineConfig, buchberger
 from ncgb.obstructions import (
     build_obstructions,
     nontrivial_obstructions,
@@ -375,6 +376,45 @@ class TestNontrivialObstructions:
         G = BasisState.from_polynomials(basis_file.generators, problem.ordering)
         for s in range(len(G)):
             assert_batch_is_brute(s, G)
+
+    def test_remembered_count_skips_the_containment_search(self, xy):
+        # x lies inside x*y at position 0.  The memo is trusted: a planted
+        # count of 1 for x*y says no earlier leading word occurs in it, so
+        # that containment is not searched; a count of 0 leaves it found
+        G = basis(["x - 1", "x*y - 1"], xy)
+        G.normal_words[xy.word("xy")] = 1
+        assert (0, 0) not in nontrivial_obstructions(1, G)
+        G.normal_words[xy.word("xy")] = 0
+        assert (0, 0) in nontrivial_obstructions(1, G)
+
+    @pytest.mark.parametrize("name", ["g01", "g13",
+                                      pytest.param("braid4", marks=pytest.mark.slow)])
+    def test_completion_batches_match_pairwise_oracle(self, name, monkeypatch):
+        """Every batch that completion constructs is the brute-force search.
+
+        Division's memo lets construction skip the search for earlier
+        leading words inside a remainder that joins the basis; so each
+        batch is checked at the moment completion constructs it, against
+        the basis it is constructed from, skipped containments included.
+        The pairs are compared sorted, as a multiset.
+        """
+        problem = parse_problem(problem_path(name))
+        construct = engine.nontrivial_obstructions
+        seen = {"skipped": 0, "searched": 0}
+
+        def checked(s, G):
+            got = construct(s, G)
+            if s:
+                skipped = G.normal_words.get(G.leading_words[s], 0) >= s
+                seen["skipped" if skipped else "searched"] += 1
+            want = batch_brute(s, G)
+            assert sorted(got) == [(t[0], len(t[3]) - len(t[1])) for t in want]
+            return got
+
+        monkeypatch.setattr(engine, "nontrivial_obstructions", checked)
+        cfg = EngineConfig(ordering=problem.ordering, truncation_degree=problem.truncation)
+        buchberger(problem.generators, cfg)
+        assert min(seen.values()) > 0, seen
 
 
 class TestHasOverlap:

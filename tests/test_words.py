@@ -44,6 +44,14 @@ class TestAlphabet:
         assert ab.word_to_text(ab.word("abab")) == "a*b*a*b"
         assert ab.word_to_text(b"") == "1"
 
+    def test_word_to_text_renders_each_word_once(self):
+        # the alphabet remembers what it rendered: the same word gives the
+        # same string, and another alphabet's letters give its own names
+        ab, xy = Alphabet(["a", "b"]), Alphabet(["x", "y"])
+        w = bytes([0, 0, 1])
+        assert ab.word_to_text(w) is ab.word_to_text(bytes(w)) == "a^2*b"
+        assert xy.word_to_text(w) == "x^2*y"
+
     def test_multicharacter_names(self):
         alpha = Alphabet(["x1", "x2", "x3"])
         assert alpha.word("x1*x3^2") == bytes([0, 2, 2])
